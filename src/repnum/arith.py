@@ -309,7 +309,7 @@ def log_integral(x):
 #
 # Header: magic "RNPK", version u32 LE, limit u64 LE.
 # Body: bitset over odd integers 3..limit (bit set <=> prime), LSB-first
-# within each byte, padded to whole bytes.
+# within each byte, padded to whole bytes; exactly ceil(n_odd / 8) bytes.
 # ---------------------------------------------------------------------------
 
 def cache_dir():
@@ -330,35 +330,55 @@ def write_prime_cache(table, path=None):
     odd_primes = table.primes[table.primes >= 3]
     bits[(odd_primes - 3) // 2] = True
     body = np.packbits(bits, bitorder="little").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", CACHE_VERSION))
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(body)
+    # write a sibling temp file and rename it over the target, so a reader
+    # sees either no file or a whole one
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(struct.pack("<I", CACHE_VERSION))
+            fh.write(struct.pack("<Q", table.limit))
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return path
 
 
-def read_prime_cache(path, spf_cap=SPF_CAP):
-    """Rebuild a PrimeTable from a cache file written by write_prime_cache."""
+def read_prime_cache(path, spf_cap=SPF_CAP, limit=None):
+    """Rebuild a PrimeTable from a cache file written by write_prime_cache.
+
+    Raises ValueError unless the header is whole, names `limit` (when
+    given), and the body has exactly the length that its limit needs.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"bad cache magic {magic!r} in {path}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {version}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
+        head = fh.read(16)
         body = np.frombuffer(fh.read(), dtype=np.uint8)
-    n_odd = max((limit - 1) // 2, 0)
+    if head[:4] != CACHE_MAGIC:
+        raise ValueError(f"bad cache magic {head[:4]!r} in {path}")
+    if len(head) < 16:
+        raise ValueError(f"truncated cache header in {path}")
+    version, stored = struct.unpack("<IQ", head[4:])
+    if version != CACHE_VERSION:
+        raise ValueError(f"unsupported cache version {version}")
+    if limit is not None and stored != limit:
+        raise ValueError(f"cache {path} holds limit {stored}, wanted {limit}")
+    n_odd = max((stored - 1) // 2, 0)
+    if len(body) != (n_odd + 7) // 8:
+        raise ValueError(
+            f"cache body of {len(body)} bytes in {path}; limit {stored} needs "
+            f"{(n_odd + 7) // 8}")
     bits = np.unpackbits(body, bitorder="little", count=n_odd).astype(bool)
     odd_primes = 3 + 2 * np.nonzero(bits)[0].astype(np.int64)
-    if limit >= 2:
+    if stored >= 2:
         primes = np.concatenate(([2], odd_primes))
     else:
         primes = odd_primes
-    spf_limit = min(limit, spf_cap)
+    spf_limit = min(stored, spf_cap)
     spf = _spf_sieve(spf_limit)
-    return PrimeTable(limit=int(limit), primes=primes, spf=spf,
+    return PrimeTable(limit=int(stored), primes=primes, spf=spf,
                       spf_limit=int(spf_limit))
 
 
@@ -366,7 +386,7 @@ def cached_prime_table(limit, spf_cap=SPF_CAP):
     """prime_table() with read-through caching under REPNUM_CACHE_DIR."""
     path = cache_path(limit)
     if os.path.exists(path):
-        return read_prime_cache(path, spf_cap=spf_cap)
+        return read_prime_cache(path, spf_cap=spf_cap, limit=limit)
     table = prime_table(limit, spf_cap=spf_cap)
     write_prime_cache(table, path)
     return table

@@ -72,11 +72,24 @@ def _table_for(xmax, spf=False):
     return arith.prime_table(limit, spf_cap=limit if spf else 0)
 
 
+def _default_workers():
+    """CPUs this process may run on (its affinity set), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _work_table(x):
+    """Table for verify/calibrate at scale x: primes and spf to sqrt(x)."""
+    limit = max(10**4, math.isqrt(x) + 1)
+    return arith.prime_table(limit, spf_cap=limit)
+
+
 def _add_common(p):
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--segment-size", type=int,
                    default=moments.DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--constants", default=DEFAULT_CONSTANTS)
     p.add_argument("--cutoff", type=int, default=asymp.DEFAULT_LANDAU_CUTOFF,
                    help="prime cutoff for truncated products")
@@ -215,7 +228,7 @@ def _cmd_verify(args):
                 f"`repnum calibrate` first\n")
             return 2
         constants = asymp.read_constants(args.constants)
-    table = arith.prime_table(10**4, spf_cap=10**4)
+    table = _work_table(args.x or 0)
     rows, ok = [], True
     for suite in suites:
         for res in acceptance.run_suite(suite, table, constants=constants,
@@ -254,7 +267,7 @@ def _cmd_constants(args):
 
 
 def _cmd_calibrate(args):
-    table = arith.prime_table(10**4, spf_cap=10**4)
+    table = _work_table(args.grid_max)
     values, notes = asymp.calibrate(table, grid_max=args.grid_max,
                                     segment_size=args.segment_size,
                                     workers=args.workers, cutoff=args.cutoff)

@@ -24,7 +24,9 @@ MAX_X = 10**9          # desk-scale budget for the segment engine
 MAX_POWER = 8
 MAX_BINOMIAL = 8
 _COUNTER_MAX = (1 << 32) - 1
-_FLUSH_PAIRS = 1 << 22
+_BLOCK_PAIRS = 1 << 18  # lattice pairs per bucket block; bounds scratch memory
+_INT32_MAX = 2**31 - 1  # the bucket pass's pair arithmetic is int32
+_NO_PRIME = np.int32(_INT32_MAX)  # replaces a padding 0; divides no a > 0
 
 
 @dataclass(frozen=True)
@@ -59,50 +61,140 @@ class MomentQuery:
 # Segment kernels
 # ---------------------------------------------------------------------------
 
-def _segment_counts(lo, hi, traits, bvals, primes):
-    """Counts of family pairs per n in [lo, hi), as int64."""
+def _isqrt(v):
+    """Elementwise isqrt of a non-negative int64 array, exact after fix-ups."""
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _prime_columns(bvals, primes):
+    """Distinct primes of each base value, ascending, in 0-padded int32 columns.
+
+    Row i lists the primes dividing bvals[i] (b = 1 has none); the columns
+    are marked by walking the multiples of every prime <= max(bvals) through
+    a position index of the base values.
+    """
+    bmax = int(bvals[-1]) if len(bvals) else 0
+    ps = primes[: int(np.searchsorted(primes, bmax, side="right"))]
+    pos = np.full(bmax + 1, -1, dtype=np.int64)
+    pos[bvals] = np.arange(len(bvals))
+    reps = bmax // ps
+    p_rep = np.repeat(ps, reps)
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    rows = pos[p_rep * (np.arange(len(p_rep)) - first + 1)]
+    keep = rows >= 0
+    rows, p_rep = rows[keep], p_rep[keep]
+    order = np.argsort(rows, kind="stable")  # each row's primes stay sorted
+    rows, p_rep = rows[order], p_rep[order]
+    col = np.arange(len(rows)) - np.searchsorted(rows, rows, side="left")
+    out = np.zeros((len(bvals), int(col.max(initial=-1)) + 1), dtype=np.int32)
+    out[rows, col] = p_rep
+    return out
+
+
+def _lattice_state(traits, root, table):
+    """What the bucket pass needs for base values b <= root; once per sweep.
+
+    bvals: the base set; bprimes: their prime columns (coprime families
+    only); aprimes: the int32 primes <= root that prime first coordinates
+    walk.
+    """
+    bvals = repfun.base_values(traits.base, root, table)
+    cut = int(np.searchsorted(table.primes, root, side="right"))
+    return {
+        "traits": traits,
+        "bvals": bvals,
+        "bprimes": (_prime_columns(bvals, table.primes) if traits.coprime
+                    else None),
+        "aprimes": table.primes[:cut].astype(np.int32),
+    }
+
+
+def _pair_blocks(ends, cap):
+    """Split rows with cumulative pair counts `ends` into blocks of whole rows.
+
+    Each block holds at most `cap` pairs, or a single row larger than cap.
+    """
+    r0, base = 0, 0
+    while r0 < len(ends):
+        r1 = max(int(np.searchsorted(ends, base + cap, side="right")), r0 + 1)
+        yield r0, r1
+        r0, base = r1, int(ends[r1 - 1])
+
+
+def _segment_counts(lo, hi, lattice):
+    """Counts of family pairs per n in [lo, hi), as int64.
+
+    One vectorized pass over every base value b <= isqrt(hi - 1) of the
+    _lattice_state `lattice`: each b owns a row of first coordinates a
+    (integers, or prime indices for the prime-first families) with
+    lo <= a^2 + b^2 < hi.  Rows are laid out as one ragged column in blocks
+    of at most _BLOCK_PAIRS pairs, and the pair offsets a^2 + b^2 - lo are
+    counted in int32, which needs hi - 1 <= _INT32_MAX.
+    """
+    traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
+                              lattice["aprimes"])
     size = hi - lo
     counts = np.zeros(size, dtype=np.int64)
-    bmax = math.isqrt(hi - 1)
-    buf, pending = [], 0
-
-    def flush():
-        nonlocal buf, pending
-        if buf:
-            idx = buf[0] if len(buf) == 1 else np.concatenate(buf)
-            np.add(counts, np.bincount(idx, minlength=size), out=counts)
-            buf, pending = [], 0
-
-    for b in bvals:
-        b = int(b)
-        if b > bmax:
-            break
-        bb = b * b
-        a_hi = math.isqrt(hi - 1 - bb)
-        t = lo - bb
-        a_lo = 0 if t <= 0 else math.isqrt(t - 1) + 1
-        if traits.unordered:
-            a_hi = min(a_hi, b - 1)
-        if a_lo > a_hi:
-            continue
+    nb = int(np.searchsorted(bvals, math.isqrt(hi - 1), side="right"))
+    b = bvals[:nb]
+    bb = b * b
+    a_hi = _isqrt(hi - 1 - bb)
+    t = lo - bb
+    a_lo = np.where(t <= 0, 0, _isqrt(np.maximum(t - 1, 0)) + 1)
+    if traits.unordered:
+        a_hi = np.minimum(a_hi, b - 1)
+    if traits.first_prime:
+        start = np.searchsorted(aprimes, a_lo, side="left")
+        stop = np.searchsorted(aprimes, a_hi, side="right")
+    else:
+        start, stop = a_lo, a_hi + 1
+    rows = np.nonzero(stop > start)[0]
+    n = (stop - start)[rows]
+    start = start[rows].astype(np.int32)
+    b = b[rows].astype(np.int32)
+    off = (bb[rows] - lo).astype(np.int32)
+    cols = lattice["bprimes"][rows] if traits.coprime else None
+    ends = np.cumsum(n)
+    for r0, r1 in _pair_blocks(ends, _BLOCK_PAIRS):
+        nr = n[r0:r1]
+        first = ends[r0:r1] - nr - (ends[r0 - 1] if r0 else 0)
+        a = np.arange(int(nr.sum()), dtype=np.int32)
+        a += np.repeat(start[r0:r1] - first.astype(np.int32), nr)
         if traits.first_prime:
-            i0 = int(np.searchsorted(primes, a_lo, side="left"))
-            i1 = int(np.searchsorted(primes, a_hi, side="right"))
-            a = primes[i0:i1].astype(np.int64)
-        else:
-            a = np.arange(a_lo, a_hi + 1, dtype=np.int64)
+            a = aprimes[a]
+        keep = None
         if traits.distinct:
-            a = a[a != b]
+            keep = a != np.repeat(b[r0:r1], nr)
         if traits.coprime:
-            a = a[np.gcd(a, b) == 1]
-        if len(a) == 0:
-            continue
-        buf.append(a * a + (bb - lo))
-        pending += len(a)
-        if pending >= _FLUSH_PAIRS:
-            flush()
-    flush()
+            cop = _coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1])
+            keep = cop if keep is None else keep & cop
+        v = a * a + np.repeat(off[r0:r1], nr)
+        if keep is not None:
+            v = v[keep]
+        np.add(counts, np.bincount(v, minlength=size), out=counts)
     return counts
+
+
+def _coprime_mask(a, nr, first, b, cols):
+    """gcd(a, b) == 1 for a block's pairs, from the prime columns of each b.
+
+    A pair survives if no prime of its b divides a.  Padding zeros stand for
+    "no prime" and test against a value no a reaches; a = 0 is then settled
+    directly, since gcd(0, b) = b: it survives only for b = 1.
+    """
+    keep = np.ones(len(a), dtype=bool)
+    for j in range(cols.shape[1]):
+        col = cols[:, j]
+        if not col.any():
+            break  # primes fill each row from column 0, so later columns are 0
+        col = np.where(col == 0, _NO_PRIME, col)
+        keep &= a % np.repeat(col, nr) != 0
+    zero = a[first] == 0  # rows that start at a = 0
+    keep[first[zero]] = b[zero] == 1
+    return keep
 
 
 def _window_primes(primes, lo, hi):
@@ -220,8 +312,7 @@ def _run_segment(seg):
     if mode == "nn":
         prof = segment_profile(lo, hi, primes)
         return np.bincount(prof.omega_star[prof.in_nn()].astype(np.int64))
-    counts = _segment_counts(lo, hi, _WORKER["traits"], _WORKER["bvals"],
-                             primes)
+    counts = _segment_counts(lo, hi, _WORKER)
     if counts.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
     kind = _WORKER["omega_kind"]
@@ -306,15 +397,8 @@ def histogram_grid(family, xs, table, omega_kind=None,
     if omega_kind not in (None, "omega", "omega_star"):
         raise ValueError(f"bad omega kind {omega_kind!r}")
     xmax = max(int(x) for x in xs)
-    traits = family.traits
-    bvals = repfun.base_values(traits.base, math.isqrt(xmax), table)
-    state = {
-        "mode": "family",
-        "traits": traits,
-        "bvals": bvals,
-        "primes": table.primes,
-        "omega_kind": omega_kind,
-    }
+    state = _lattice_state(family.traits, math.isqrt(xmax), table)
+    state.update(mode="family", primes=table.primes, omega_kind=omega_kind)
     return _hist_sweep(state, xs, table, segment_size, workers)
 
 
@@ -333,14 +417,17 @@ def accumulate_counts(family, lo, hi, table):
     """CountSegment for [lo, hi) via the bucket pass."""
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
+    if hi - 1 > _INT32_MAX:
+        raise CapacityError(
+            f"range up to {hi - 1} exceeds the bucket kernel's int32 cap "
+            f"_INT32_MAX = {_INT32_MAX}")
     root = math.isqrt(hi - 1)
     if root > table.limit:
         raise CapacityError(
             f"range up to {hi - 1} needs primes to {root}, table limit "
             f"{table.limit}")
-    traits = family.traits
-    bvals = repfun.base_values(traits.base, root, table)
-    counts = _segment_counts(lo, hi, traits, bvals, table.primes)
+    lattice = _lattice_state(family.traits, root, table)
+    counts = _segment_counts(lo, hi, lattice)
     if counts.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
     return CountSegment(lo, hi, family, counts.astype(np.uint32))

@@ -204,6 +204,68 @@ def test_cache_rejects_garbage(tmp_path):
         arith.read_prime_cache(str(bad))
 
 
+def _corrupt(path, body_delta=0, limit=None):
+    """Rewrite a cache file with its body cut or extended, or a new limit."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, body = data[:16], data[16:]
+    if limit is not None:
+        head = head[:8] + struct.pack("<Q", limit)
+    if body_delta < 0:
+        body = body[:body_delta]
+    else:
+        body += b"\xff" * body_delta
+    with open(path, "wb") as fh:
+        fh.write(head + body)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_cache_rejects_body_length(tmp_path, delta):
+    path = arith.write_prime_cache(arith.prime_table(10**5),
+                                   str(tmp_path / "p.rnpk"))
+    _corrupt(path, body_delta=delta)
+    with pytest.raises(ValueError, match="body"):
+        arith.read_prime_cache(path)
+
+
+def test_cache_rejects_half_body(tmp_path):
+    path = arith.write_prime_cache(arith.prime_table(10**5),
+                                   str(tmp_path / "p.rnpk"))
+    size = os.path.getsize(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(16 + (size - 16) // 2)
+    with pytest.raises(ValueError, match="body"):
+        arith.read_prime_cache(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(10)
+    with pytest.raises(ValueError, match="header"):
+        arith.read_prime_cache(path)
+
+
+def test_cache_rejects_wrong_limit(tmp_path, monkeypatch):
+    path = arith.write_prime_cache(arith.prime_table(5000),
+                                   str(tmp_path / "p.rnpk"))
+    _corrupt(path, limit=6000)  # header no longer matches the body
+    with pytest.raises(ValueError, match="body"):
+        arith.read_prime_cache(path)
+    # a whole file for another limit, stored under this limit's name
+    monkeypatch.setenv("REPNUM_CACHE_DIR", str(tmp_path))
+    arith.write_prime_cache(arith.prime_table(5001), arith.cache_path(5000))
+    with pytest.raises(ValueError, match="wanted 5000"):
+        arith.cached_prime_table(5000)
+    assert arith.read_prime_cache(arith.cache_path(5000)).limit == 5001
+
+
+def test_cache_write_replaces_atomically(tmp_path):
+    path = str(tmp_path / "p.rnpk")
+    with open(path, "wb") as fh:
+        fh.write(b"RNPK partial")
+    arith.write_prime_cache(arith.prime_table(1000), path)
+    assert os.listdir(tmp_path) == ["p.rnpk"]  # no temp file left behind
+    assert arith.read_prime_cache(path, limit=1000).primes.tolist() == \
+        arith.prime_table(1000).primes.tolist()
+
+
 def test_cache_default_dir(monkeypatch):
     monkeypatch.delenv("REPNUM_CACHE_DIR", raising=False)
     assert arith.cache_dir() == "./.repnum-cache"

@@ -1,8 +1,9 @@
+import math
 import os
 
 import pytest
 
-from repnum import asymp, cli
+from repnum import acceptance, asymp, cli
 
 
 def run(capsys, *argv):
@@ -135,3 +136,35 @@ def test_capacity_exit_code(capsys):
     assert "capacity" in err
     code, _, err = run(capsys, "table", "--limit", str(3 * 10**9))
     assert code == 3
+
+
+def test_workers_default_honours_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    args = cli._build_parser().parse_args(["zeroth", "--family", "r0",
+                                           "--x", "10"])
+    assert args.workers == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    args = cli._build_parser().parse_args(["zeroth", "--family", "r0",
+                                           "--x", "10"])
+    assert args.workers == 1
+
+
+@pytest.mark.parametrize("x", [None, 10**6, 2 * 10**8])
+def test_verify_table_covers_x(capsys, monkeypatch, x):
+    seen = []
+
+    def fake_suite(name, table, constants=None, workers=1, x=None):
+        seen.append(table)
+        return [acceptance.CheckResult("stub", True, "")]
+
+    monkeypatch.setattr(acceptance, "run_suite", fake_suite)
+    argv = ["verify", "--suite", "identities"]
+    if x is not None:
+        argv += ["--x", str(x)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    (table,) = seen
+    assert table.limit >= max(math.isqrt(x or 0), 10**4 - 1)
+    assert table.spf_limit == table.limit

@@ -165,6 +165,29 @@ def test_validation(table):
         moments.moment_identity_residual(RepFamily.R0, 100, 7, table)
 
 
+def test_accumulate_counts_int32_cap():
+    # the lattice arithmetic is int32: exact up to 2^31 - 1, refused beyond
+    top = moments._INT32_MAX
+    big = arith.prime_table(math.isqrt(top + 1) + 1, spf_cap=0)
+    for lo in (46340**2 + 10**2 - 3, top - 7):  # the first holds r0 = 24
+        for fam in (RepFamily.R0, RepFamily.R0_STAR, RepFamily.R2):
+            seg = moments.accumulate_counts(fam, lo, lo + 8, big)
+            assert seg.counts.tolist() == [repfun.rep_enumerate(fam, n, big)
+                                           for n in range(lo, lo + 8)]
+    with pytest.raises(CapacityError, match="_INT32_MAX"):
+        moments.accumulate_counts(RepFamily.R0, top - 7, top + 2, big)
+
+
+def test_prime_columns(table):
+    bvals = np.array([1, 2, 6, 9, 30, 30030, 31637], dtype=np.int64)
+    cols = moments._prime_columns(bvals, table.primes)
+    assert cols.dtype == np.int32
+    assert cols.tolist() == [
+        [0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], [2, 3, 0, 0, 0, 0],
+        [3, 0, 0, 0, 0, 0], [2, 3, 5, 0, 0, 0], [2, 3, 5, 7, 11, 13],
+        [17, 1861, 0, 0, 0, 0]]
+
+
 def test_falling_factorial():
     assert moments.falling_factorial(5, 0) == 1
     assert moments.falling_factorial(5, 3) == 60
