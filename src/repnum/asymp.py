@@ -15,6 +15,7 @@ import numpy as np
 
 from . import moments
 from .arith import prime_recip_sum
+from .errors import CapacityError
 from .moments import segment_profile
 from .repfun import RepFamily
 
@@ -243,6 +244,10 @@ def inductive_claim_sum(x, table):
 # ---------------------------------------------------------------------------
 
 def _profile_segments(x, table, segment_size):
+    root = math.isqrt(x)
+    if root > table.limit:
+        raise CapacityError(
+            f"x = {x} needs primes to {root} but table limit is {table.limit}")
     lo = 1
     while lo <= x:
         hi = min(lo + segment_size, x + 1)
@@ -337,6 +342,10 @@ def tau_growth_max(lo, hi, table):
 # Constants file: one "key = value # provenance" line each
 # ---------------------------------------------------------------------------
 
+# what calibrate() writes and the calibrated suite reads
+CONSTANT_KEYS = ("C", "gamma1", "gamma2", "H", "gss_bound", "landau_K")
+
+
 def write_constants(path, values, provenance):
     lines = []
     for key in sorted(values):
@@ -347,14 +356,29 @@ def write_constants(path, values, provenance):
 
 
 def read_constants(path):
+    """The constants file at `path` as a dict, key -> float.
+
+    Raises ValueError naming the file and the line when a line is not
+    "key = number", or naming the CONSTANT_KEYS the file lacks.
+    """
     out = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
+        for num, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = float(value)
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            try:
+                if not eq or not key:
+                    raise ValueError
+                out[key] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{num}: expected 'key = number', "
+                                 f"got {raw.strip()!r}") from None
+    missing = [k for k in CONSTANT_KEYS if k not in out]
+    if missing:
+        raise ValueError(f"{path}: missing constant(s) {', '.join(missing)}")
     return out
 
 

@@ -206,30 +206,13 @@ def _window_primes(primes, lo, hi):
     return [int(p) for p in primes[:cut]]
 
 
-def _segment_omega(lo, hi, primes, kind):
-    """omega(n) or omega_star(n) for n in [lo, hi), as uint8."""
-    size = hi - lo
-    om = np.zeros(size, dtype=np.uint8)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in _window_primes(primes, lo, hi):
-        start = -lo % p
-        if kind == "omega" or p != 2:
-            om[start::p] += 1
-        q = p
-        while q <= hi - 1:
-            rem[-lo % q::q] //= p
-            q *= p
-    left = rem > 1
-    if kind == "omega":
-        om[left] += 1
-    else:
-        om[left & (rem & 1 == 1)] += 1
-    return om
-
-
 @dataclass(frozen=True)
 class SegmentProfile:
-    """Factorization statistics for n in [lo, hi), one entry per n."""
+    """Factorization statistics for n in [lo, hi), one entry per n.
+
+    A profile from _factor_walk holds None in the fields it was not asked
+    for; segment_profile fills them all.
+    """
 
     lo: int
     hi: int
@@ -250,47 +233,83 @@ class SegmentProfile:
         return ~self.has3 & (self.v2 <= 1)
 
 
-def segment_profile(lo, hi, primes):
+# SegmentProfile's statistics, in field order, with their dtypes
+_FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
+                 "n1mod4": np.uint8, "has3": bool, "v2": np.uint8,
+                 "lpf": np.int64, "lpf_sq": bool}
+_NN_FIELDS = ("omega_star", "has3", "v2")  # what in_nn and rho_kN read
+_UINT32_MAX = 2**32 - 1  # the walk's smooth part and leftover are uint32
+
+
+def _factor_walk(lo, hi, primes, fields):
+    """SegmentProfile of [lo, hi) with only `fields` computed, the rest None.
+
+    One walk over the sieving primes p <= isqrt(hi - 1) marks the multiples
+    of each p in the asked fields and multiplies p into a uint32 smooth part
+    sm at every multiple of each power p^k <= hi - 1.  One division
+    n // sm per window then leaves 1 or the single prime > isqrt(hi - 1) of
+    n.  It is exact because sm divides n <= hi - 1 <= 2^32 - 1.
+    """
+    if hi - 1 > _UINT32_MAX:
+        raise CapacityError(
+            f"range up to {hi - 1} exceeds the factorization walk's uint32 "
+            f"cap {_UINT32_MAX}")
     size = hi - lo
-    omega = np.zeros(size, dtype=np.uint8)
-    omega_star = np.zeros(size, dtype=np.uint8)
-    n1mod4 = np.zeros(size, dtype=np.uint8)
-    has3 = np.zeros(size, dtype=bool)
-    v2 = np.zeros(size, dtype=np.uint8)
-    lpf = np.zeros(size, dtype=np.int64)
-    lpf_sq = np.zeros(size, dtype=bool)
-    rem = np.arange(lo, hi, dtype=np.int64)
+    out = {f: np.zeros(size, dtype=_FIELD_DTYPES[f]) for f in fields}
+    omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq = (
+        out.get(f) for f in _FIELD_DTYPES)
+    sm = np.ones(size, dtype=np.uint32)
     for p in _window_primes(primes, lo, hi):
-        start = -lo % p
-        sl = slice(start, None, p)
-        omega[sl] += 1
-        if p != 2:
-            omega_star[sl] += 1
-            if p % 4 == 1:
-                n1mod4[sl] += 1
-            else:
-                has3[sl] = True
-        else:
-            v2[sl] = 1
-            if 4 <= hi - 1:
+        sl = slice(-lo % p, None, p)
+        if omega is not None:
+            omega[sl] += 1
+        if p == 2:
+            if v2 is not None:
+                v2[sl] = 1
                 v2[-lo % 4::4] = 2
-        lpf[sl] = p
-        lpf_sq[sl] = False
-        if p * p <= hi - 1:
+        else:
+            if omega_star is not None:
+                omega_star[sl] += 1
+            if p % 4 == 1:
+                if n1mod4 is not None:
+                    n1mod4[sl] += 1
+            elif has3 is not None:
+                has3[sl] = True
+        if lpf is not None:
+            lpf[sl] = p
+        if lpf_sq is not None:
+            lpf_sq[sl] = False
             lpf_sq[-lo % (p * p)::p * p] = True
         q = p
         while q <= hi - 1:
-            rem[-lo % q::q] //= p
+            sm[-lo % q::q] *= p
             q *= p
-    left = rem > 1  # leftover is a single odd prime > sqrt(hi-1); 2 was sieved
-    omega[left] += 1
-    omega_star[left] += 1
-    n1mod4[left & (rem % 4 == 1)] += 1
-    has3 |= rem % 4 == 3
-    lpf[left] = rem[left]
-    lpf_sq[left] = False
-    return SegmentProfile(lo, hi, omega, omega_star, n1mod4, has3, v2,
-                          lpf, lpf_sq)
+    rem = np.arange(lo, hi, dtype=np.uint32) // sm
+    left = rem > 1  # a single odd prime > isqrt(hi - 1); 2 was sieved
+    mod4 = rem & 3
+    if omega is not None:
+        omega += left
+    if omega_star is not None:
+        omega_star += left
+    if n1mod4 is not None:
+        n1mod4 += left & (mod4 == 1)
+    if has3 is not None:
+        has3 |= mod4 == 3
+    if lpf is not None:
+        np.copyto(lpf, rem, where=left)
+    if lpf_sq is not None:
+        lpf_sq &= ~left
+    return SegmentProfile(lo, hi, **{f: out.get(f) for f in _FIELD_DTYPES})
+
+
+def _segment_omega(lo, hi, primes, kind):
+    """omega(n) or omega_star(n) for n in [lo, hi), as uint8."""
+    return getattr(_factor_walk(lo, hi, primes, (kind,)), kind)
+
+
+def segment_profile(lo, hi, primes):
+    """Every SegmentProfile field for n in [lo, hi)."""
+    return _factor_walk(lo, hi, primes, tuple(_FIELD_DTYPES))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +329,7 @@ def _run_segment(seg):
     mode = _WORKER["mode"]
     primes = _WORKER["primes"]
     if mode == "nn":
-        prof = segment_profile(lo, hi, primes)
+        prof = _factor_walk(lo, hi, primes, _NN_FIELDS)
         return np.bincount(prof.omega_star[prof.in_nn()].astype(np.int64))
     counts = _segment_counts(lo, hi, _WORKER)
     if counts.max(initial=0) > _COUNTER_MAX:

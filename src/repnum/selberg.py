@@ -137,7 +137,7 @@ def _independent_classes(forms, p):
     return len(classes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # > pi(Z_CAP) = 168, the most primes one problem has
 def weight_g(problem, p):
     """The sieve weight g(p), exact rational, per the variant's closed form."""
     ell = problem.ell

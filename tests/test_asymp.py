@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from repnum import arith, asymp, moments
+from repnum import arith, asymp, moments, repfun
 from repnum.asymp import Statistic
+from repnum.errors import CapacityError
 from repnum.repfun import RepFamily
 
 
@@ -128,6 +129,32 @@ def test_smooth_squarefull_sum(table):
     assert r5 < r4
 
 
+def smooth_squarefull_brute(x, m, table):
+    z = x ** (1.0 / math.log(math.log(x)))
+    total = 0
+    for n in range(1, x + 1):
+        fact = arith.factor(n, table)
+        lpf = arith.largest_prime_factor(fact) if n > 1 else 0
+        if lpf <= z or (n > 1 and n % (lpf * lpf) == 0):
+            total += repfun.r0_star(fact) ** m
+    return total
+
+
+def test_smooth_squarefull_sum_rejects_short_table():
+    # primes to 10 miss 11 and 13, so a walk up to 199 took 121 for a prime
+    short = arith.prime_table(10)
+    with pytest.raises(CapacityError):
+        asymp.smooth_squarefull_rstar_sum(199, 1, short)
+    prof = moments.segment_profile(100, 200, arith.prime_table(14).primes)
+    assert (prof.omega[21], prof.lpf[21], prof.lpf_sq[21]) == (1, 11, True)
+    # and a sum to 20000 came out 264 instead of 1288
+    with pytest.raises(CapacityError):
+        asymp.smooth_squarefull_rstar_sum(20000, 1, short)
+    full = arith.prime_table(200)
+    assert asymp.smooth_squarefull_rstar_sum(20000, 1, full) == 1288
+    assert smooth_squarefull_brute(20000, 1, full) == 1288
+
+
 def test_gss_shape_ratio(table):
     got = asymp.gss_shape_ratio(10, 1, 1, RepFamily.R1, table)
     assert got == pytest.approx(
@@ -153,7 +180,8 @@ def test_tau_growth_max(table6):
 
 def test_constants_file_roundtrip(tmp_path):
     path = str(tmp_path / "constants.txt")
-    values = {"C": 0.8563, "gamma1": 1.0, "H": -0.25}
+    values = {"C": 0.8563, "gamma1": 1.0, "gamma2": 0.5, "H": -0.25,
+              "gss_bound": 2.0, "landau_K": 0.764}
     asymp.write_constants(path, values, {"C": "gap fit", "H": "moment fit"})
     with open(path) as fh:
         text = fh.read()
@@ -161,6 +189,29 @@ def test_constants_file_roundtrip(tmp_path):
     assert text.endswith("\n")
     back = asymp.read_constants(path)
     assert back == pytest.approx(values)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("C = 1.0\ngamma1\n", 2),            # no '='
+    ("C = 1.0\n= 2.0 # no key\n", 2),
+    ("C = one\n", 1),
+    ("C =\n", 1),
+])
+def test_read_constants_names_bad_line(tmp_path, body, line):
+    path = tmp_path / "constants.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match="expected 'key = number'") as exc:
+        asymp.read_constants(str(path))
+    assert f"{path}:{line}:" in str(exc.value)
+
+
+def test_read_constants_names_missing_keys(tmp_path):
+    path = str(tmp_path / "constants.txt")
+    values = {k: 1.5 for k in asymp.CONSTANT_KEYS if k not in ("H", "C")}
+    asymp.write_constants(path, values, {})
+    with pytest.raises(ValueError) as exc:
+        asymp.read_constants(path)
+    assert str(exc.value) == f"{path}: missing constant(s) C, H"
 
 
 def test_calibrate_small_grid(table):

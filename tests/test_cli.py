@@ -86,6 +86,21 @@ def test_verify_calibrated_requires_constants(tmp_path, capsys):
     assert "calibrate" in err
 
 
+@pytest.mark.parametrize("verb", [("verify", "--suite", "calibrated"),
+                                  ("constants",)], ids=lambda v: v[0])
+def test_bad_constants_file_exits_2(tmp_path, capsys, verb):
+    path = tmp_path / "constants.txt"
+    full = "".join(f"{k} = 1.0\n" for k in asymp.CONSTANT_KEYS)
+    cases = [(full.replace("gamma1 = 1.0", "gamma1"), f"{path}:2:"),
+             (full.replace("landau_K = 1.0\n", ""), "missing constant(s) "
+              "landau_K")]
+    for body, needle in cases:
+        path.write_text(body)
+        code, out, err = run(capsys, *verb, "--constants", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and needle in err
+
+
 def test_calibrate_and_constants(tmp_path, capsys):
     path = str(tmp_path / "constants.txt")
     code, out, _ = run(capsys, "calibrate", "--grid-max", "100000",

@@ -1,11 +1,13 @@
-"""Differential tests of the bucket kernel at heights up to 1e9.
+"""Differential tests of the segment kernels at heights up to 1e9.
 
 The engine's per-n counts must equal the lattice-walk oracle
 `rep_enumerate` on random small windows anywhere below MAX_X, for every
 family; splitting the lattice into tiny pair blocks or the sweep into
-other segment sizes must not change a single count.
+other segment sizes must not change a single count.  The factorization
+walk must agree with `arith.factor` field by field, up to its uint32 cap.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repnum import arith, moments, repfun
+from repnum.errors import CapacityError
 from repnum.repfun import RepFamily
 
 TOP = 10**9
@@ -63,13 +66,117 @@ def test_tiny_pair_blocks_change_nothing(big_table, monkeypatch, lo):
         assert np.array_equal(tiny, default[fam]), fam
 
 
-@pytest.mark.parametrize("family", [RepFamily.R0_STAR,
-                                    RepFamily.R2_UNORDERED],
-                         ids=lambda f: f.value)
-def test_histogram_grid_segment_size_independent(table, family):
+@pytest.mark.parametrize("family, omega_kind", [
+    pytest.param(RepFamily.R0_STAR, None, id="r0star"),
+    pytest.param(RepFamily.R2_UNORDERED, None, id="r2unordered"),
+    pytest.param(RepFamily.R1, "omega_star", id="r1-omega_star"),
+])
+def test_histogram_grid_segment_size_independent(table, family, omega_kind):
     xs = [10**6, 3 * 10**6]
-    ref = moments.histogram_grid(family, xs, table, segment_size=1 << 20)
+    ref = moments.histogram_grid(family, xs, table, omega_kind=omega_kind,
+                                 segment_size=1 << 20)
     for size in (4096, 700001):
-        got = moments.histogram_grid(family, xs, table, segment_size=size)
+        got = moments.histogram_grid(family, xs, table, omega_kind=omega_kind,
+                                     segment_size=size)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b), size
+
+
+def test_rho_kN_grid_segment_size_independent(table):
+    xs = [10**6, 3 * 10**6]
+    ref = moments.rho_kN_grid(xs, table, segment_size=1 << 20)
+    for size in (4096, 700001):
+        got = moments.rho_kN_grid(xs, table, segment_size=size)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b), size
+
+
+# ---------------------------------------------------------------------------
+# The factorization walk against arith.factor
+# ---------------------------------------------------------------------------
+
+PROFILE_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
+                  "n1mod4": np.uint8, "has3": np.bool_, "v2": np.uint8,
+                  "lpf": np.int64, "lpf_sq": np.bool_}
+U32_TOP = 2**32 - 1
+
+
+def oracle_profile(n, table):
+    fact = arith.factor(n, table)
+    primes = [p for p, _ in fact.factors]
+    lpf = arith.largest_prime_factor(fact) if n > 1 else 0
+    return {
+        "omega": arith.omega(fact),
+        "omega_star": arith.omega_star(fact),
+        "n1mod4": sum(p % 4 == 1 for p in primes),
+        "has3": any(p % 4 == 3 for p in primes),
+        "v2": min(dict(fact.factors).get(2, 0), 2),
+        "lpf": lpf,
+        "lpf_sq": n > 1 and n % (lpf * lpf) == 0,
+    }
+
+
+def nn_window_histogram(lo, hi, table):
+    """The per-segment histogram a rho_kN sweep adds up, for [lo, hi)."""
+    moments._init_worker({"mode": "nn", "primes": table.primes})
+    return moments._run_segment((lo, hi))
+
+
+def check_walk(lo, hi, table):
+    expected = [oracle_profile(n, table) for n in range(lo, hi)]
+    prof = moments.segment_profile(lo, hi, table.primes)
+    assert [f.name for f in dataclasses.fields(prof)][2:] == list(
+        PROFILE_DTYPES)
+    for name, dtype in PROFILE_DTYPES.items():
+        got = getattr(prof, name)
+        assert got.dtype == dtype, name
+        assert got.tolist() == [e[name] for e in expected], (lo, name)
+    for kind in ("omega", "omega_star"):
+        got = moments._segment_omega(lo, hi, table.primes, kind)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [e[kind] for e in expected], (lo, kind)
+    nn = [e["omega_star"] for e in expected
+          if not e["has3"] and e["v2"] <= 1]
+    assert np.array_equal(nn_window_histogram(lo, hi, table),
+                          np.bincount(np.array(nn, dtype=np.int64)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lo=st.integers(1, TOP - 64), width=st.integers(1, 64))
+def test_walk_matches_factor_high(big_table, lo, width):
+    check_walk(lo, lo + width, big_table)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 2), (1, 3), (1, 301), (2, 3),
+                                    (2, 4), (2, 302)])
+def test_walk_matches_factor_low(big_table, lo, hi):
+    check_walk(lo, hi, big_table)
+
+
+def _prime_powers_near_top(table):
+    """p^2 for the three largest p <= isqrt(TOP), p^3 below TOP, and 2^29."""
+    primes = [int(p) for p in table.primes]
+    squares = [p * p for p in primes if p * p <= TOP][-3:]
+    cubes = [p**3 for p in primes if p**3 <= TOP][-3:]
+    return squares + cubes + [2**29, 3**18]
+
+
+@pytest.mark.parametrize("which", range(8))
+def test_walk_at_prime_powers(big_table, which):
+    """Windows ending at p^k, where p^k is the last power the walk takes,
+    and windows straddling it, where p^k and its neighbours are inside."""
+    n = _prime_powers_near_top(big_table)[which]
+    check_walk(n - 4, n + 1, big_table)
+    check_walk(n - 8, n + 9, big_table)
+
+
+def test_walk_uint32_cap():
+    table = arith.prime_table(1 << 16, spf_cap=0)
+    check_walk(U32_TOP - 15, U32_TOP + 1, table)  # 2^32 - 1 = 3 5 17 257 65537
+    for call in (lambda: moments.segment_profile(U32_TOP - 3, U32_TOP + 2,
+                                                 table.primes),
+                 lambda: moments._segment_omega(U32_TOP, U32_TOP + 2,
+                                                table.primes, "omega")):
+        with pytest.raises(CapacityError):
+            call()

@@ -181,3 +181,20 @@ def test_golden_file_replay():
         assert selberg.sifted_count_exact(pr) == expected
         assert selberg.sieve_upper_bound(pr) >= expected
         assert selberg.golden_line(pr, expected) == line.strip()
+
+
+def test_weight_g_cache_bounded():
+    info = selberg.weight_g.cache_info()
+    big = SieveProblem(box=10, z=997)  # the most sifting primes, Z_CAP = 1000
+    primes = big.sifting_primes()
+    assert info.maxsize is not None and info.maxsize >= len(primes)
+    for p in primes:
+        selberg.weight_g(big, p)
+    hits = selberg.weight_g.cache_info().hits
+    for p in primes:
+        selberg.weight_g(big, p)
+    assert selberg.weight_g.cache_info().hits - hits == len(primes)
+    for pr in selberg.random_problems(80, seed=5, box_max=50, z_max=60):
+        for p in pr.sifting_primes():
+            selberg.weight_g(pr, p)
+    assert selberg.weight_g.cache_info().currsize <= info.maxsize
