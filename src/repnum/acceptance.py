@@ -221,6 +221,9 @@ def check_sieve_dominance(count=100, seed=20260810):
 # ---------------------------------------------------------------------------
 
 def check_calibrated(table, constants, workers=1):
+    if not constants:
+        raise ValueError("the calibrated suite needs a constants file; "
+                         "run `repnum calibrate` first")
     rows = []
     xs = [10**4, 10**5, 10**6, 10**7]
 
@@ -234,7 +237,8 @@ def check_calibrated(table, constants, workers=1):
                      best <= stored * 1.01 and abs(best - stored) <= 0.01 * stored,
                      f"recomputed max {best:.6f}, stored {stored:.6f}"))
 
-    vals = [asymp.smooth_squarefull_rstar_sum(x, 1, table) for x in xs]
+    vals = [asymp.smooth_squarefull_rstar_sum(x, 1, table, workers=workers)
+            for x in xs]
     ratios = [v / x for v, x in zip(vals, xs)]
     dec = all(a > b for a, b in zip(ratios, ratios[1:]))
     rows.append(_row("smooth_squarefull_ratio_strictly_decreasing", dec,
@@ -334,36 +338,29 @@ def check_argmax():
 # Suite registry
 # ---------------------------------------------------------------------------
 
+_ASYMPTOTICS = (check_r0_first_moment, check_r1_first_moment,
+                check_r2_first_moment, check_landau_zeroth_moment,
+                check_sum_of_squares_first_moments,
+                check_r1_binomial_second_moment)
+
+# suite name -> its rows from (table, constants, workers, x), in the order
+# `repnum verify --suite all` runs them
+SUITES = {
+    "oracle": lambda t, c, w, x: check_oracle(t, x=x or 10**5),
+    "identities": lambda t, c, w, x: check_identities(t, x=x or 10**4,
+                                                      workers=w),
+    "asymptotics": lambda t, c, w, x: [row for check in _ASYMPTOTICS
+                                       for row in check(t, w)],
+    "sieve": lambda t, c, w, x: check_sieve_dominance(),
+    "calibrated": lambda t, c, w, x: check_calibrated(t, c, w),
+    "mertens": lambda t, c, w, x: check_mertens(),
+    "determinism": lambda t, c, w, x: check_determinism(t),
+    "argmax": lambda t, c, w, x: check_argmax(),
+}
+
+
 def run_suite(name, table, constants=None, workers=1, x=None):
     """Run a named suite and return its CheckResult rows."""
-    if name == "oracle":
-        return check_oracle(table, x=x or 10**5)
-    if name == "identities":
-        return check_identities(table, x=x or 10**4, workers=workers)
-    if name == "asymptotics":
-        rows = []
-        rows += check_r0_first_moment(table, workers)
-        rows += check_r1_first_moment(table, workers)
-        rows += check_r2_first_moment(table, workers)
-        rows += check_landau_zeroth_moment(table, workers)
-        rows += check_sum_of_squares_first_moments(table, workers)
-        rows += check_r1_binomial_second_moment(table, workers)
-        return rows
-    if name == "sieve":
-        return check_sieve_dominance()
-    if name == "calibrated":
-        if not constants:
-            raise ValueError("the calibrated suite needs a constants file; "
-                             "run `repnum calibrate` first")
-        return check_calibrated(table, constants, workers)
-    if name == "mertens":
-        return check_mertens()
-    if name == "determinism":
-        return check_determinism(table)
-    if name == "argmax":
-        return check_argmax()
-    raise ValueError(f"unknown suite {name!r}")
-
-
-SUITES = ("oracle", "identities", "asymptotics", "sieve", "calibrated",
-          "mertens", "determinism", "argmax")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](table, constants, workers, x)

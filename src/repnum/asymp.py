@@ -14,9 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import moments
-from .arith import prime_recip_sum
-from .errors import CapacityError
-from .moments import segment_profile
+from .arith import prime_recip_sum, prime_table
 from .repfun import RepFamily
 
 DEFAULT_LANDAU_CUTOFF = 10**6
@@ -56,12 +54,7 @@ def landau_ramanujan(cutoff):
     """
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3")
-    sieve = np.ones(cutoff + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(cutoff) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.nonzero(sieve)[0]
+    primes = prime_table(cutoff, spf_cap=0).primes
     p3 = primes[primes % 4 == 3].astype(np.float64)
     log_prod = float(np.log1p(-1.0 / (p3 * p3)).sum())
     value = math.exp(-0.5 * (math.log(2.0) + log_prod))
@@ -243,20 +236,19 @@ def inductive_claim_sum(x, table):
 # Profile-driven sums (smooth/squarefull, shape ratios, tau growth)
 # ---------------------------------------------------------------------------
 
-def _profile_segments(x, table, segment_size):
-    root = math.isqrt(x)
-    if root > table.limit:
-        raise CapacityError(
-            f"x = {x} needs primes to {root} but table limit is {table.limit}")
-    lo = 1
-    while lo <= x:
-        hi = min(lo + segment_size, x + 1)
-        yield segment_profile(lo, hi, table.primes)
-        lo = hi
+_SMOOTH_FIELDS = ("n1mod4", "has3", "v2", "lpf", "lpf_sq")  # r0* and P(n)
+
+
+def _smooth_squarefull_segment(lo, hi, state):
+    """r0* histogram of the n in [lo, hi) with P(n) <= z or P(n)^2 | n."""
+    prof = moments._factor_walk(lo, hi, state["primes"], _SMOOTH_FIELDS)
+    keep = (prof.lpf <= state["z"]) | prof.lpf_sq
+    return np.bincount(prof.r0_star_values()[keep])
 
 
 def smooth_squarefull_rstar_sum(x, m, table,
-                                segment_size=moments.DEFAULT_SEGMENT_SIZE):
+                                segment_size=moments.DEFAULT_SEGMENT_SIZE,
+                                workers=1):
     """Exact sum of r0*(n)^m over n <= x that are z-smooth or squarefull-topped.
 
     z = x^(1/log log x); the condition is P(n) <= z or P(n)^2 | n, read off
@@ -266,14 +258,10 @@ def smooth_squarefull_rstar_sum(x, m, table,
         raise ValueError("x must be >= 16")
     if m < 1:
         raise ValueError("m must be >= 1")
-    z = x ** (1.0 / math.log(math.log(x)))
-    hist = None
-    for prof in _profile_segments(x, table, segment_size):
-        cond = (prof.lpf <= z) | prof.lpf_sq
-        vals = prof.r0_star_values()[cond]
-        h = np.bincount(vals)
-        hist = h if hist is None else moments._pad_add(hist, h)
-    return sum(int(c) * v**m for v, c in enumerate(hist) if c)
+    state = {"segment": _smooth_squarefull_segment, "primes": table.primes,
+             "z": x ** (1.0 / math.log(math.log(x)))}
+    (hist,) = moments._hist_sweep(state, [x], table, segment_size, workers)
+    return moments.moment_from_histogram(hist, "power", m)
 
 
 def gss_shape_ratio(x, l, k, family, table,
@@ -318,9 +306,8 @@ def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,
     for x, hist in zip(xs, hists):
         for ell in ells:
             for k in range(kmax + 1):
-                row = hist[k] if k < hist.shape[0] else ()
-                b = sum(int(c) * math.comb(v, ell)
-                        for v, c in enumerate(row) if c)
+                b = moments.moment_from_histogram(hist, "binomial", ell,
+                                                  ("omega_star", k))
                 out[(x, ell, k)] = _shape_ratio_from_value(b, x, ell, k, family)
     return out
 

@@ -133,7 +133,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
-                   choices=acceptance.SUITES + ("all",))
+                   choices=(*acceptance.SUITES, "all"))
     p.add_argument("--x", type=int, help="scale override for oracle/identities")
     _add_common(p)
 

@@ -326,18 +326,18 @@ def _init_worker(state):
 
 def _run_segment(seg):
     lo, hi = seg
-    mode = _WORKER["mode"]
-    primes = _WORKER["primes"]
-    if mode == "nn":
-        prof = _factor_walk(lo, hi, primes, _NN_FIELDS)
-        return np.bincount(prof.omega_star[prof.in_nn()].astype(np.int64))
-    counts = _segment_counts(lo, hi, _WORKER)
+    return _WORKER["segment"](lo, hi, _WORKER)
+
+
+def _family_segment(lo, hi, state):
+    """Count histogram of [lo, hi), by omega row when state has an omega kind."""
+    counts = _segment_counts(lo, hi, state)
     if counts.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
-    kind = _WORKER["omega_kind"]
+    kind = state["omega_kind"]
     if kind is None:
         return np.bincount(counts)
-    om = _segment_omega(lo, hi, primes, kind)
+    om = _segment_omega(lo, hi, state["primes"], kind)
     width = int(counts.max(initial=0)) + 1
     flat = np.bincount(om.astype(np.int64) * width + counts)
     rows = (len(flat) + width - 1) // width
@@ -346,20 +346,19 @@ def _run_segment(seg):
     return out.reshape(rows, width)
 
 
+def _nn_segment(lo, hi, state):
+    """omega_star histogram of the restricted-set members of [lo, hi)."""
+    prof = _factor_walk(lo, hi, state["primes"], _NN_FIELDS)
+    return np.bincount(prof.omega_star[prof.in_nn()].astype(np.int64))
+
+
 def _pad_add(acc, h):
+    """acc + h, zero-padding both to the larger extent on each axis."""
     if acc is None:
         return h.copy()
-    if acc.ndim == 1:
-        n = max(len(acc), len(h))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(acc)] += acc
-        out[: len(h)] += h
-        return out
-    rows = max(acc.shape[0], h.shape[0])
-    cols = max(acc.shape[1], h.shape[1])
-    out = np.zeros((rows, cols), dtype=np.int64)
-    out[: acc.shape[0], : acc.shape[1]] += acc
-    out[: h.shape[0], : h.shape[1]] += h
+    out = np.zeros(np.maximum(acc.shape, h.shape), dtype=np.int64)
+    out[tuple(map(slice, acc.shape))] += acc
+    out[tuple(map(slice, h.shape))] += h
     return out
 
 
@@ -376,6 +375,11 @@ def _plan_segments(xs, segment_size):
 
 
 def _hist_sweep(state, xs, table, segment_size, workers):
+    """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
+
+    state["segment"](lo, hi, state) gives a segment's histogram; with
+    workers > 1 the function and the state are pickled to the pool.
+    """
     xmax = max(int(x) for x in xs)
     if xmax > MAX_X:
         raise CapacityError(f"x = {xmax} exceeds engine budget MAX_X = {MAX_X}")
@@ -417,14 +421,15 @@ def histogram_grid(family, xs, table, omega_kind=None,
         raise ValueError(f"bad omega kind {omega_kind!r}")
     xmax = max(int(x) for x in xs)
     state = _lattice_state(family.traits, math.isqrt(xmax), table)
-    state.update(mode="family", primes=table.primes, omega_kind=omega_kind)
+    state.update(segment=_family_segment, primes=table.primes,
+                 omega_kind=omega_kind)
     return _hist_sweep(state, xs, table, segment_size, workers)
 
 
 def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
                         workers=1):
     """Per-cutoff histograms of omega_star over the 4-free, 3-mod-4-free set."""
-    state = {"mode": "nn", "primes": table.primes}
+    state = {"segment": _nn_segment, "primes": table.primes}
     return _hist_sweep(state, xs, table, segment_size, workers)
 
 
@@ -463,50 +468,64 @@ def _select_row(hist, omega_filter):
     return hist[value]
 
 
-def _hists_for(family, xs, table, omega_filter, segment_size, workers):
-    kind = omega_filter[0] if omega_filter else None
-    if kind is not None and kind not in ("omega", "omega_star"):
-        raise ValueError(f"bad omega filter kind {kind!r}")
-    return histogram_grid(family, xs, table, omega_kind=kind,
-                          segment_size=segment_size, workers=workers)
+# moment mode -> (weight of a representation count v, largest index k the
+# grids take; None when k is unused)
+_MOMENTS = {
+    "power": (lambda v, k: v**k, MAX_POWER),
+    "binomial": (math.comb, MAX_BINOMIAL),
+    "zeroth": (lambda v, k: v >= 1, None),
+}
+
+
+def _weight(mode, k=None):
+    """The weight of a moment mode; checks the mode, and k when given."""
+    if mode not in _MOMENTS:
+        raise ValueError(f"unknown moment mode {mode!r}")
+    weight, kmax = _MOMENTS[mode]
+    if k is not None and kmax is not None and not 0 <= k <= kmax:
+        raise ValueError(f"{mode} index k must be in 0..{kmax}")
+    return weight
+
+
+def moment_from_histogram(hist, mode, k, omega_filter=None):
+    """Exact sum of weight(v) * H[v] over a count histogram H, in Python ints.
+
+    weight(v) is v^k for 'power', C(v, k) for 'binomial' and [v >= 1] for
+    'zeroth'; an omega filter (kind, j) reads row j of a 2-D histogram.
+    """
+    weight = _weight(mode)
+    row = _select_row(hist, omega_filter)
+    return sum(int(c) * weight(v, k) for v, c in enumerate(row) if c)
+
+
+def _moment_grid(family, xs, mode, k, table, omega_filter, segment_size,
+                 workers):
+    _weight(mode, k)
+    hists = histogram_grid(family, xs, table,
+                           omega_kind=omega_filter[0] if omega_filter else None,
+                           segment_size=segment_size, workers=workers)
+    return [moment_from_histogram(h, mode, k, omega_filter) for h in hists]
 
 
 def power_moment_grid(family, xs, k, table, omega_filter=None,
                       segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
     """Exact sum of family(n)^k over n <= x, for each x in xs."""
-    if not 0 <= k <= MAX_POWER:
-        raise ValueError(f"power k must be in 0..{MAX_POWER}")
-    hists = _hists_for(family, xs, table, omega_filter, segment_size, workers)
-    out = []
-    for h in hists:
-        row = _select_row(h, omega_filter)
-        out.append(sum(int(c) * v**k for v, c in enumerate(row) if c))
-    return out
+    return _moment_grid(family, xs, "power", k, table, omega_filter,
+                        segment_size, workers)
 
 
 def binomial_moment_grid(family, xs, ell, table, omega_filter=None,
                          segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
     """Exact sum of C(family(n), ell) over n <= x, for each x in xs."""
-    if not 0 <= ell <= MAX_BINOMIAL:
-        raise ValueError(f"binomial ell must be in 0..{MAX_BINOMIAL}")
-    hists = _hists_for(family, xs, table, omega_filter, segment_size, workers)
-    out = []
-    for h in hists:
-        row = _select_row(h, omega_filter)
-        out.append(sum(int(c) * math.comb(v, ell)
-                       for v, c in enumerate(row) if c))
-    return out
+    return _moment_grid(family, xs, "binomial", ell, table, omega_filter,
+                        segment_size, workers)
 
 
 def zeroth_moment_grid(family, xs, table, omega_filter=None,
                        segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
     """#{n <= x : family(n) >= 1} for each x in xs."""
-    hists = _hists_for(family, xs, table, omega_filter, segment_size, workers)
-    out = []
-    for h in hists:
-        row = _select_row(h, omega_filter)
-        out.append(sum(int(c) for v, c in enumerate(row) if v >= 1))
-    return out
+    return _moment_grid(family, xs, "zeroth", None, table, omega_filter,
+                        segment_size, workers)
 
 
 def power_moment(family, x, k, table, **kw):
@@ -522,16 +541,9 @@ def zeroth_moment(family, x, table, **kw):
 
 
 def evaluate(query, table, segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
-    """Dispatch a MomentQuery to the matching moment function."""
-    kw = dict(omega_filter=query.omega_filter, segment_size=segment_size,
-              workers=workers)
-    if query.mode == "power":
-        return power_moment(query.family, query.x, query.k, table, **kw)
-    if query.mode == "binomial":
-        return binomial_moment(query.family, query.x, query.k, table, **kw)
-    if query.mode == "zeroth":
-        return zeroth_moment(query.family, query.x, table, **kw)
-    raise ValueError(f"unknown moment mode {query.mode!r}")
+    """The moment a MomentQuery asks for."""
+    return _moment_grid(query.family, [query.x], query.mode, query.k, table,
+                        query.omega_filter, segment_size, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +582,10 @@ def moment_identity_residual(family, x, k, table,
         raise ValueError("identity checked for 1 <= k <= 6")
     hist = histogram_grid(family, [x], table, segment_size=segment_size,
                           workers=workers)[0]
-    power = sum(int(c) * v**k for v, c in enumerate(hist) if c)
-    expansion = 0
-    for l in range(1, k + 1):
-        binom = sum(int(c) * math.comb(v, l) for v, c in enumerate(hist) if c)
-        expansion += stirling(k, l) * math.factorial(l) * binom
-    return power - expansion
+    expansion = sum(stirling(k, l) * math.factorial(l)
+                    * moment_from_histogram(hist, "binomial", l)
+                    for l in range(1, k + 1))
+    return moment_from_histogram(hist, "power", k) - expansion
 
 
 def rho_kN_grid(xs, table, segment_size=DEFAULT_SEGMENT_SIZE, workers=1):

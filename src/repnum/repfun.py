@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import Factorization, factor
+from .arith import Factorization, factor, prime_table
 from .errors import CapacityError
 
 
@@ -172,13 +172,17 @@ def rep_enumerate(family, n, table):
 # Bulk membership masks for the bucket engine
 # ---------------------------------------------------------------------------
 
+def _primes_3mod4(limit):
+    """The primes p = 3 (mod 4) up to limit, as Python ints."""
+    primes = prime_table(max(limit, 1), spf_cap=0).primes
+    return [int(p) for p in primes[primes % 4 == 3]]
+
+
 def r_set_mask(limit):
     """Boolean array s with s[n] true iff n is a sum of two squares (n >= 1)."""
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
-    for p in range(3, limit + 1, 4):
-        if not _is_small_prime(p):
-            continue
+    for p in _primes_3mod4(limit):
         odd_exp = np.zeros(limit + 1, dtype=bool)
         q = p
         while q <= limit:
@@ -194,19 +198,9 @@ def rprime_set_mask(limit):
     mask[0] = False
     if limit >= 4:
         mask[4::4] = False
-    for p in range(3, limit + 1, 4):
-        if _is_small_prime(p):
-            mask[p::p] = False
+    for p in _primes_3mod4(limit):
+        mask[p::p] = False
     return mask
-
-
-def _is_small_prime(p):
-    if p < 2:
-        return False
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
-            return False
-    return True
 
 
 def base_values(base, limit, table):

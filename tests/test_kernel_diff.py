@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repnum import arith, moments, repfun
+from repnum import arith, asymp, moments, repfun
 from repnum.errors import CapacityError
 from repnum.repfun import RepFamily
 
@@ -91,6 +91,14 @@ def test_rho_kN_grid_segment_size_independent(table):
             assert np.array_equal(a, b), size
 
 
+@pytest.mark.parametrize("x", [10**6, 3 * 10**6])
+def test_smooth_squarefull_sum_schedule_independent(table, x):
+    sums = {(size, workers): asymp.smooth_squarefull_rstar_sum(
+                x, 1, table, segment_size=size, workers=workers)
+            for size in (4096, 700001, 1 << 20) for workers in (1, 2)}
+    assert len(set(sums.values())) == 1, sums
+
+
 # ---------------------------------------------------------------------------
 # The factorization walk against arith.factor
 # ---------------------------------------------------------------------------
@@ -118,7 +126,8 @@ def oracle_profile(n, table):
 
 def nn_window_histogram(lo, hi, table):
     """The per-segment histogram a rho_kN sweep adds up, for [lo, hi)."""
-    moments._init_worker({"mode": "nn", "primes": table.primes})
+    moments._init_worker({"segment": moments._nn_segment,
+                          "primes": table.primes})
     return moments._run_segment((lo, hi))
 
 

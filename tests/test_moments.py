@@ -70,18 +70,25 @@ def test_binomial_one_equals_power_one(table):
 
 def test_filtered_moments_against_brute_force(table):
     x = 2000
+    omegas = {kind: [fn(arith.factor(n, table)) for n in range(1, x + 1)]
+              for kind, fn in (("omega", arith.omega),
+                               ("omega_star", arith.omega_star))}
     for fam in (RepFamily.R1, RepFamily.RBIG_STAR):
         counts = moments.accumulate_counts(fam, 1, x + 1, table).counts
         for kind in ("omega", "omega_star"):
-            fn = arith.omega if kind == "omega" else arith.omega_star
-            for kval in (1, 2):
-                brute = sum(
-                    math.comb(int(counts[n - 1]), 2)
-                    for n in range(1, x + 1)
-                    if fn(arith.factor(n, table)) == kval)
-                got = moments.binomial_moment(
-                    fam, x, 2, table, omega_filter=(kind, kval))
+            # no n <= x has 40 prime factors: row 40 is past the histogram
+            for kval in (1, 2, 40):
+                sel = [int(c) for c, om in zip(counts, omegas[kind])
+                       if om == kval]
+                kw = dict(omega_filter=(kind, kval))
+                got = (moments.binomial_moment(fam, x, 2, table, **kw),
+                       moments.power_moment(fam, x, 3, table, **kw),
+                       moments.zeroth_moment(fam, x, table, **kw))
+                brute = (sum(math.comb(c, 2) for c in sel),
+                         sum(c**3 for c in sel),
+                         sum(c >= 1 for c in sel))
                 assert got == brute, (fam, kind, kval)
+                assert kval != 40 or brute == (0, 0, 0)
 
 
 def test_stirling(table):

@@ -55,11 +55,13 @@ def test_membership_matches_positivity(table):
         assert repfun.in_Rprime(f) == (repfun.r0_star(f) >= 1)
 
 
-def test_masks_match_membership(table):
-    rmask = repfun.r_set_mask(2000)
-    rpmask = repfun.rprime_set_mask(2000)
-    for n in range(1, 2001):
-        f = arith.factor(n, table)
+# 31623 is the base-set height at MAX_X; it passes 3^9 and 7^5
+@pytest.mark.parametrize("limit", [2000, 31623])
+def test_masks_match_membership(table6, limit):
+    rmask = repfun.r_set_mask(limit)
+    rpmask = repfun.rprime_set_mask(limit)
+    for n in range(1, limit + 1):
+        f = arith.factor(n, table6)
         assert bool(rmask[n]) == repfun.in_R(f)
         assert bool(rpmask[n]) == repfun.in_Rprime(f)
 
