@@ -147,20 +147,16 @@ def empirical_grid(stat, xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                    workers=1):
     """Exact empirical values of a statistic at each x, one engine sweep."""
     sid = stat.id if isinstance(stat, Statistic) else stat
-    kw = dict(segment_size=segment_size, workers=workers)
     if sid in ("gss_shape", "rR_shape"):
-        fam = RepFamily.R1 if sid == "gss_shape" else RepFamily.RBIG_STAR
-        return moments.binomial_moment_grid(
-            fam, xs, stat.ell, table,
-            omega_filter=("omega_star", stat.k), **kw)
-    if sid not in _EMPIRICAL:
+        family = RepFamily.R1 if sid == "gss_shape" else RepFamily.RBIG_STAR
+        mode, k, omega_filter = "binomial", stat.ell, ("omega_star", stat.k)
+    elif sid in _EMPIRICAL:
+        family, mode, k = _EMPIRICAL[sid]
+        omega_filter = None
+    else:
         raise ValueError(f"unknown statistic {sid!r}")
-    family, mode, idx = _EMPIRICAL[sid]
-    if mode == "power":
-        return moments.power_moment_grid(family, xs, idx, table, **kw)
-    if mode == "binomial":
-        return moments.binomial_moment_grid(family, xs, idx, table, **kw)
-    return moments.zeroth_moment_grid(family, xs, table, **kw)
+    return moments._moment_grid(family, xs, mode, k, table, omega_filter,
+                                segment_size, workers)
 
 
 def ratio_report(stat, xs, table, constants=None,

@@ -38,13 +38,6 @@ class CountSegment:
     family: RepFamily
     counts: np.ndarray  # uint32, indexed by n - lo
 
-    def extend(self, other):
-        """Concatenate with an adjacent segment for the same family."""
-        if other.family is not self.family or other.lo != self.hi:
-            raise ValueError("segments must be adjacent and share a family")
-        return CountSegment(self.lo, other.hi, self.family,
-                            np.concatenate([self.counts, other.counts]))
-
 
 @dataclass(frozen=True)
 class MomentQuery:

@@ -12,6 +12,11 @@ float.  Primes p <= ell + 2 are never sifted (the closed forms do not cover
 them).  Primes with g(p) = 0 keep their events in the exact sifted count but
 take no part in the lambda system: dropping a sifting condition can only
 enlarge the surviving set, so the computed bound still dominates.
+
+Each problem's box is surveyed once (`_box_survey`, cached per problem):
+one exhaustive pass over the box, capped at N <= ORACLE_BOX_CAP, gives the
+exact |A_d| behind every remainder R_d of the bound and the fully sifted
+count, so the bound and the exact count of a problem share one pass.
 """
 
 import math
@@ -193,19 +198,6 @@ def g_value(problem, d):
     return out
 
 
-def h_value(problem, d):
-    """h(d) = product of h(p) over p | d."""
-    out = Fraction(1)
-    m = d
-    for p in _sifting_primes(problem):
-        if m % p == 0:
-            out *= weight_h(problem, p)
-            m //= p
-    if m != 1:
-        raise ValueError(f"d = {d} is not a product of sifting primes")
-    return out
-
-
 def _squarefree_products(primes, bound):
     """Squarefree products of the given primes that are < bound, with factors."""
     out = []
@@ -303,14 +295,22 @@ def _event_mask(problem, p, a_col, b_row):
     return vals == 1
 
 
-def _box_survey(problem, ds):
-    """Exact |A_d| for each d in ds, plus the fully-sifted count, one box pass."""
+@lru_cache(maxsize=128)
+def _box_survey(problem):
+    """The one box pass of a problem: (ds, counts, sifted).
+
+    ds are the squarefree products d < xi^2 + 1 of active primes with their
+    factors, as (d, used); counts[i] is the exact |A_d| of ds[i], the pairs
+    hit by the event of every p | d; sifted counts the pairs no sifting
+    event hits.
+    """
     n = problem.box
+    if n > ORACLE_BOX_CAP:
+        raise CapacityError(f"box {n} exceeds oracle cap {ORACLE_BOX_CAP}")
     primes = problem.sifting_primes()
-    plists = {d: [p for p in primes if d % p == 0] for d in ds if d != 1}
-    counts = {d: 0 for d in ds}
-    if 1 in counts:
-        counts[1] = n * n
+    ds = tuple(_squarefree_products(problem.active_primes(),
+                                    problem.xi * problem.xi + 1))
+    counts = [0] * len(ds)
     sifted = 0
     b_row = np.arange(1, n + 1, dtype=np.int64)[None, :]
     for lo in range(1, n + 1, _ROW_CHUNK):
@@ -320,22 +320,18 @@ def _box_survey(problem, ds):
         hit = np.zeros((hi - lo + 1, n), dtype=bool)
         for p in primes:
             hit |= masks[p]
-        sifted += int((hi - lo + 1) * n - np.count_nonzero(hit))
-        for d, plist in plists.items():
-            acc = masks[plist[0]]
-            for p in plist[1:]:
-                acc = acc & masks[p]
-            counts[d] += int(np.count_nonzero(acc))
-    return counts, sifted
+        sifted += int(hit.size - np.count_nonzero(hit))
+        for i, (_, used) in enumerate(ds):
+            acc = np.ones_like(hit)
+            for p in used:
+                acc &= masks[p]
+            counts[i] += int(np.count_nonzero(acc))
+    return ds, tuple(counts), sifted
 
 
 def sifted_count_exact(problem):
-    """Brute-force count of box pairs avoiding every sifting event."""
-    if problem.box > ORACLE_BOX_CAP:
-        raise CapacityError(
-            f"box {problem.box} exceeds oracle cap {ORACLE_BOX_CAP}")
-    _, sifted = _box_survey(problem, [])
-    return sifted
+    """Exact count of box pairs avoiding every sifting event."""
+    return _box_survey(problem)[2]
 
 
 def _remainder_exact(problem, d, count, check_bound=True):
@@ -352,41 +348,20 @@ def _remainder_exact(problem, d, count, check_bound=True):
     return r
 
 
-def remainder_Rd(problem, d, check_bound=True):
-    """R_d = |A_d| - g(d) X with |A_d| counted exactly over the box."""
-    counts, _ = _box_survey(problem, [d])
-    return float(_remainder_exact(problem, d, counts[d], check_bound))
-
-
 def sieve_upper_bound(problem, return_parts=False):
     """X / G(xi, z) plus the 3^omega(d) |R_d| remainder sum over d <= xi^2."""
+    ds, counts, _ = _box_survey(problem)
     main = problem.X / big_G(problem)
-    ds = _squarefree_products(problem.active_primes(),
-                              problem.xi * problem.xi + 1)
-    counts, _ = _box_survey(problem, [d for d, _ in ds])
     rem = Fraction(0)
     remainders = {}
-    for d, used in ds:
-        r = _remainder_exact(problem, d, counts[d])
+    for (d, used), count in zip(ds, counts):
+        r = _remainder_exact(problem, d, count)
         remainders[d] = r
         rem += 3 ** len(used) * abs(r)
     bound = float(main + rem)
     if return_parts:
         return bound, float(main), remainders
     return bound
-
-
-def hr_comparison_value(problem):
-    """Halberstam-Richert style main term (exp(gamma*kappa) Gamma(kappa+1) form).
-
-    Reported for comparison only; the computed bound always sums G directly.
-    """
-    kappa = problem.kappa
-    prod = 1.0
-    for p in problem.active_primes():
-        prod *= 1.0 - float(weight_g(problem, p))
-    gamma = 0.5772156649015329
-    return float(problem.X) * math.exp(gamma * kappa) * math.gamma(kappa + 1) * prod
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,24 @@ def test_ratio_report_examples(table):
         assert r.ratio == pytest.approx(r.empirical / r.predicted)
 
 
+@pytest.mark.parametrize("stat", list(asymp._EMPIRICAL) + [
+    Statistic("gss_shape", ell=2, k=1), Statistic("rR_shape", ell=1, k=2)],
+    ids=lambda s: getattr(s, "id", s))
+def test_empirical_grid_matches_histogram(stat, table):
+    xs = [30, 500, 2000]
+    if isinstance(stat, Statistic):
+        family = RepFamily.R1 if stat.id == "gss_shape" else RepFamily.RBIG_STAR
+        mode, k, kind = "binomial", stat.ell, "omega_star"
+        omega_filter = (kind, stat.k)
+    else:
+        family, mode, k = asymp._EMPIRICAL[stat]
+        kind = omega_filter = None
+    hists = moments.histogram_grid(family, xs, table, omega_kind=kind)
+    assert asymp.empirical_grid(stat, xs, table) == [
+        moments.moment_from_histogram(h, mode, k, omega_filter)
+        for h in hists]
+
+
 def test_fit_secondary_constant(table):
     ests, spread = asymp.fit_secondary_constant([10], table)
     assert ests[0] == pytest.approx((13 - 10 * math.log(10) / 4) / 10)

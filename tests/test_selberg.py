@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -39,8 +40,9 @@ def test_toy_lambda_and_mu_plus(toy):
 
 
 def test_toy_remainders(toy):
-    assert selberg.remainder_Rd(toy, 3) == pytest.approx(9 - 100 / 9)
-    assert selberg.remainder_Rd(toy, 1) == 0.0
+    remainders = selberg.sieve_upper_bound(toy, return_parts=True)[2]
+    assert remainders[3] == 9 - Fraction(100, 9)
+    assert remainders[1] == 0
 
 
 def test_toy_bounds(toy):
@@ -93,19 +95,6 @@ def test_weight_range_and_t_detection():
                 assert ell_p <= pr.ell
 
 
-def test_h_multiplicativity():
-    pr = SieveProblem(box=50, z=20, m=5, forms=(LinearForm(1, 2),))
-    primes = pr.active_primes()
-    assert len(primes) >= 2
-    d = primes[0] * primes[1]
-    lhs = selberg.h_value(pr, d)
-    rhs = selberg.g_value(pr, d)
-    for p in primes[:2]:
-        rhs *= 1 / (1 - selberg.weight_g(pr, p))
-    assert lhs == rhs
-    assert lhs == selberg.weight_h(pr, primes[0]) * selberg.weight_h(pr, primes[1])
-
-
 def test_lambda_one_and_bounded():
     for pr in selberg.random_problems(10, seed=9, box_max=100, z_max=30):
         lams = selberg.lambda_weights(pr)
@@ -137,6 +126,8 @@ def test_problem_validation():
         SieveProblem(box=10, z=5000)
     with pytest.raises(CapacityError):
         selberg.sifted_count_exact(SieveProblem(box=10**5, z=5))
+    with pytest.raises(CapacityError, match="oracle cap"):
+        selberg.sieve_upper_bound(SieveProblem(box=10**5, z=5))
 
 
 def test_problem_metadata():
@@ -163,13 +154,83 @@ def test_variant_c_exact_division_oracle():
                 e += 1
             if e == 1:
                 count += 1
-    counts, sifted = selberg._box_survey(pr, [7])
-    assert counts[7] == count
+    ds, counts, sifted = selberg._box_survey(pr)
+    assert dict(zip((d for d, _ in ds), counts))[7] == count
     assert sifted == 900 - count
 
 
-def test_hr_comparison_value_positive(toy):
-    assert selberg.hr_comparison_value(toy) > 0
+def _valuation(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def _oracle_survey(pr):
+    """|A_d| for every squarefree product d < xi^2 + 1 of active primes, and
+    the sifted count, from the p-adic valuation of each cell's product."""
+    active = pr.active_primes()
+    ds = [math.prod(c) for r in range(len(active) + 1)
+          for c in itertools.combinations(active, r)
+          if math.prod(c) < pr.xi * pr.xi + 1]
+    counts = dict.fromkeys(ds, 0)
+    sifted = 0
+    for a in range(1, pr.box + 1):
+        for b in range(1, pr.box + 1):
+            prod = (a * a + b * b) * math.prod(f.u * a + f.v * b
+                                               for f in pr.forms)
+            hit = set()
+            for p in pr.sifting_primes():
+                e = _valuation(prod, p)
+                if (e == 1) if pr.variant == "C" else (e >= 1):
+                    hit.add(p)
+            sifted += not hit
+            for d in ds:
+                counts[d] += all(d % p or p in hit for p in active)
+    return counts, sifted
+
+
+@pytest.mark.parametrize("pr", [
+    SieveProblem(box=40, z=13, xi=40, m=5, forms=(LinearForm(1, 2),),
+                 variant="A"),
+    SieveProblem(box=37, z=17, m=65,
+                 forms=(LinearForm(1, 8), LinearForm(4, 7)), variant="A"),
+    SieveProblem(box=40, z=23, m=5, forms=(LinearForm(1, 2),), variant="B"),
+    SieveProblem(box=40, z=20, m=5, forms=(LinearForm(1, 2),), variant="C"),
+    # 7 divides T: sifted, but carries no weight and so enters no d
+    SieveProblem(box=40, z=20, m=145,
+                 forms=(LinearForm(1, 12), LinearForm(9, 8)), variant="C"),
+], ids=["A1", "A2", "B1", "C1", "C2"])
+def test_survey_matches_valuation_oracle(pr, monkeypatch):
+    ds, counts, sifted = selberg._box_survey(pr)
+    assert max(len(used) for _, used in ds) >= 2
+    assert all(math.prod(used) == d for d, used in ds)
+    want, want_sifted = _oracle_survey(pr)
+    assert dict(zip((d for d, _ in ds), counts)) == want
+    assert sifted == want_sifted
+    assert selberg.sifted_count_exact(pr) == want_sifted
+    # row chunks of 7 leave a short last chunk; the uncached pass must agree
+    monkeypatch.setattr(selberg, "_ROW_CHUNK", 7)
+    assert selberg._box_survey.__wrapped__(pr) == (ds, counts, sifted)
+
+
+def test_bound_and_exact_count_share_one_pass(monkeypatch):
+    pr = SieveProblem(box=300, z=23, xi=29, m=13,
+                      forms=(LinearForm(2, 3),), variant="A")
+    calls = []
+    event_mask = selberg._event_mask
+
+    def counting(problem, p, a_col, b_row):
+        calls.append((p, int(a_col[0, 0])))
+        return event_mask(problem, p, a_col, b_row)
+
+    monkeypatch.setattr(selberg, "_event_mask", counting)
+    selberg.sieve_upper_bound(pr)
+    selberg.sifted_count_exact(pr)
+    chunks = range(1, pr.box + 1, selberg._ROW_CHUNK)
+    assert sorted(calls) == sorted((p, lo) for p in pr.sifting_primes()
+                                   for lo in chunks)
 
 
 def test_golden_file_replay():
