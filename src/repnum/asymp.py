@@ -184,7 +184,9 @@ def fit_secondary_constant(xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
         raise ValueError("need at least one grid point")
     m2 = moments.power_moment_grid(RepFamily.R0, xs, 2, table,
                                    segment_size=segment_size, workers=workers)
-    ests = [(v - x * math.log(x) / 4) / x for x, v in zip(xs, m2)]
+    # each estimate is (m2 - the r0_second main term with H = 0) / x
+    ests = [(v - predicted_main("r0_second", x, constants={"H": 0.0})) / x
+            for x, v in zip(xs, m2)]
     tail = ests[len(ests) // 2:]
     return ests, max(tail) - min(tail)
 
@@ -264,9 +266,9 @@ def gss_shape_ratio(x, l, k, family, table,
                     segment_size=moments.DEFAULT_SEGMENT_SIZE, workers=1):
     """Dimensionless ratio of a filtered binomial moment to its shape term.
 
-    B * D^(l+1) * k! / (x * (2^(l-1) L)^k) with D = log x for the prime
-    family and sqrt(log x) for the sum-of-two-squares families; 0 when the
-    filtered sum is empty.
+    B over predicted_main's "gss_shape" term (denominator log x) for the
+    prime family and its "rR_shape" term (sqrt(log x)) for the
+    sum-of-two-squares families; 0 when the filtered sum is empty.
     """
     if family not in GSS_FAMILIES:
         raise ValueError("family must be one of r1, rrstar, rrprimestar")
@@ -279,13 +281,8 @@ def gss_shape_ratio(x, l, k, family, table,
 
 
 def _shape_ratio_from_value(b, x, l, k, family):
-    if b == 0:
-        return 0.0
-    logx = math.log(x)
-    big_l = math.log(logx)
-    d = logx if family is RepFamily.R1 else math.sqrt(logx)
-    return float(b) * d ** (l + 1) * math.factorial(k) \
-        / (x * (2 ** (l - 1) * big_l) ** k)
+    sid = "gss_shape" if family is RepFamily.R1 else "rR_shape"
+    return b / predicted_main(Statistic(sid, l, k), x)
 
 
 def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,

@@ -85,14 +85,18 @@ def _work_table(x):
     return arith.prime_table(limit, spf_cap=limit)
 
 
-def _add_common(p):
+def _add_flags(p, *flags):
+    """--out, plus the shared flags (by name) that this verb reads."""
+    shared = {
+        "--segment-size": dict(type=int, default=moments.DEFAULT_SEGMENT_SIZE),
+        "--workers": dict(type=int, default=_default_workers()),
+        "--constants": dict(default=DEFAULT_CONSTANTS),
+        "--cutoff": dict(type=int, default=asymp.DEFAULT_LANDAU_CUTOFF,
+                         help="prime cutoff for truncated products"),
+    }
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.add_argument("--segment-size", type=int,
-                   default=moments.DEFAULT_SEGMENT_SIZE)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--constants", default=DEFAULT_CONSTANTS)
-    p.add_argument("--cutoff", type=int, default=asymp.DEFAULT_LANDAU_CUTOFF,
-                   help="prime cutoff for truncated products")
+    for flag in flags:
+        p.add_argument(flag, **shared[flag])
 
 
 def _build_parser():
@@ -105,13 +109,13 @@ def _build_parser():
     p = sub.add_parser("eval", help="evaluate one representation function")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("table", help="build (and optionally cache) a prime table")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--cache", action="store_true",
                    help="store/reuse the bitset cache under REPNUM_CACHE_DIR")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("moments", help="bulk power/binomial moments")
     p.add_argument("--family", required=True)
@@ -123,31 +127,32 @@ def _build_parser():
                    help="restrict to omega(n) = K")
     p.add_argument("--omega-star", type=int, dest="omega_star",
                    help="restrict to omega_star(n) = K")
-    _add_common(p)
+    _add_flags(p, "--segment-size", "--workers")
 
     p = sub.add_parser("zeroth", help="zeroth moments (positivity counts)")
     p.add_argument("--family", required=True)
     p.add_argument("--x", type=int)
     p.add_argument("--grid")
-    _add_common(p)
+    _add_flags(p, "--segment-size", "--workers")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=(*acceptance.SUITES, "all"))
     p.add_argument("--x", type=int, help="scale override for oracle/identities")
-    _add_common(p)
+    _add_flags(p, "--workers", "--constants")
 
     p = sub.add_parser("sieve-demo", help="bound vs exact count on random problems")
     p.add_argument("--count", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("constants", help="print the constants file")
-    _add_common(p)
+    _add_flags(p, "--constants")
 
     p = sub.add_parser("calibrate", help="fit and store the tuned constants")
     p.add_argument("--grid-max", type=int, default=10**7)
-    _add_common(p)
+    _add_flags(p, "--segment-size", "--workers", "--constants",
+               "--cutoff")
     return top
 
 

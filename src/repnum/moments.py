@@ -8,6 +8,7 @@ results are independent of segment size and worker schedule by construction
 (integer addition is associative and commutative).
 """
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -190,12 +191,29 @@ def _coprime_mask(a, nr, first, b, cols):
     return keep
 
 
+def _next_prime(n):
+    """Smallest prime > n, by trial division."""
+    n += 1
+    while n < 2 or any(n % q == 0 for q in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
 def _window_primes(primes, lo, hi):
-    """Sieving primes for the window: p <= max(isqrt(hi-1), 2) when hi > 2."""
+    """Sieving primes for the window: p <= max(isqrt(hi-1), 2) when hi > 2.
+
+    `primes` holds every prime up to some limit (a prime table's primes);
+    CapacityError when a prime the window needs lies beyond it.
+    """
     pmax = math.isqrt(hi - 1)
     if hi > 2:
         pmax = max(pmax, 2)
     cut = int(np.searchsorted(primes, pmax, side="right"))
+    last = int(primes[-1]) if len(primes) else 1
+    if cut == len(primes) and _next_prime(last) <= pmax:
+        raise CapacityError(
+            f"window [{lo}, {hi}) needs primes to {pmax} but the prime array "
+            f"ends at {last}")
     return [int(p) for p in primes[:cut]]
 
 
@@ -384,22 +402,20 @@ def _hist_sweep(state, xs, table, segment_size, workers):
     snapshots = {}
     acc = None
     want = {c + 1 for c in cps}
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_init_worker,
-                                 initargs=(state,)) as pool:
+    with contextlib.ExitStack() as stack:
+        if workers and workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(state,)))
             results = pool.map(_run_segment, segments,
                                chunksize=max(1, len(segments) // (4 * workers)))
-            for (lo, hi), h in zip(segments, results):
-                acc = _pad_add(acc, h)
-                if hi in want:
-                    snapshots[hi - 1] = acc.copy()
-    else:
-        _init_worker(state)
-        for seg in segments:
-            acc = _pad_add(acc, _run_segment(seg))
-            if seg[1] in want:
-                snapshots[seg[1] - 1] = acc.copy()
+        else:
+            _init_worker(state)
+            results = map(_run_segment, segments)
+        for (lo, hi), h in zip(segments, results):
+            acc = _pad_add(acc, h)
+            if hi in want:
+                snapshots[hi - 1] = acc.copy()
     return [snapshots[int(x)] for x in xs]
 
 

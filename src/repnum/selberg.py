@@ -68,8 +68,6 @@ class SieveProblem:
     m: int = 1
     forms: tuple = ()
     variant: str = "A"
-    prime_set: str = None   # 'all' or '3mod4'; default depends on variant
-    X: Fraction = None      # size estimate; defaults to the exact N^2
     T: int = field(init=False, default=0)
     kappa: int = field(init=False, default=0)  # sifting dimension, metadata
 
@@ -87,19 +85,22 @@ class SieveProblem:
         object.__setattr__(self, "xi", xi)
         if self.xi < self.z:
             raise ValueError("need z <= xi")
-        if self.prime_set is None:
-            object.__setattr__(self, "prime_set",
-                               "all" if self.variant == "A" else "3mod4")
-        if self.prime_set not in ("all", "3mod4"):
-            raise ValueError("prime_set must be 'all' or '3mod4'")
-        x_est = self.box * self.box if self.X is None else self.X
-        object.__setattr__(self, "X", Fraction(x_est))
         object.__setattr__(self, "T", pairwise_det_product(self.m, self.forms))
         object.__setattr__(self, "kappa", len(self.forms) + 2)
 
     @property
     def ell(self):
         return len(self.forms)
+
+    @property
+    def prime_set(self):
+        """'all' for variant A, '3mod4' for B and C."""
+        return "all" if self.variant == "A" else "3mod4"
+
+    @property
+    def X(self):
+        """The size estimate: the exact box area N^2."""
+        return Fraction(self.box * self.box)
 
     def sifting_primes(self):
         """Primes ell + 2 < p <= z in the configured residue class."""
@@ -334,17 +335,16 @@ def sifted_count_exact(problem):
     return _box_survey(problem)[2]
 
 
-def _remainder_exact(problem, d, count, check_bound=True):
+def _remainder_exact(problem, d, count):
     """R_d as an exact Fraction, with the paper's size assertion."""
     g = g_value(problem, d)
     r = Fraction(count) - g * problem.X
-    if check_bound and g > 0:
-        scale = max(problem.box, math.isqrt(int(problem.X)) + 1)
-        slack = d * d if problem.variant == "C" else d
-        if abs(r) > 2 * slack * scale:
-            raise AssertionError(
-                f"|R_{d}| = {float(abs(r)):.3f} exceeds 2*{slack}*{scale}; "
-                f"the weight model does not match this problem's events")
+    scale = problem.box + 1  # isqrt(X) + 1, with X = N^2
+    slack = d * d if problem.variant == "C" else d
+    if abs(r) > 2 * slack * scale:
+        raise AssertionError(
+            f"|R_{d}| = {float(abs(r)):.3f} exceeds 2*{slack}*{scale}; "
+            f"the weight model does not match this problem's events")
     return r
 
 

@@ -144,6 +144,17 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "r0", "--n", "25", "--workers", "2"),
+    ("verify", "--suite", "argmax", "--segment-size", "4096"),
+    ("sieve-demo", "--cutoff", "5"),
+], ids=lambda argv: argv[0])
+def test_verbs_reject_flags_they_do_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
 def test_capacity_exit_code(capsys):
     code, _, err = run(capsys, "moments", "--family", "r0", "--x",
                        str(10**10))

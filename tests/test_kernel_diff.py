@@ -189,3 +189,21 @@ def test_walk_uint32_cap():
                                                 table.primes, "omega")):
         with pytest.raises(CapacityError):
             call()
+
+
+def test_walk_rejects_short_prime_array(big_table):
+    """The walk takes a bare prime array; it must reach the window's primes."""
+    short = arith.prime_table(10).primes  # ends at 7; [100, 200) needs 11, 13
+    full = arith.prime_table(14).primes   # ends at 13; the next prime, 17, > 14
+    with pytest.raises(CapacityError, match="ends at 7"):
+        moments.segment_profile(100, 200, short)
+    for kind in ("omega", "omega_star"):
+        with pytest.raises(CapacityError, match="ends at 7"):
+            moments._segment_omega(100, 200, short, kind)
+    expected = [oracle_profile(n, big_table) for n in range(100, 200)]
+    prof = moments.segment_profile(100, 200, full)
+    for name in PROFILE_DTYPES:
+        assert getattr(prof, name).tolist() == [e[name] for e in expected]
+    for kind in ("omega", "omega_star"):
+        got = moments._segment_omega(100, 200, full, kind)
+        assert got.tolist() == [e[kind] for e in expected]

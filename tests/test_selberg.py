@@ -140,6 +140,14 @@ def test_problem_metadata():
     assert pr.X == 100
 
 
+@pytest.mark.parametrize("kw", [{"prime_set": "all"}, {"X": Fraction(100)}],
+                         ids=lambda kw: next(iter(kw)))
+def test_derived_metadata_is_not_an_init_field(kw):
+    # prime_set follows the variant and X is the box area N^2
+    with pytest.raises(TypeError):
+        SieveProblem(box=10, z=10, **kw)
+
+
 def test_variant_c_exact_division_oracle():
     # For p = 3 mod 4 and a single form, hand-check the exact-division event
     pr = SieveProblem(box=30, z=7, m=5, forms=(LinearForm(1, 2),), variant="C")
