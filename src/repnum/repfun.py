@@ -183,12 +183,16 @@ def r_set_mask(limit):
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
     for p in _primes_3mod4(limit):
-        odd_exp = np.zeros(limit + 1, dtype=bool)
-        q = p
-        while q <= limit:
-            odd_exp[q::q] ^= True
-            q *= p
-        mask &= ~odd_exp
+        if p * p > limit:  # v_p(n) <= 1 for n <= limit
+            mask[p::p] = False
+            continue
+        # odd[k]: v_p(k * p) is odd, walked over the multiples of p only
+        odd = np.zeros(limit // p + 1, dtype=bool)
+        step = 1
+        while step * p <= limit:
+            odd[step::step] ^= True
+            step *= p
+        mask[::p] &= ~odd
     return mask
 
 

@@ -16,7 +16,12 @@ enlarge the surviving set, so the computed bound still dominates.
 Each problem's box is surveyed once (`_box_survey`, cached per problem):
 one exhaustive pass over the box, capped at N <= ORACLE_BOX_CAP, gives the
 exact |A_d| behind every remainder R_d of the bound and the fully sifted
-count, so the bound and the exact count of a problem share one pass.
+count, so the bound and the exact count of a problem share one pass.  The
+event at p depends on a only through a mod q, with q = p for variants A
+and B and q = p^2 for C.  So the pass first computes, per sifting prime, a
+residue table of the event over the rows a = 0 .. min(q, N + 1) - 1 and
+every b of the box, and each row chunk of the box gathers its rows
+a % q from the tables.  A prime with q > N still costs a full box table.
 """
 
 import math
@@ -280,20 +285,55 @@ def mu_plus(problem, lams=None):
 # Exact box counting
 # ---------------------------------------------------------------------------
 
+def _period(problem, p):
+    """The period q of the event at p in a and in b: p, or p^2 for variant C."""
+    return p * p if problem.variant == "C" else p
+
+
 def _event_mask(problem, p, a_col, b_row):
-    """Boolean mask of the event at prime p over the (a, b) sub-grid."""
+    """Boolean mask of the event at prime p over the (a, b) sub-grid.
+
+    a_col is a (k, 1) column and b_row a (1, n) row of nonnegative ints.  A
+    factor's two terms are reduced as 1-D vectors: the factor is 0 mod m
+    where b's residue equals the negated residue of a's term, so the grid
+    sees one compare per factor and level, in the narrowest dtype q allows.
+    """
+    q = _period(problem, p)
+    a, b = a_col % q, b_row % q
+    terms = [(a * a, b * b)] + [(f.u * a, f.v * b) for f in problem.forms]
+    narrow = np.min_scalar_type(q - 1)
+
+    def divisible(col, row, m):
+        return (row % m).astype(narrow) == (-col % m).astype(narrow)
+
     if problem.variant in ("A", "B"):
-        mask = (a_col * a_col + b_row * b_row) % p == 0
-        for f in problem.forms:
-            mask |= (f.u * a_col + f.v * b_row) % p == 0
+        mask = divisible(*terms[0], p)
+        for col, row in terms[1:]:
+            mask |= divisible(col, row, p)
         return mask
-    p2 = p * p
-    norm = (a_col * a_col + b_row * b_row) % p2
-    vals = (norm % p == 0).astype(np.int64) + (norm == 0)
-    for f in problem.forms:
-        fv = (f.u * a_col + f.v * b_row) % p2
-        vals += (fv % p == 0).astype(np.int64) + (fv == 0)
+    # v_p of the product is 1 iff exactly one factor is 0 mod p and that
+    # factor is not 0 mod p^2: sum both indicators over the factors
+    vals = np.zeros((a.shape[0], b.shape[1]), dtype=np.int8)
+    for col, row in terms:
+        vals += divisible(col, row, p).view(np.int8)
+        vals += divisible(col, row, q).view(np.int8)
     return vals == 1
+
+
+def _residue_table(problem, p, b_row):
+    """(q, table): the event at p for a = 0 .. min(q, N + 1) - 1 over b_row.
+
+    The event depends on a only through a mod q, so row a % q of the table is
+    the event row of every a in the box.  Filled in _ROW_CHUNK row chunks.
+    """
+    q = _period(problem, p)
+    rows = min(q, problem.box + 1)
+    table = np.empty((rows, b_row.shape[1]), dtype=bool)
+    for lo in range(0, rows, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, rows)
+        a_col = np.arange(lo, hi, dtype=np.int64)[:, None]
+        table[lo:hi] = _event_mask(problem, p, a_col, b_row)
+    return q, table
 
 
 @lru_cache(maxsize=128)
@@ -303,7 +343,8 @@ def _box_survey(problem):
     ds are the squarefree products d < xi^2 + 1 of active primes with their
     factors, as (d, used); counts[i] is the exact |A_d| of ds[i], the pairs
     hit by the event of every p | d; sifted counts the pairs no sifting
-    event hits.
+    event hits.  Each sifting prime's event is computed once, as a residue
+    table; every row chunk of the box gathers its rows from the tables.
     """
     n = problem.box
     if n > ORACLE_BOX_CAP:
@@ -314,11 +355,11 @@ def _box_survey(problem):
     counts = [0] * len(ds)
     sifted = 0
     b_row = np.arange(1, n + 1, dtype=np.int64)[None, :]
+    tables = {p: _residue_table(problem, p, b_row) for p in primes}
     for lo in range(1, n + 1, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK - 1, n)
-        a_col = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
-        masks = {p: _event_mask(problem, p, a_col, b_row) for p in primes}
-        hit = np.zeros((hi - lo + 1, n), dtype=bool)
+        a = np.arange(lo, min(lo + _ROW_CHUNK, n + 1), dtype=np.int64)
+        masks = {p: table[a % q] for p, (q, table) in tables.items()}
+        hit = np.zeros((len(a), n), dtype=bool)
         for p in primes:
             hit |= masks[p]
         sifted += int(hit.size - np.count_nonzero(hit))

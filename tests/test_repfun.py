@@ -66,6 +66,29 @@ def test_masks_match_membership(table6, limit):
         assert bool(rpmask[n]) == repfun.in_Rprime(f)
 
 
+def _r_set_mask_reference(limit):
+    """The full-array mask: one limit + 1 parity array per prime = 3 mod 4."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[0] = False
+    for p in repfun._primes_3mod4(limit):
+        odd_exp = np.zeros(limit + 1, dtype=bool)
+        q = p
+        while q <= limit:
+            odd_exp[q::q] ^= True
+            q *= p
+        mask &= ~odd_exp
+    return mask
+
+
+# p^2 - 1, p^2 and p^2 + 1 move p across the clear-only branch; 3^10 and
+# 7^5 sit inside 10^5
+@pytest.mark.parametrize("limit", [1, 2, 3, 10**5] + [
+    p * p + k for p in (3, 7, 11, 43, 311) for k in (-1, 0, 1)])
+def test_r_set_mask_matches_reference(limit):
+    assert np.array_equal(repfun.r_set_mask(limit),
+                          _r_set_mask_reference(limit))
+
+
 def _counts(family, x, table):
     return moments.accumulate_counts(family, 1, x + 1, table).counts.astype(int)
 

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repnum import selberg
@@ -209,7 +211,14 @@ def _oracle_survey(pr):
     # 7 divides T: sifted, but carries no weight and so enters no d
     SieveProblem(box=40, z=20, m=145,
                  forms=(LinearForm(1, 12), LinearForm(9, 8)), variant="C"),
-], ids=["A1", "A2", "B1", "C1", "C2"])
+    # the residue tables fold: periods 49 and 121 below the box side
+    SieveProblem(box=131, z=11, m=5, forms=(LinearForm(1, 2),), variant="C"),
+    SieveProblem(box=150, z=13, m=5, forms=(LinearForm(1, 2),), variant="A"),
+    # the table-row cap min(q, N + 1) at q = 49 == N and q == N + 1
+    SieveProblem(box=49, z=11, m=5, forms=(LinearForm(1, 2),), variant="C"),
+    SieveProblem(box=48, z=11, m=5, forms=(LinearForm(1, 2),), variant="C"),
+], ids=["A1", "A2", "B1", "C1", "C2", "C-fold", "A-fold", "C-q=N",
+        "C-q=N+1"])
 def test_survey_matches_valuation_oracle(pr, monkeypatch):
     ds, counts, sifted = selberg._box_survey(pr)
     assert max(len(used) for _, used in ds) >= 2
@@ -224,21 +233,75 @@ def test_survey_matches_valuation_oracle(pr, monkeypatch):
 
 
 def test_bound_and_exact_count_share_one_pass(monkeypatch):
-    pr = SieveProblem(box=300, z=23, xi=29, m=13,
-                      forms=(LinearForm(2, 3),), variant="A")
+    problems = [
+        SieveProblem(box=300, z=23, xi=29, m=13,
+                     forms=(LinearForm(2, 3),), variant="A"),
+        # periods 49, 121, 361, 529: the last two cap at N + 1 = 301 table
+        # rows, which take two row chunks
+        SieveProblem(box=300, z=23, m=5, forms=(LinearForm(1, 2),),
+                     variant="C"),
+    ]
     calls = []
     event_mask = selberg._event_mask
 
     def counting(problem, p, a_col, b_row):
-        calls.append((p, int(a_col[0, 0])))
+        assert b_row.ravel().tolist() == list(range(1, problem.box + 1))
+        calls.append((problem, p, int(a_col[0, 0]), int(a_col[-1, 0])))
         return event_mask(problem, p, a_col, b_row)
 
     monkeypatch.setattr(selberg, "_event_mask", counting)
-    selberg.sieve_upper_bound(pr)
-    selberg.sifted_count_exact(pr)
-    chunks = range(1, pr.box + 1, selberg._ROW_CHUNK)
-    assert sorted(calls) == sorted((p, lo) for p in pr.sifting_primes()
-                                   for lo in chunks)
+    for pr in problems:
+        selberg.sieve_upper_bound(pr)
+        selberg.sifted_count_exact(pr)
+    # each prime's residue rows 0 .. min(q, N + 1) - 1, once, in row chunks
+    want = []
+    for pr in problems:
+        for p in pr.sifting_primes():
+            rows = min(p * p if pr.variant == "C" else p, pr.box + 1)
+            want += [(pr, p, lo, min(lo + selberg._ROW_CHUNK, rows) - 1)
+                     for lo in range(0, rows, selberg._ROW_CHUNK)]
+    assert sorted(calls, key=repr) == sorted(want, key=repr)
+
+
+def _event_mask_reference(problem, p, a_col, b_row):
+    """The event at p from the full-grid residues of every factor."""
+    if problem.variant in ("A", "B"):
+        mask = (a_col * a_col + b_row * b_row) % p == 0
+        for f in problem.forms:
+            mask |= (f.u * a_col + f.v * b_row) % p == 0
+        return mask
+    p2 = p * p
+    norm = (a_col * a_col + b_row * b_row) % p2
+    vals = (norm % p == 0).astype(np.int64) + (norm == 0)
+    for f in problem.forms:
+        fv = (f.u * a_col + f.v * b_row) % p2
+        vals += (fv % p == 0).astype(np.int64) + (fv == 0)
+    return vals == 1
+
+
+def _mask_problems():
+    """random_problems problems, plus every form of m = 54^2 + 1: 54 is the
+    largest coefficient any m < 3000 gives a form."""
+    big = 54 * 54 + 1
+    forms = tuple(LinearForm(u, v)
+                  for u, v in selberg.coprime_representations(big))
+    return selberg.random_problems(30, seed=11, box_max=100, z_max=50) + [
+        SieveProblem(box=100, z=50, m=big, forms=forms)]
+
+
+@pytest.mark.parametrize("variant", "ABC")
+def test_event_mask_matches_full_grid_residues(variant):
+    rng = np.random.default_rng(ord(variant))
+    for pr in _mask_problems():
+        pr = dataclasses.replace(pr, variant=variant)
+        # grids of arbitrary a, b up to the cap, 0 for the table's first row
+        a_col = rng.integers(0, selberg.ORACLE_BOX_CAP + 1, 96)[:, None]
+        b_row = rng.integers(1, selberg.ORACLE_BOX_CAP + 1, 96)[None, :]
+        a_col[0, 0] = 0
+        for p in pr.sifting_primes() + [997]:
+            got = selberg._event_mask(pr, p, a_col, b_row)
+            want = _event_mask_reference(pr, p, a_col, b_row)
+            assert got.dtype == bool and np.array_equal(got, want), (pr, p)
 
 
 def test_golden_file_replay():
