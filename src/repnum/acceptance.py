@@ -140,8 +140,8 @@ def check_identities(table, x=10**4, workers=1):
     rows.append(_row("stirling_falling_factorial_identity", not bad,
                      f"x <= 20, k <= 10, failures: {bad[:3]}"))
 
-    seg = moments.accumulate_counts(RepFamily.R2, 1, x + 1, table)
-    r2 = seg.counts.astype(np.int64)
+    r2 = moments.accumulate_counts(
+        RepFamily.R2, 1, x + 1, table).astype(np.int64)
     c1, c2 = np.cumsum(r2), np.cumsum(r2 * r2)
     d2 = repfun.d2_prefix(x, table)[1:]
     diag = np.zeros(x + 1, dtype=np.int64)

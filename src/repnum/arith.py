@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import CapacityError
 
@@ -294,14 +293,33 @@ def chebyshev(kind, x, table=None):
 
 
 def log_integral(x):
-    """Li(x) = integral of dt/log t from 2 to x, adaptive quadrature."""
+    """Li(x) = integral of dt/log t from 2 to x, as a positive series.
+
+    Li(x) = log(log x / log 2) + sum_{k>=1} ((log x)^k - (log 2)^k) / (k k!),
+    which is li(x) - li(2) with Euler's gamma cancelled.  The k-th difference
+    d_k = ((log x)^k - (log 2)^k) / k! is carried by the recurrence
+    d_k = (d_{k-1} log x + (log 2)^{k-1}/(k-1)! * log(x/2)) / k, so no term
+    subtracts and x near 2 keeps full precision.  The sum stops once a term
+    falls below 1e-17 of the running total.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"log_integral requires a finite x, got {x}")
     if x < 2:
         raise ValueError(f"log_integral requires x >= 2, got {x}")
     if x == 2:
         return 0.0
-    val, err = quad(lambda t: 1.0 / math.log(t), 2.0, float(x),
-                    epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+    log_x, log_2, gap = math.log(x), math.log(2.0), math.log(x / 2)
+    total = math.log1p(gap / log_2)
+    diff, power_2, k = 0.0, 1.0, 0  # d_k and (log 2)^k / k!
+    while True:
+        k += 1
+        diff = diff * (log_x / k) + power_2 * (gap / k)
+        power_2 *= log_2 / k
+        term = diff / k
+        total += term
+        if term < 1e-17 * total:
+            return total
 
 
 # ---------------------------------------------------------------------------

@@ -31,16 +31,6 @@ _NO_PRIME = np.int32(_INT32_MAX)  # replaces a padding 0; divides no a > 0
 
 
 @dataclass(frozen=True)
-class CountSegment:
-    """Per-n representation counts over the half-open range [lo, hi)."""
-
-    lo: int
-    hi: int
-    family: RepFamily
-    counts: np.ndarray  # uint32, indexed by n - lo
-
-
-@dataclass(frozen=True)
 class MomentQuery:
     """One bulk-moment request: family, cutoff, mode, optional omega filter."""
 
@@ -447,7 +437,7 @@ def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
 # ---------------------------------------------------------------------------
 
 def accumulate_counts(family, lo, hi, table):
-    """CountSegment for [lo, hi) via the bucket pass."""
+    """uint32 per-n counts over [lo, hi), index n - lo, via the bucket pass."""
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
     if hi - 1 > _INT32_MAX:
@@ -463,7 +453,7 @@ def accumulate_counts(family, lo, hi, table):
     counts = _segment_counts(lo, hi, lattice)
     if counts.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
-    return CountSegment(lo, hi, family, counts.astype(np.uint32))
+    return counts.astype(np.uint32)
 
 
 def _select_row(hist, omega_filter):

@@ -205,20 +205,24 @@ def g_value(problem, d):
 
 
 def _squarefree_products(primes, bound):
-    """Squarefree products of the given primes that are < bound, with factors."""
-    out = []
+    """Squarefree products of the given primes that are < bound, with factors.
 
-    def rec(i, prod, used):
-        out.append((prod, tuple(used)))
+    Depth first, each product before its extensions by larger primes.  The
+    walk keeps an explicit stack: a recursive nested function would be a
+    reference cycle, left for the full cyclic collector, on every call.
+    """
+    out = []
+    stack = [(0, 1, ())]
+    while stack:
+        i, prod, used = stack.pop()
+        out.append((prod, used))
+        longer = []
         for j in range(i, len(primes)):
             nxt = prod * primes[j]
             if nxt >= bound:
                 break
-            used.append(primes[j])
-            rec(j + 1, nxt, used)
-            used.pop()
-
-    rec(0, 1, [])
+            longer.append((j + 1, nxt, used + (primes[j],)))
+        stack.extend(reversed(longer))
     return out
 
 
@@ -239,18 +243,15 @@ def big_G(problem, d=1, xi=None):
                 f"d = {d} is not a product of active sifting primes")
     avail = [p for p in sorted(hmap) if d % p != 0]
     total = Fraction(0)
-
-    def rec(i, prod, hval):
-        nonlocal total
+    stack = [(0, 1, Fraction(1))] if xi > 1 else []
+    while stack:  # as in _squarefree_products; the sum is exact in any order
+        i, prod, hval = stack.pop()
         total += hval
         for j in range(i, len(avail)):
             p = avail[j]
             if prod * p >= xi:
                 break
-            rec(j + 1, prod * p, hval * hmap[p])
-
-    if xi > 1:
-        rec(0, 1, Fraction(1))
+            stack.append((j + 1, prod * p, hval * hmap[p]))
     return total
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import struct
+import warnings
 
 import mpmath
 import numpy as np
@@ -131,6 +132,22 @@ def test_log_integral(table):
     assert abs(li100 - arith.pi_count(100, table=table)) < li100 * 0.15
     with pytest.raises(ValueError):
         arith.log_integral(1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            arith.log_integral(bad)
+    with pytest.raises(OverflowError):
+        arith.log_integral(10**400)
+
+
+@pytest.mark.parametrize("x", [2.001, 2.5, 10, 1e3, 1e6, 1e9, 1e12, 1e15,
+                               1e18, 1e100, 1e300])
+def test_log_integral_matches_mpmath(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = arith.log_integral(x)
+    with mpmath.workdps(30):
+        ref = mpmath.li(x) - mpmath.li(2)
+        assert abs(got - ref) <= 1e-13 * ref + 1e-15
 
 
 def test_mobius_convolution_is_identity(table6):

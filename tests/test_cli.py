@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +197,16 @@ def test_verify_table_covers_x(capsys, monkeypatch, x):
     (table,) = seen
     assert table.limit >= max(math.isqrt(x or 0), 10**4 - 1)
     assert table.spf_limit == table.limit
+
+
+def test_no_scipy_import():
+    # the runtime is numpy plus the standard library: repnum.cli imports
+    # every repnum module, and none of them may pull scipy into a process
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, repnum.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

@@ -37,7 +37,7 @@ def test_counts_match_oracle_high(big_table, family, lo, width):
     seg = moments.accumulate_counts(family, lo, hi, big_table)
     expected = [repfun.rep_enumerate(family, n, big_table)
                 for n in range(lo, hi)]
-    assert seg.counts.tolist() == expected
+    assert seg.tolist() == expected
 
 
 # n with many representations, which random windows rarely hit:
@@ -52,17 +52,17 @@ def test_counts_match_oracle_at_rich_n(big_table, family):
         seg = moments.accumulate_counts(family, lo, lo + 4, big_table)
         expected = [repfun.rep_enumerate(family, m, big_table)
                     for m in range(lo, lo + 4)]
-        assert seg.counts.tolist() == expected, n
+        assert seg.tolist() == expected, n
 
 
 @pytest.mark.parametrize("lo", [10**7, TOP - (1 << 16) + 1])
 def test_tiny_pair_blocks_change_nothing(big_table, monkeypatch, lo):
     hi = lo + (1 << 16)
-    default = {f: moments.accumulate_counts(f, lo, hi, big_table).counts
+    default = {f: moments.accumulate_counts(f, lo, hi, big_table)
                for f in RepFamily}
     monkeypatch.setattr(moments, "_BLOCK_PAIRS", 7)
     for fam in RepFamily:
-        tiny = moments.accumulate_counts(fam, lo, hi, big_table).counts
+        tiny = moments.accumulate_counts(fam, lo, hi, big_table)
         assert np.array_equal(tiny, default[fam]), fam
 
 

@@ -90,7 +90,7 @@ def test_r_set_mask_matches_reference(limit):
 
 
 def _counts(family, x, table):
-    return moments.accumulate_counts(family, 1, x + 1, table).counts.astype(int)
+    return moments.accumulate_counts(family, 1, x + 1, table).astype(int)
 
 
 def test_pointwise_chains(table, table6):

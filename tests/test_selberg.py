@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -113,6 +114,19 @@ def test_mu_plus_square_identity():
         lhs = sum(v for d, v in mp.items() if n % d == 0)
         rhs = sum(v for d, v in lams.items() if n % d == 0) ** 2
         assert lhs == rhs
+
+
+def test_weights_leave_no_reference_cycles():
+    # a garbage cycle waits for the full cyclic collector, whose pause then
+    # lands inside some later sieve call
+    pr = SieveProblem(box=60, z=29, m=13, forms=(LinearForm(2, 3),))
+    gc.collect()
+    gc.disable()
+    try:
+        selberg.mu_plus(pr, selberg.lambda_weights(pr))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_problem_validation():
