@@ -306,15 +306,21 @@ def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,
 
 
 def tau_growth_max(lo, hi, table):
-    """max over lo <= n <= hi of log(tau(n)) log log n / (log n log 2)."""
-    from .arith import factor, tau
+    """max(0, max over lo <= n <= hi of log(tau(n)) log log n / (log n log 2)).
 
+    tau comes from the factorization walk, one segment of the moment
+    engine's size at a time; log log n needs lo >= 2.
+    """
+    if lo < 2:
+        raise ValueError(f"tau_growth_max needs lo >= 2, got lo = {lo}")
     best = 0.0
-    for n in range(lo, hi + 1):
-        t = tau(factor(n, table))
-        val = math.log(t) * math.log(math.log(n)) / (math.log(n) * math.log(2))
-        if val > best:
-            best = val
+    for start in range(lo, hi + 1, moments.DEFAULT_SEGMENT_SIZE):
+        stop = min(start + moments.DEFAULT_SEGMENT_SIZE, hi + 1)
+        tau = moments._factor_walk(start, stop, table.primes, ("tau",)).tau
+        logn = np.log(np.arange(start, stop, dtype=np.float64))
+        val = (np.log(tau.astype(np.float64)) * np.log(logn)
+               / (logn * math.log(2)))
+        best = max(best, float(val.max()))
     return best
 
 

@@ -108,28 +108,67 @@ def _pair_blocks(ends, cap):
         r0, base = r1, int(ends[r1 - 1])
 
 
+def _symmetric(traits):
+    """The first coordinate runs over the same set as b (r0, r0*, r2, r2*,
+    r2unordered), so the pairs a < b determine those with a > b."""
+    return traits.base == ("prime" if traits.first_prime else "any")
+
+
+def _unmirrored_offsets(lo, hi, traits, aprimes):
+    """n - lo, int64, of the pairs with no mirror for a symmetric family:
+    the diagonal (a, a) at n = 2a^2 (none for r2*) and, when a may be 0,
+    the axis (0, b) at n = b^2.  A coprime family keeps only a = 1 and
+    b = 1, since gcd(a, a) = a and gcd(0, b) = b.  2a^2 = b^2 has no
+    solution, so the offsets are distinct.
+    """
+    top = 1 if traits.coprime else hi
+    diag = np.arange(0)
+    if not traits.distinct:
+        a_lo = math.isqrt((lo + 1) // 2 - 1) + 1  # least a >= 1, 2a^2 >= lo
+        a_hi = min(math.isqrt((hi - 1) // 2), top)
+        if traits.first_prime:
+            diag = aprimes[np.searchsorted(aprimes, a_lo):
+                           np.searchsorted(aprimes, a_hi, side="right")]
+        else:
+            diag = np.arange(a_lo, a_hi + 1)
+    diag = diag.astype(np.int64)
+    off = [2 * diag * diag - lo]
+    if not traits.first_prime:
+        axis = np.arange(math.isqrt(lo - 1) + 1,
+                         min(math.isqrt(hi - 1), top) + 1, dtype=np.int64)
+        off.append(axis * axis - lo)
+    return np.concatenate(off)
+
+
 def _segment_counts(lo, hi, lattice):
     """Counts of family pairs per n in [lo, hi), as int64.
 
     One vectorized pass over every base value b <= isqrt(hi - 1) of the
     _lattice_state `lattice`: each b owns a row of first coordinates a
     (integers, or prime indices for the prime-first families) with
-    lo <= a^2 + b^2 < hi.  Rows are laid out as one ragged column in blocks
-    of at most _BLOCK_PAIRS pairs, and the pair offsets a^2 + b^2 - lo are
-    counted in int32, which needs hi - 1 <= _INT32_MAX.
+    lo <= a^2 + b^2 < hi.  A symmetric family walks only the rows a < b
+    with a >= 1, counts each of those pairs twice (once for r2unordered)
+    and adds the diagonal and axis pairs once (_unmirrored_offsets); r2*'s
+    rule a != b then holds on every walked pair.
+    Rows are laid out as one ragged column in blocks of at most
+    _BLOCK_PAIRS pairs, which bounds the per-block scratch; each block
+    writes its kept int32 offsets a^2 + b^2 - lo into one buffer of the
+    segment's pair count, and one bincount of the buffer gives the counts.
+    The int32 offsets need hi - 1 <= _INT32_MAX.
     """
     traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
                               lattice["aprimes"])
     size = hi - lo
-    counts = np.zeros(size, dtype=np.int64)
     nb = int(np.searchsorted(bvals, math.isqrt(hi - 1), side="right"))
     b = bvals[:nb]
     bb = b * b
     a_hi = _isqrt(hi - 1 - bb)
     t = lo - bb
     a_lo = np.where(t <= 0, 0, _isqrt(np.maximum(t - 1, 0)) + 1)
-    if traits.unordered:
+    half = _symmetric(traits)
+    if half:
         a_hi = np.minimum(a_hi, b - 1)
+        a_lo = np.maximum(a_lo, 1)
     if traits.first_prime:
         start = np.searchsorted(aprimes, a_lo, side="left")
         stop = np.searchsorted(aprimes, a_hi, side="right")
@@ -142,6 +181,8 @@ def _segment_counts(lo, hi, lattice):
     off = (bb[rows] - lo).astype(np.int32)
     cols = lattice["bprimes"][rows] if traits.coprime else None
     ends = np.cumsum(n)
+    buf = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.int32)
+    fill = 0
     for r0, r1 in _pair_blocks(ends, _BLOCK_PAIRS):
         nr = n[r0:r1]
         first = ends[r0:r1] - nr - (ends[r0 - 1] if r0 else 0)
@@ -149,16 +190,17 @@ def _segment_counts(lo, hi, lattice):
         a += np.repeat(start[r0:r1] - first.astype(np.int32), nr)
         if traits.first_prime:
             a = aprimes[a]
-        keep = None
-        if traits.distinct:
-            keep = a != np.repeat(b[r0:r1], nr)
-        if traits.coprime:
-            cop = _coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1])
-            keep = cop if keep is None else keep & cop
         v = a * a + np.repeat(off[r0:r1], nr)
-        if keep is not None:
-            v = v[keep]
-        np.add(counts, np.bincount(v, minlength=size), out=counts)
+        if traits.coprime:
+            v = v[_coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1])]
+        buf[fill:fill + len(v)] = v
+        fill += len(v)
+        del a, v  # the last block's scratch is not held through the scatter
+    counts = np.bincount(buf[:fill], minlength=size)
+    del buf
+    if half and not traits.unordered:
+        counts *= 2
+        counts[_unmirrored_offsets(lo, hi, traits, aprimes)] += 1
     return counts
 
 
@@ -212,7 +254,7 @@ class SegmentProfile:
     """Factorization statistics for n in [lo, hi), one entry per n.
 
     A profile from _factor_walk holds None in the fields it was not asked
-    for; segment_profile fills them all.
+    for; segment_profile fills all but tau, which tau_growth_max asks for.
     """
 
     lo: int
@@ -224,6 +266,7 @@ class SegmentProfile:
     v2: np.ndarray          # exponent of 2, capped at 2
     lpf: np.ndarray         # largest prime factor (0 for n = 1)
     lpf_sq: np.ndarray      # P(n)^2 | n
+    tau: np.ndarray         # number of divisors
 
     def r0_star_values(self):
         return np.where(self.has3 | (self.v2 >= 2), 0,
@@ -237,7 +280,7 @@ class SegmentProfile:
 # SegmentProfile's statistics, in field order, with their dtypes
 _FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
                  "n1mod4": np.uint8, "has3": bool, "v2": np.uint8,
-                 "lpf": np.int64, "lpf_sq": bool}
+                 "lpf": np.int64, "lpf_sq": bool, "tau": np.uint16}
 _NN_FIELDS = ("omega_star", "has3", "v2")  # what in_nn and rho_kN read
 _UINT32_MAX = 2**32 - 1  # the walk's smooth part and leftover are uint32
 
@@ -249,7 +292,8 @@ def _factor_walk(lo, hi, primes, fields):
     of each p in the asked fields and multiplies p into a uint32 smooth part
     sm at every multiple of each power p^k <= hi - 1.  One division
     n // sm per window then leaves 1 or the single prime > isqrt(hi - 1) of
-    n.  It is exact because sm divides n <= hi - 1 <= 2^32 - 1.
+    n.  It is exact because sm divides n <= hi - 1 <= 2^32 - 1.  tau
+    takes the factor k + 1 in place of k at the multiples of p^k.
     """
     if hi - 1 > _UINT32_MAX:
         raise CapacityError(
@@ -257,8 +301,10 @@ def _factor_walk(lo, hi, primes, fields):
             f"cap {_UINT32_MAX}")
     size = hi - lo
     out = {f: np.zeros(size, dtype=_FIELD_DTYPES[f]) for f in fields}
-    omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq = (
+    omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq, tau = (
         out.get(f) for f in _FIELD_DTYPES)
+    if tau is not None:
+        tau += 1
     sm = np.ones(size, dtype=np.uint32)
     for p in _window_primes(primes, lo, hi):
         sl = slice(-lo % p, None, p)
@@ -281,10 +327,15 @@ def _factor_walk(lo, hi, primes, fields):
         if lpf_sq is not None:
             lpf_sq[sl] = False
             lpf_sq[-lo % (p * p)::p * p] = True
-        q = p
+        q, k = p, 1
         while q <= hi - 1:
-            sm[-lo % q::q] *= p
-            q *= p
+            sq = slice(-lo % q, None, q)
+            sm[sq] *= p
+            if tau is not None:
+                if k > 1:
+                    tau[sq] //= k
+                tau[sq] *= k + 1
+            q, k = q * p, k + 1
     rem = np.arange(lo, hi, dtype=np.uint32) // sm
     left = rem > 1  # a single odd prime > isqrt(hi - 1); 2 was sieved
     mod4 = rem & 3
@@ -300,6 +351,8 @@ def _factor_walk(lo, hi, primes, fields):
         np.copyto(lpf, rem, where=left)
     if lpf_sq is not None:
         lpf_sq &= ~left
+    if tau is not None:
+        tau[left] *= 2
     return SegmentProfile(lo, hi, **{f: out.get(f) for f in _FIELD_DTYPES})
 
 
@@ -309,8 +362,9 @@ def _segment_omega(lo, hi, primes, kind):
 
 
 def segment_profile(lo, hi, primes):
-    """Every SegmentProfile field for n in [lo, hi)."""
-    return _factor_walk(lo, hi, primes, tuple(_FIELD_DTYPES))
+    """Every SegmentProfile field but tau for n in [lo, hi)."""
+    return _factor_walk(lo, hi, primes,
+                        tuple(f for f in _FIELD_DTYPES if f != "tau"))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +421,8 @@ def _plan_segments(xs, segment_size):
     cps = sorted(set(int(x) for x in xs))
     if cps[0] < 1:
         raise ValueError("moment cutoffs must be >= 1")
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
     top = cps[-1] + 1
     bounds = set(range(1, top, segment_size))
     bounds.update(c + 1 for c in cps)

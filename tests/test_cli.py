@@ -147,6 +147,14 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_segment_size_below_one_is_a_usage_error(capsys, size):
+    code, out, err = run(capsys, "moments", "--family", "r0", "--x", "1000",
+                         "--power", "2", "--segment-size", size)
+    assert (code, out) == (2, "")
+    assert err == "error: segment_size must be >= 1\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "--family", "r0", "--n", "25", "--workers", "2"),
     ("verify", "--suite", "argmax", "--segment-size", "4096"),

@@ -2,7 +2,9 @@
 
 The engine's per-n counts must equal the lattice-walk oracle
 `rep_enumerate` on random small windows anywhere below MAX_X, for every
-family; splitting the lattice into tiny pair blocks or the sweep into
+family, and the full-lattice bucket pass kept here as a reference on wider
+windows and on the windows that hold the unmirrored pairs n = k^2 and
+n = 2k^2; splitting the lattice into tiny pair blocks or the sweep into
 other segment sizes must not change a single count.  The factorization
 walk must agree with `arith.factor` field by field, up to its uint32 cap.
 """
@@ -66,6 +68,111 @@ def test_tiny_pair_blocks_change_nothing(big_table, monkeypatch, lo):
         assert np.array_equal(tiny, default[fam]), fam
 
 
+# ---------------------------------------------------------------------------
+# The half-lattice bucket pass against the full-lattice reference
+# ---------------------------------------------------------------------------
+
+def _segment_counts_reference(lo, hi, lattice):
+    """The bucket pass that walks every pair (a, b) of the family, both
+    orders of a symmetric pair included, and adds a bincount per block."""
+    traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
+                              lattice["aprimes"])
+    size = hi - lo
+    counts = np.zeros(size, dtype=np.int64)
+    nb = int(np.searchsorted(bvals, math.isqrt(hi - 1), side="right"))
+    b = bvals[:nb]
+    bb = b * b
+    a_hi = moments._isqrt(hi - 1 - bb)
+    t = lo - bb
+    a_lo = np.where(t <= 0, 0, moments._isqrt(np.maximum(t - 1, 0)) + 1)
+    if traits.unordered:
+        a_hi = np.minimum(a_hi, b - 1)
+    if traits.first_prime:
+        start = np.searchsorted(aprimes, a_lo, side="left")
+        stop = np.searchsorted(aprimes, a_hi, side="right")
+    else:
+        start, stop = a_lo, a_hi + 1
+    rows = np.nonzero(stop > start)[0]
+    n = (stop - start)[rows]
+    start = start[rows].astype(np.int32)
+    b = b[rows].astype(np.int32)
+    off = (bb[rows] - lo).astype(np.int32)
+    cols = lattice["bprimes"][rows] if traits.coprime else None
+    ends = np.cumsum(n)
+    for r0, r1 in moments._pair_blocks(ends, moments._BLOCK_PAIRS):
+        nr = n[r0:r1]
+        first = ends[r0:r1] - nr - (ends[r0 - 1] if r0 else 0)
+        a = np.arange(int(nr.sum()), dtype=np.int32)
+        a += np.repeat(start[r0:r1] - first.astype(np.int32), nr)
+        if traits.first_prime:
+            a = aprimes[a]
+        keep = None
+        if traits.distinct:
+            keep = a != np.repeat(b[r0:r1], nr)
+        if traits.coprime:
+            cop = moments._coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1])
+            keep = cop if keep is None else keep & cop
+        v = a * a + np.repeat(off[r0:r1], nr)
+        if keep is not None:
+            v = v[keep]
+        np.add(counts, np.bincount(v, minlength=size), out=counts)
+    return counts
+
+
+INT32_TOP = moments._INT32_MAX
+MAX_DIFF_WIDTH = 4096
+
+
+@pytest.fixture(scope="module")
+def lattices():
+    """Every family's lattice state for windows up to the int32 top."""
+    root = math.isqrt(INT32_TOP)
+    table = arith.prime_table(root + 1, spf_cap=0)
+    return {f: moments._lattice_state(f.traits, root, table)
+            for f in RepFamily}
+
+
+def check_against_reference(lattices, lo, hi):
+    for fam, lattice in lattices.items():
+        got = moments._segment_counts(lo, hi, lattice)
+        want = _segment_counts_reference(lo, hi, lattice)
+        assert got.dtype == want.dtype, fam
+        assert np.array_equal(got, want), (fam, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(1, TOP), width=st.integers(1, MAX_DIFF_WIDTH))
+def test_counts_match_reference_high(lattices, lo, width):
+    check_against_reference(lattices, lo, lo + width)
+
+
+def _edge_windows():
+    """Windows holding the pairs with no mirror, n = k^2 (axis) and
+    n = 2k^2 (diagonal, with k prime for r2), near 1e7 and 1e9: one window
+    around n, one starting at n and one ending at n; plus n = 1, 2 and the
+    int32 top.  The edge n are int64, since 2k^2 passes 2^31 near the top."""
+    primes = arith.prime_table(math.isqrt(TOP) + 1, spf_cap=0).primes
+    edges = []
+    for h in (10**7, TOP):
+        k = np.int64(math.isqrt(h))
+        j = np.int64(math.isqrt(h // 2))
+        p = primes[primes <= j].astype(np.int64)[-1]
+        edges += [k * k, 2 * j * j, 2 * p * p]
+    windows = [(int(n) - 3, int(n) + 4) for n in edges]
+    windows += [(int(n), int(n) + 64) for n in edges]
+    windows += [(int(n) - 63, int(n) + 1) for n in edges]
+    windows += [(1, 2), (1, 3), (2, 3), (1, 65), (2, 66),
+                (46340**2 + 10**2 - 3, 46340**2 + 10**2 + 5),
+                (46340**2 - 4, 46340**2 + 4), (INT32_TOP - 7, INT32_TOP + 1),
+                (TOP - (1 << 12) + 1, TOP + 1)]
+    return windows
+
+
+@pytest.mark.parametrize("lo, hi", _edge_windows())
+def test_counts_match_reference_at_edges(lattices, lo, hi):
+    check_against_reference(lattices, lo, hi)
+
+
 @pytest.mark.parametrize("family, omega_kind", [
     pytest.param(RepFamily.R0_STAR, None, id="r0star"),
     pytest.param(RepFamily.R2_UNORDERED, None, id="r2unordered"),
@@ -121,6 +228,7 @@ def oracle_profile(n, table):
         "v2": min(dict(fact.factors).get(2, 0), 2),
         "lpf": lpf,
         "lpf_sq": n > 1 and n % (lpf * lpf) == 0,
+        "tau": arith.tau(fact),
     }
 
 
@@ -135,11 +243,15 @@ def check_walk(lo, hi, table):
     expected = [oracle_profile(n, table) for n in range(lo, hi)]
     prof = moments.segment_profile(lo, hi, table.primes)
     assert [f.name for f in dataclasses.fields(prof)][2:] == list(
-        PROFILE_DTYPES)
+        PROFILE_DTYPES) + ["tau"]
     for name, dtype in PROFILE_DTYPES.items():
         got = getattr(prof, name)
         assert got.dtype == dtype, name
         assert got.tolist() == [e[name] for e in expected], (lo, name)
+    assert prof.tau is None
+    tau = moments._factor_walk(lo, hi, table.primes, ("tau",)).tau
+    assert tau.dtype == np.uint16
+    assert tau.tolist() == [e["tau"] for e in expected], lo
     for kind in ("omega", "omega_star"):
         got = moments._segment_omega(lo, hi, table.primes, kind)
         assert got.dtype == np.uint8

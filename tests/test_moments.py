@@ -168,6 +168,10 @@ def test_validation(table):
         moments.power_moment(RepFamily.R0, 10**6, 1, small)
     with pytest.raises(ValueError):
         moments.moment_identity_residual(RepFamily.R0, 100, 7, table)
+    for size in (0, -5):
+        with pytest.raises(ValueError, match="segment_size must be >= 1"):
+            moments.histogram_grid(RepFamily.R0, [100], table,
+                                   segment_size=size)
 
 
 def test_accumulate_counts_int32_cap():
