@@ -140,33 +140,31 @@ def _unmirrored_offsets(lo, hi, traits, aprimes):
     return np.concatenate(off)
 
 
-def _segment_counts(lo, hi, lattice):
-    """Counts of family pairs per n in [lo, hi), as int64.
+def _pair_offsets(lo, hi, lattice):
+    """int32 offsets n - lo of the family pairs with lo <= n < hi that the
+    bucket pass walks, one entry per pair, unordered.
 
     One vectorized pass over every base value b <= isqrt(hi - 1) of the
     _lattice_state `lattice`: each b owns a row of first coordinates a
     (integers, or prime indices for the prime-first families) with
     lo <= a^2 + b^2 < hi.  A symmetric family walks only the rows a < b
-    with a >= 1, counts each of those pairs twice (once for r2unordered)
-    and adds the diagonal and axis pairs once (_unmirrored_offsets); r2*'s
-    rule a != b then holds on every walked pair.
-    Rows are laid out as one ragged column in blocks of at most
+    with a >= 1; its callers count each of those pairs twice (once for
+    r2unordered) and add the diagonal and axis pairs once
+    (_unmirrored_offsets); r2*'s rule a != b then holds on every walked
+    pair.  Rows are laid out as one ragged column in blocks of at most
     _BLOCK_PAIRS pairs, which bounds the per-block scratch; each block
-    writes its kept int32 offsets a^2 + b^2 - lo into one buffer of the
-    segment's pair count, and one bincount of the buffer gives the counts.
-    The int32 offsets need hi - 1 <= _INT32_MAX.
+    writes its kept offsets a^2 + b^2 - lo into one buffer of the
+    segment's pair count.  The int32 offsets need hi - 1 <= _INT32_MAX.
     """
     traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
                               lattice["aprimes"])
-    size = hi - lo
     nb = int(np.searchsorted(bvals, math.isqrt(hi - 1), side="right"))
     b = bvals[:nb]
     bb = b * b
     a_hi = _isqrt(hi - 1 - bb)
     t = lo - bb
     a_lo = np.where(t <= 0, 0, _isqrt(np.maximum(t - 1, 0)) + 1)
-    half = _symmetric(traits)
-    if half:
+    if _symmetric(traits):
         a_hi = np.minimum(a_hi, b - 1)
         a_lo = np.maximum(a_lo, 1)
     if traits.first_prime:
@@ -195,13 +193,52 @@ def _segment_counts(lo, hi, lattice):
             v = v[_coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1])]
         buf[fill:fill + len(v)] = v
         fill += len(v)
-        del a, v  # the last block's scratch is not held through the scatter
-    counts = np.bincount(buf[:fill], minlength=size)
-    del buf
-    if half and not traits.unordered:
+    return buf[:fill]
+
+
+def _mirrored(traits):
+    """The walked pairs stand for two pairs each (symmetric, ordered)."""
+    return _symmetric(traits) and not traits.unordered
+
+
+def _segment_counts(lo, hi, lattice):
+    """Counts of family pairs per n in [lo, hi), as int64: one bincount of
+    the _pair_offsets, doubled and completed by the unmirrored pairs for
+    the symmetric ordered families."""
+    traits = lattice["traits"]
+    counts = np.bincount(_pair_offsets(lo, hi, lattice), minlength=hi - lo)
+    if _mirrored(traits):
         counts *= 2
-        counts[_unmirrored_offsets(lo, hi, traits, aprimes)] += 1
+        counts[_unmirrored_offsets(lo, hi, traits, lattice["aprimes"])] += 1
     return counts
+
+
+def _offset_runs(lo, hi, lattice):
+    """The n - lo with a nonzero count in [lo, hi), int32, and their counts.
+
+    The pair offsets are sorted in place and cut into runs of equal
+    offsets; a symmetric ordered family doubles each run and merges its
+    unmirrored offsets: +1 on a run they hit, a new entry of count 1
+    otherwise.  The entries are distinct but not in order.
+    """
+    traits = lattice["traits"]
+    off = _pair_offsets(lo, hi, lattice)
+    off.sort()
+    new = np.empty(len(off), dtype=bool)
+    new[:1] = True
+    np.not_equal(off[1:], off[:-1], out=new[1:])
+    d = off[new]
+    runs = np.diff(np.append(np.flatnonzero(new), len(off)))
+    if _mirrored(traits):
+        runs *= 2
+        u = _unmirrored_offsets(lo, hi, traits, lattice["aprimes"])
+        pos = np.searchsorted(d, u)
+        hit = pos < len(d)
+        hit[hit] = d[pos[hit]] == u[hit]
+        runs[pos[hit]] += 1
+        d = np.concatenate([d, u[~hit].astype(np.int32)])
+        runs = np.concatenate([runs, np.ones(len(d) - len(runs), np.int64)])
+    return d, runs
 
 
 def _coprime_mask(a, nr, first, b, cols):
@@ -283,38 +320,88 @@ _FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
                  "lpf": np.int64, "lpf_sq": bool, "tau": np.uint16}
 _NN_FIELDS = ("omega_star", "has3", "v2")  # what in_nn and rho_kN read
 _UINT32_MAX = 2**32 - 1  # the walk's smooth part and leftover are uint32
+_LEFTOVER_CHUNK = 1 << 16  # n per step of the leftover pass; bounds its scratch
+_PRESIEVE = (2, 3, 5, 7, 11, 13)
+_TILE = 4 * 3 * 5 * 7 * 11 * 13  # 60060: n mod 4 and a first power of each
+
+
+@lru_cache(maxsize=1)
+def _presieve_tile():
+    """Every SegmentProfile field of n from its primes p <= 13, for
+    n = 0, ..., 2 * _TILE - 1, read-only: the first power of each such p
+    that divides n, and v2 from n mod 4; lpf is the largest of these primes
+    (0 if none) and lpf_sq False.  "sm" is the product of these primes, as
+    uint32.  The fields have period _TILE; two periods hold every run of
+    up to _TILE consecutive n, starting at n mod _TILE.
+    """
+    r = np.arange(2 * _TILE)
+    tile = {f: np.zeros(len(r), dtype=dt) for f, dt in _FIELD_DTYPES.items()}
+    tile["tau"] += 1
+    tile["sm"] = np.ones(len(r), dtype=np.uint32)
+    for p in _PRESIEVE:
+        hit = r % p == 0
+        tile["omega"] += hit
+        if p != 2:
+            tile["omega_star"] += hit
+        if p % 4 == 1:
+            tile["n1mod4"] += hit
+        elif p % 4 == 3:
+            tile["has3"] |= hit
+        tile["lpf"][hit] = p
+        tile["tau"][hit] *= 2
+        tile["sm"][hit] *= p
+    tile["v2"][r % 2 == 0] = 1
+    tile["v2"][r % 4 == 0] = 2
+    for a in tile.values():
+        a.setflags(write=False)
+    return tile
 
 
 def _factor_walk(lo, hi, primes, fields):
     """SegmentProfile of [lo, hi) with only `fields` computed, the rest None.
 
-    One walk over the sieving primes p <= isqrt(hi - 1) marks the multiples
-    of each p in the asked fields and multiplies p into a uint32 smooth part
-    sm at every multiple of each power p^k <= hi - 1.  One division
-    n // sm per window then leaves 1 or the single prime > isqrt(hi - 1) of
-    n.  It is exact because sm divides n <= hi - 1 <= 2^32 - 1.  tau
-    takes the factor k + 1 in place of k at the multiples of p^k.
+    The primes p <= 13 come from the _presieve_tile, read from lo on and
+    repeated over the window: each asked field, and the uint32 smooth part
+    sm, starts as the tile's.  The tile may also mark a prime <= 13 above
+    isqrt(hi - 1) in a window near 1; that prime is then the one leftover
+    prime of n, which the walk would have found below.  One walk over the
+    sieving primes 13 < p <= isqrt(hi - 1) marks the multiples of each p in
+    the asked fields, and every power p^k <= hi - 1 (k >= 2 only for
+    p <= 13) multiplies p into sm at its multiples; tau takes the factor
+    k + 1 in place of k there, and lpf_sq is set at the multiples of p^2.
+    sm divides n, so n != sm flags the n with a leftover prime, the single
+    prime > isqrt(hi - 1) of n.  Only n1mod4, has3 and lpf read that prime,
+    n // sm, exact since sm | n <= 2^32 - 1; the division is skipped when
+    none of them is asked.  The leftover pass steps through the window
+    _LEFTOVER_CHUNK n at a time, so no window-sized n or flag array exists.
     """
+    if not 1 <= lo < hi:
+        raise ValueError("need 1 <= lo < hi")
     if hi - 1 > _UINT32_MAX:
         raise CapacityError(
             f"range up to {hi - 1} exceeds the factorization walk's uint32 "
             f"cap {_UINT32_MAX}")
     size = hi - lo
-    out = {f: np.zeros(size, dtype=_FIELD_DTYPES[f]) for f in fields}
+    walk_primes = _window_primes(primes, lo, hi)
+    tile = _presieve_tile()
+    head = slice(lo % _TILE, lo % _TILE + min(size, _TILE))
+
+    def start(name):
+        return np.resize(tile[name][head], size)
+
+    out = {f: start(f) for f in fields}
     omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq, tau = (
         out.get(f) for f in _FIELD_DTYPES)
-    if tau is not None:
-        tau += 1
-    sm = np.ones(size, dtype=np.uint32)
-    for p in _window_primes(primes, lo, hi):
-        sl = slice(-lo % p, None, p)
-        if omega is not None:
-            omega[sl] += 1
-        if p == 2:
-            if v2 is not None:
-                v2[sl] = 1
-                v2[-lo % 4::4] = 2
-        else:
+    small_lpf = None  # read at p <= 13, before the walk writes to lpf
+    if lpf_sq is not None:
+        small_lpf = lpf if lpf is not None else start("lpf")
+    sm = start("sm")
+    for p in walk_primes:
+        small = p <= _PRESIEVE[-1]
+        if not small:
+            sl = slice(-lo % p, None, p)
+            if omega is not None:
+                omega[sl] += 1
             if omega_star is not None:
                 omega_star[sl] += 1
             if p % 4 == 1:
@@ -322,12 +409,14 @@ def _factor_walk(lo, hi, primes, fields):
                     n1mod4[sl] += 1
             elif has3 is not None:
                 has3[sl] = True
-        if lpf is not None:
-            lpf[sl] = p
-        if lpf_sq is not None:
-            lpf_sq[sl] = False
-            lpf_sq[-lo % (p * p)::p * p] = True
-        q, k = p, 1
+            if lpf is not None:
+                lpf[sl] = p
+            if lpf_sq is not None:
+                lpf_sq[sl] = False
+        if lpf_sq is not None and p * p <= hi - 1:
+            sq = slice(-lo % (p * p), None, p * p)
+            lpf_sq[sq] = small_lpf[sq] == p if small else True
+        q, k = (p * p, 2) if small else (p, 1)
         while q <= hi - 1:
             sq = slice(-lo % q, None, q)
             sm[sq] *= p
@@ -336,23 +425,29 @@ def _factor_walk(lo, hi, primes, fields):
                     tau[sq] //= k
                 tau[sq] *= k + 1
             q, k = q * p, k + 1
-    rem = np.arange(lo, hi, dtype=np.uint32) // sm
-    left = rem > 1  # a single odd prime > isqrt(hi - 1); 2 was sieved
-    mod4 = rem & 3
-    if omega is not None:
-        omega += left
-    if omega_star is not None:
-        omega_star += left
-    if n1mod4 is not None:
-        n1mod4 += left & (mod4 == 1)
-    if has3 is not None:
-        has3 |= mod4 == 3
-    if lpf is not None:
-        np.copyto(lpf, rem, where=left)
-    if lpf_sq is not None:
-        lpf_sq &= ~left
-    if tau is not None:
-        tau[left] *= 2
+    divide = n1mod4 is not None or has3 is not None or lpf is not None
+    for i in range(0, size, _LEFTOVER_CHUNK):
+        c = slice(i, i + _LEFTOVER_CHUNK)
+        n = np.arange(lo + i, min(lo + i + _LEFTOVER_CHUNK, hi),
+                      dtype=np.uint32)
+        left = n != sm[c]  # a single prime > isqrt(hi - 1); odd, as 2 is in sm
+        if omega is not None:
+            omega[c] += left
+        if omega_star is not None:
+            omega_star[c] += left
+        if divide:
+            n //= sm[c]  # the leftover prime, or 1
+            if lpf is not None:
+                np.copyto(lpf[c], n, where=left)
+            n &= 3
+            if n1mod4 is not None:
+                n1mod4[c] += left & (n == 1)
+            if has3 is not None:
+                has3[c] |= n == 3
+        if lpf_sq is not None:
+            lpf_sq[c] &= ~left
+        if tau is not None:
+            tau[c][left] *= 2
     return SegmentProfile(lo, hi, **{f: out.get(f) for f in _FIELD_DTYPES})
 
 
@@ -385,20 +480,31 @@ def _run_segment(seg):
 
 
 def _family_segment(lo, hi, state):
-    """Count histogram of [lo, hi), by omega row when state has an omega kind."""
-    counts = _segment_counts(lo, hi, state)
-    if counts.max(initial=0) > _COUNTER_MAX:
-        raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
+    """Count histogram of [lo, hi), by omega row when state has an omega kind.
+
+    Unfiltered, one bincount of the dense per-n counts.  With an omega kind,
+    H[j, v] for v >= 1 is one bincount over the n with a nonzero count
+    (_offset_runs), keyed by kind(n) * width + v, and the zero column is
+    the rest of each omega row: #{n : kind(n) = j} minus the row's sum.
+    H has max kind(n) + 1 rows and max count + 1 columns either way.
+    """
     kind = state["omega_kind"]
     if kind is None:
+        counts = _segment_counts(lo, hi, state)
+        if counts.max(initial=0) > _COUNTER_MAX:
+            raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
         return np.bincount(counts)
+    d, runs = _offset_runs(lo, hi, state)
+    if runs.max(initial=0) > _COUNTER_MAX:
+        raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
     om = _segment_omega(lo, hi, state["primes"], kind)
-    width = int(counts.max(initial=0)) + 1
-    flat = np.bincount(om.astype(np.int64) * width + counts)
-    rows = (len(flat) + width - 1) // width
-    out = np.zeros(rows * width, dtype=np.int64)
-    out[: len(flat)] = flat
-    return out.reshape(rows, width)
+    rows = int(om.max()) + 1
+    width = int(runs.max(initial=0)) + 1
+    out = np.bincount(om[d].astype(np.int64) * width + runs,
+                      minlength=rows * width).reshape(rows, width)
+    out[:, 0] = [np.count_nonzero(om == j) for j in range(rows)]
+    out[:, 0] -= out[:, 1:].sum(axis=1)
+    return out
 
 
 def _nn_segment(lo, hi, state):
@@ -512,8 +618,20 @@ def accumulate_counts(family, lo, hi, table):
     return counts.astype(np.uint32)
 
 
-def _select_row(hist, omega_filter):
+def _omega_kind(omega_filter):
+    """The kind of an omega filter (kind, j), or None; checks kind and j."""
     if omega_filter is None:
+        return None
+    kind, value = omega_filter
+    if kind not in ("omega", "omega_star"):
+        raise ValueError(f"bad omega kind {kind!r}")
+    if value < 0:
+        raise ValueError(f"omega filter value must be >= 0, got {value}")
+    return kind
+
+
+def _select_row(hist, omega_filter):
+    if _omega_kind(omega_filter) is None:
         return hist if hist.ndim == 1 else hist.sum(axis=0)
     _, value = omega_filter
     if hist.ndim != 2:
@@ -557,7 +675,7 @@ def _moment_grid(family, xs, mode, k, table, omega_filter, segment_size,
                  workers):
     _weight(mode, k)
     hists = histogram_grid(family, xs, table,
-                           omega_kind=omega_filter[0] if omega_filter else None,
+                           omega_kind=_omega_kind(omega_filter),
                            segment_size=segment_size, workers=workers)
     return [moment_from_histogram(h, mode, k, omega_filter) for h in hists]
 

@@ -42,6 +42,14 @@ def test_moments_and_zeroth(capsys):
     assert out.splitlines()[1] == "r0,10,7"
 
 
+def test_negative_omega_filter_exits_2(capsys):
+    for flag in ("--omega-star", "--omega"):
+        code, out, err = run(capsys, "moments", "--family", "r0", "--x",
+                             "100000", "--power", "1", flag, "-2")
+        assert code == 2 and out == ""
+        assert "omega filter value must be >= 0" in err
+
+
 def test_grid(capsys):
     code, out, _ = run(capsys, "moments", "--family", "r0", "--grid",
                        "10:1000:10")

@@ -5,8 +5,11 @@ The engine's per-n counts must equal the lattice-walk oracle
 family, and the full-lattice bucket pass kept here as a reference on wider
 windows and on the windows that hold the unmirrored pairs n = k^2 and
 n = 2k^2; splitting the lattice into tiny pair blocks or the sweep into
-other segment sizes must not change a single count.  The factorization
-walk must agree with `arith.factor` field by field, up to its uint32 cap.
+other segment sizes must not change a single count.  The omega-filtered
+segment histogram, built from the sorted pair offsets, must equal the
+dense per-n histogram kept here as a reference.  The factorization walk
+must agree with `arith.factor` field by field, up to its uint32 cap, and
+with the walk without the small-prime presieve kept here as a reference.
 """
 
 import dataclasses
@@ -124,11 +127,15 @@ MAX_DIFF_WIDTH = 4096
 
 
 @pytest.fixture(scope="module")
-def lattices():
+def int32_table():
+    return arith.prime_table(math.isqrt(INT32_TOP) + 1, spf_cap=0)
+
+
+@pytest.fixture(scope="module")
+def lattices(int32_table):
     """Every family's lattice state for windows up to the int32 top."""
-    root = math.isqrt(INT32_TOP)
-    table = arith.prime_table(root + 1, spf_cap=0)
-    return {f: moments._lattice_state(f.traits, root, table)
+    return {f: moments._lattice_state(f.traits, math.isqrt(INT32_TOP),
+                                      int32_table)
             for f in RepFamily}
 
 
@@ -319,3 +326,213 @@ def test_walk_rejects_short_prime_array(big_table):
     for kind in ("omega", "omega_star"):
         got = moments._segment_omega(100, 200, full, kind)
         assert got.tolist() == [e[kind] for e in expected]
+
+
+def test_walk_rejects_bad_windows(big_table):
+    for lo, hi in ((0, 10), (10, 5), (7, 7)):
+        with pytest.raises(ValueError, match=r"need 1 <= lo < hi"):
+            moments.segment_profile(lo, hi, big_table.primes)
+        with pytest.raises(ValueError, match=r"need 1 <= lo < hi"):
+            moments._segment_omega(lo, hi, big_table.primes, "omega")
+
+
+# ---------------------------------------------------------------------------
+# The presieved walk against the walk without a presieve
+# ---------------------------------------------------------------------------
+
+def _factor_walk_reference(lo, hi, primes, fields):
+    """The walk that marks every sieving prime p <= isqrt(hi - 1) itself,
+    2 to 13 included, into fields that start at zero, and divides
+    n // sm over the whole window."""
+    size = hi - lo
+    out = {f: np.zeros(size, dtype=moments._FIELD_DTYPES[f]) for f in fields}
+    omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq, tau = (
+        out.get(f) for f in moments._FIELD_DTYPES)
+    if tau is not None:
+        tau += 1
+    sm = np.ones(size, dtype=np.uint32)
+    for p in moments._window_primes(primes, lo, hi):
+        sl = slice(-lo % p, None, p)
+        if omega is not None:
+            omega[sl] += 1
+        if p == 2:
+            if v2 is not None:
+                v2[sl] = 1
+                v2[-lo % 4::4] = 2
+        else:
+            if omega_star is not None:
+                omega_star[sl] += 1
+            if p % 4 == 1:
+                if n1mod4 is not None:
+                    n1mod4[sl] += 1
+            elif has3 is not None:
+                has3[sl] = True
+        if lpf is not None:
+            lpf[sl] = p
+        if lpf_sq is not None:
+            lpf_sq[sl] = False
+            lpf_sq[-lo % (p * p)::p * p] = True
+        q, k = p, 1
+        while q <= hi - 1:
+            sq = slice(-lo % q, None, q)
+            sm[sq] *= p
+            if tau is not None:
+                if k > 1:
+                    tau[sq] //= k
+                tau[sq] *= k + 1
+            q, k = q * p, k + 1
+    rem = np.arange(lo, hi, dtype=np.uint32) // sm
+    left = rem > 1
+    mod4 = rem & 3
+    if omega is not None:
+        omega += left
+    if omega_star is not None:
+        omega_star += left
+    if n1mod4 is not None:
+        n1mod4 += left & (mod4 == 1)
+    if has3 is not None:
+        has3 |= mod4 == 3
+    if lpf is not None:
+        np.copyto(lpf, rem, where=left)
+    if lpf_sq is not None:
+        lpf_sq &= ~left
+    if tau is not None:
+        tau[left] *= 2
+    return moments.SegmentProfile(
+        lo, hi, **{f: out.get(f) for f in moments._FIELD_DTYPES})
+
+
+ALL_FIELDS = tuple(moments._FIELD_DTYPES)
+# the field sets the engine asks the walk for
+WALK_FIELDS = {
+    "omega": ("omega",),
+    "omega_star": ("omega_star",),
+    "nn": moments._NN_FIELDS,
+    "tau": ("tau",),
+    "profile": tuple(f for f in ALL_FIELDS if f != "tau"),
+    "smooth": asymp._SMOOTH_FIELDS,
+    "all": ALL_FIELDS,
+}
+
+
+@pytest.fixture(scope="module")
+def u32_primes():
+    return arith.prime_table(1 << 16, spf_cap=0).primes
+
+
+def assert_walk_equal(got, want, fields, where, skip=0):
+    """got's asked fields == want's from entry `skip` on, dtypes included;
+    the rest None.  want may hold more fields: the reference fills each
+    field by itself."""
+    for name in ALL_FIELDS:
+        g = getattr(got, name)
+        if name not in fields:
+            assert g is None, (where, name)
+            continue
+        w = getattr(want, name)[skip:]
+        assert g.dtype == w.dtype, (where, name)
+        assert np.array_equal(g, w), (where, name)
+
+
+def check_walk_against_reference(lo, hi, primes, field_sets):
+    want = _factor_walk_reference(lo, hi, primes, ALL_FIELDS)
+    for fields in field_sets:
+        got = moments._factor_walk(lo, hi, primes, fields)
+        assert_walk_equal(got, want, fields, (lo, hi, fields))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lo=st.integers(1, U32_TOP + 1 - MAX_DIFF_WIDTH),
+       width=st.integers(1, MAX_DIFF_WIDTH),
+       which=st.sampled_from(sorted(WALK_FIELDS)))
+def test_walk_matches_reference_high(u32_primes, lo, width, which):
+    fields = WALK_FIELDS[which]
+    want = _factor_walk_reference(lo, lo + width, u32_primes, fields)
+    got = moments._factor_walk(lo, lo + width, u32_primes, fields)
+    assert_walk_equal(got, want, fields, (lo, width))
+
+
+def test_walk_matches_reference_every_low_window(u32_primes):
+    """Every window [lo, lo + w) with lo, w <= 200, each with one of the
+    engine's field sets in turn.  The reference values of n depend only on
+    n and isqrt(hi - 1), so one reference window [1, hi) serves every lo."""
+    field_sets = list(WALK_FIELDS.values())
+    count = 0
+    for hi in range(2, 401):
+        want = _factor_walk_reference(1, hi, u32_primes, ALL_FIELDS)
+        for lo in range(max(1, hi - 200), min(hi - 1, 200) + 1):
+            fields = field_sets[count % len(field_sets)]
+            got = moments._factor_walk(lo, hi, u32_primes, fields)
+            assert_walk_equal(got, want, fields, (lo, hi, fields), lo - 1)
+            count += 1
+    assert count == 200 * 200
+
+
+def _tile_windows():
+    """Windows straddling a multiple of the presieve period near 1, 1e9 and
+    the uint32 top, and the windows that end at the top."""
+    period = moments._TILE
+    windows = []
+    for m in (1, 2, 10**9 // period):
+        windows += [(m * period - 3, m * period + 4),
+                    (m * period - 1000, m * period + 3000)]
+    top = U32_TOP // period * period
+    windows += [(top - 1000, top + 3000), (U32_TOP - 4095, U32_TOP + 1),
+                (U32_TOP, U32_TOP + 1), (1, 2 * period + 7)]
+    return windows
+
+
+@pytest.mark.parametrize("lo, hi", _tile_windows())
+def test_walk_matches_reference_across_tiles(u32_primes, lo, hi):
+    check_walk_against_reference(lo, hi, u32_primes, WALK_FIELDS.values())
+
+
+# ---------------------------------------------------------------------------
+# The sparse omega-filtered histogram against the dense reference
+# ---------------------------------------------------------------------------
+
+def _family_segment_reference(lo, hi, state):
+    """H[j, v] = #{n : kind(n) = j, count(n) = v} from one bincount of
+    kind(n) * width + count(n) over every n of [lo, hi)."""
+    counts = moments._segment_counts(lo, hi, state)
+    om = moments._segment_omega(lo, hi, state["primes"], state["omega_kind"])
+    width = int(counts.max(initial=0)) + 1
+    flat = np.bincount(om.astype(np.int64) * width + counts)
+    rows = (len(flat) + width - 1) // width
+    out = np.zeros(rows * width, dtype=np.int64)
+    out[: len(flat)] = flat
+    return out.reshape(rows, width)
+
+
+def check_filtered_histograms(lattices, primes, lo, hi):
+    """Every family and both kinds.  The walk is checked against its own
+    reference above; here each kind's omega values are walked once per
+    window and handed to all 11 families."""
+    for kind in ("omega", "omega_star"):
+        om = moments._segment_omega(lo, hi, primes, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "_segment_omega",
+                       lambda *args: om.copy())
+            for fam, lattice in lattices.items():
+                state = dict(lattice, primes=primes, omega_kind=kind)
+                got = moments._family_segment(lo, hi, state)
+                want = _family_segment_reference(lo, hi, state)
+                assert got.dtype == want.dtype, (fam, kind)
+                assert got.shape == want.shape, (fam, kind, lo, hi)
+                assert np.array_equal(got, want), (fam, kind, lo, hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lo=st.integers(1, TOP), width=st.integers(1, MAX_DIFF_WIDTH))
+def test_filtered_histogram_matches_dense_high(lattices, int32_table, lo,
+                                               width):
+    check_filtered_histograms(lattices, int32_table.primes, lo, lo + width)
+
+
+@pytest.mark.parametrize("lo, hi", _edge_windows() + [
+    (1, 1 << 12), (10**8, 10**8 + (1 << 16)),
+    (TOP - (1 << 16) + 1, TOP + 1)])
+def test_filtered_histogram_matches_dense_at_edges(lattices, int32_table, lo,
+                                                   hi):
+    check_filtered_histograms(lattices, int32_table.primes, lo, hi)

@@ -174,6 +174,21 @@ def test_validation(table):
                                    segment_size=size)
 
 
+def test_omega_filter_validated_before_the_sweep(table, monkeypatch):
+    """A negative row must not read H[-j], and a bad filter must fail
+    before any segment runs."""
+    def no_sweep(*args, **kw):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(moments, "_hist_sweep", no_sweep)
+    for filt in (("omega_star", -2), ("omega", -1), ("bigomega", 1)):
+        with pytest.raises(ValueError):
+            moments.power_moment(RepFamily.R0, 100000, 1, table,
+                                 omega_filter=filt)
+        with pytest.raises(ValueError):
+            moments.moment_from_histogram(np.ones((5, 3), dtype=np.int64),
+                                          "power", 1, filt)
+
+
 def test_accumulate_counts_int32_cap():
     # the lattice arithmetic is int32: exact up to 2^31 - 1, refused beyond
     top = moments._INT32_MAX
