@@ -123,16 +123,22 @@ def check_r1_binomial_second_moment(table, workers=1):
 # ---------------------------------------------------------------------------
 
 def check_identities(table, x=10**4, workers=1):
-    rows = []
-    residuals = []
+    xs = [x, 10**3, 10**4, 10**5, 10**6]  # x, then the sandwich's grid
+    residuals, cs_bad = [], []
     for fam in (RepFamily.R0, RepFamily.R1, RepFamily.R2):
+        hists = moments.histogram_grid(fam, xs, table, workers=workers)
         for k in range(1, 7):
-            r = moments.moment_identity_residual(fam, x, k, table,
-                                                 workers=workers)
+            r = moments.moment_identity_residual(hists[0], k)
             if r:
                 residuals.append((fam.value, k, r))
-    rows.append(_row("stirling_moment_conversion_residuals", not residuals,
-                     f"k <= 6, x = {x}, nonzero: {residuals[:3]}"))
+        for xx, h in zip(xs[1:], hists[1:]):
+            a = moments.moment_from_histogram(h, "power", 1)
+            b = moments.moment_from_histogram(h, "power", 2)
+            m = moments.moment_from_histogram(h, "zeroth", None)
+            if not (a * a <= m * b and m <= a):
+                cs_bad.append((fam.value, xx))
+    rows = [_row("stirling_moment_conversion_residuals", not residuals,
+                 f"k <= 6, x = {x}, nonzero: {residuals[:3]}")]
 
     bad = [(xx, k) for xx in range(0, 21) for k in range(0, 11)
            if sum(moments.stirling(k, l) * moments.falling_factorial(xx, l)
@@ -155,17 +161,8 @@ def check_identities(table, x=10**4, workers=1):
     rows.append(_row("r2_square_identity_with_diagonal", ok,
                      f"all cutoffs <= {x}"))
 
-    bad = []
-    for fam in (RepFamily.R0, RepFamily.R1, RepFamily.R2):
-        xs = [10**3, 10**4, 10**5, 10**6]
-        m1 = moments.power_moment_grid(fam, xs, 1, table, workers=workers)
-        m2 = moments.power_moment_grid(fam, xs, 2, table, workers=workers)
-        mm = moments.zeroth_moment_grid(fam, xs, table, workers=workers)
-        for xx, a, b, m in zip(xs, m1, m2, mm):
-            if not (a * a <= m * b and m <= a):
-                bad.append((fam.value, xx))
-    rows.append(_row("cauchy_schwarz_sandwich", not bad,
-                     f"families r0/r1/r2, x up to 1e6, failures: {bad}"))
+    rows.append(_row("cauchy_schwarz_sandwich", not cs_bad,
+                     f"families r0/r1/r2, x up to 1e6, failures: {cs_bad}"))
     return rows
 
 
@@ -216,11 +213,7 @@ def check_calibrated(table, constants, workers=1):
     rows = []
     xs = [10**4, 10**5, 10**6, 10**7]
 
-    best = 0.0
-    for family in asymp.GSS_FAMILIES:
-        ratios = asymp.gss_shape_ratios_grid(family, xs, table,
-                                             workers=workers)
-        best = max(best, max(ratios.values()))
+    best = asymp.gss_shape_max(xs, table, workers=workers)
     stored = constants["gss_bound"]
     rows.append(_row("gss_shape_ratios_replay_within_1pct",
                      best <= stored * 1.01 and abs(best - stored) <= 0.01 * stored,
@@ -234,27 +227,15 @@ def check_calibrated(table, constants, workers=1):
                      "ratios " + ", ".join(f"{r:.6f}" for r in ratios)))
 
     g1, g2 = constants["gamma1"], constants["gamma2"]
-    hists = moments.rho_kN_grid(xs, table, workers=workers)
-    bad = []
-    for x, h in zip(xs, hists):
-        for k in range(1, 9):
-            rho = int(h[k]) if k < len(h) else 0
-            bound = (g1 * x / math.log(x)
-                     * (0.5 * math.log(math.log(x)) + g2) ** (k - 1)
-                     / math.factorial(k - 1))
-            if rho > bound:
-                bad.append((x, k, rho, bound))
+    rho = asymp.rho_bound_ratios(xs, g2, table, workers=workers)
+    bad = [(x, k, r) for (x, k), r in rho.items() if r > g1]
     rows.append(_row("rho_restricted_count_bound", not bad,
                      f"gamma1 {g1:.4f}, gamma2 {g2:.4f}, failures: {bad[:3]}"))
 
     c = constants["C"]
     xs_c = [10**3, 10**4, 10**5, 10**6, 10**7]
-    r1 = moments.power_moment_grid(RepFamily.R1, xs_c, 1, table,
-                                   workers=workers)
-    r1s = moments.power_moment_grid(RepFamily.R1_STAR, xs_c, 1, table,
-                                    workers=workers)
-    bad = [(x, a - b) for x, a, b in zip(xs_c, r1, r1s)
-           if a - b > c * math.sqrt(x) * math.log(math.log(x))]
+    gaps = asymp.coprime_gap_ratios(xs_c, table, workers=workers)
+    bad = [(x, r) for x, r in zip(xs_c, gaps) if r > c]
     rows.append(_row("coprime_gap_bound", not bad,
                      f"C = {c:.4f}, failures: {bad}"))
     return rows

@@ -31,6 +31,15 @@ class Statistic:
     k: int = None
 
 
+def _parts(stat):
+    """(id, ell, k) of a Statistic or a bare id; shape ids need ell and k."""
+    stat = stat if isinstance(stat, Statistic) else Statistic(stat)
+    if stat.id in ("gss_shape", "rR_shape") and None in (stat.ell, stat.k):
+        raise ValueError(f"shape statistic {stat.id!r} needs "
+                         "Statistic(id, ell, k)")
+    return stat.id, stat.ell, stat.k
+
+
 @dataclass(frozen=True)
 class RatioReport:
     statistic: str
@@ -81,7 +90,7 @@ def predicted_main(stat, x, constants=None, cutoff=DEFAULT_LANDAU_CUTOFF):
     The floor on x is per formula: 1 for the linear main term, 2 once a
     log x appears downstairs, 3 once log log x does.
     """
-    sid = stat.id if isinstance(stat, Statistic) else stat
+    sid, ell, k = _parts(stat)
     floor = 1 if sid == "r0_first" else 3 if sid in ("gss_shape", "rR_shape") else 2
     if x < floor:
         raise ValueError(f"statistic {sid!r} needs x >= {floor}, got {x}")
@@ -119,7 +128,6 @@ def predicted_main(stat, x, constants=None, cutoff=DEFAULT_LANDAU_CUTOFF):
         c = 3 * math.pi / 16 * math.sqrt(_three_mod4_square_product(cutoff))
         return c * x / math.sqrt(logx)
     if sid in ("gss_shape", "rR_shape"):
-        ell, k = stat.ell, stat.k
         big_l = math.log(logx)
         denom = logx if sid == "gss_shape" else math.sqrt(logx)
         return x * (2 ** (ell - 1) * big_l) ** k \
@@ -146,10 +154,10 @@ _EMPIRICAL = {
 def empirical_grid(stat, xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                    workers=1):
     """Exact empirical values of a statistic at each x, one engine sweep."""
-    sid = stat.id if isinstance(stat, Statistic) else stat
+    sid, ell, j = _parts(stat)
     if sid in ("gss_shape", "rR_shape"):
         family = RepFamily.R1 if sid == "gss_shape" else RepFamily.RBIG_STAR
-        mode, k, omega_filter = "binomial", stat.ell, ("omega_star", stat.k)
+        mode, k, omega_filter = "binomial", ell, ("omega_star", j)
     elif sid in _EMPIRICAL:
         family, mode, k = _EMPIRICAL[sid]
         omega_filter = None
@@ -164,7 +172,7 @@ def ratio_report(stat, xs, table, constants=None,
                  segment_size=moments.DEFAULT_SEGMENT_SIZE, workers=1):
     """Empirical vs predicted rows for each x (ascending)."""
     xs = sorted(int(x) for x in xs)
-    sid = stat.id if isinstance(stat, Statistic) else stat
+    sid = _parts(stat)[0]
     values = empirical_grid(stat, xs, table, segment_size=segment_size,
                             workers=workers)
     rows = []
@@ -262,37 +270,19 @@ def smooth_squarefull_rstar_sum(x, m, table,
     return moments.moment_from_histogram(hist, "power", m)
 
 
-def gss_shape_ratio(x, l, k, family, table,
-                    segment_size=moments.DEFAULT_SEGMENT_SIZE, workers=1):
-    """Dimensionless ratio of a filtered binomial moment to its shape term.
-
-    B over predicted_main's "gss_shape" term (denominator log x) for the
-    prime family and its "rR_shape" term (sqrt(log x)) for the
-    sum-of-two-squares families; 0 when the filtered sum is empty.
-    """
-    if family not in GSS_FAMILIES:
-        raise ValueError("family must be one of r1, rrstar, rrprimestar")
-    if x < 3 or k < 0 or l < 1:
-        raise ValueError("need x >= 3, k >= 0, l >= 1")
-    b = moments.binomial_moment(family, x, l, table,
-                                omega_filter=("omega_star", k),
-                                segment_size=segment_size, workers=workers)
-    return _shape_ratio_from_value(b, x, l, k, family)
-
-
-def _shape_ratio_from_value(b, x, l, k, family):
-    sid = "gss_shape" if family is RepFamily.R1 else "rR_shape"
-    return b / predicted_main(Statistic(sid, l, k), x)
-
-
 def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,
                           segment_size=moments.DEFAULT_SEGMENT_SIZE,
                           workers=1):
     """All shape ratios for one family over a grid, one engine sweep.
 
-    Returns {(x, ell, k): ratio}.
+    Returns {(x, ell, k): ratio}, the omega_star = k filtered binomial
+    moment over predicted_main's "gss_shape" (r1) or "rR_shape" term.
     """
-    xs = sorted(int(x) for x in xs)
+    if family not in GSS_FAMILIES:
+        raise ValueError("family must be one of r1, rrstar, rrprimestar")
+    if min(ells) < 1:
+        raise ValueError(f"need ell >= 1, got ells {tuple(ells)}")
+    sid = "gss_shape" if family is RepFamily.R1 else "rR_shape"
     hists = moments.histogram_grid(family, xs, table, omega_kind="omega_star",
                                    segment_size=segment_size, workers=workers)
     out = {}
@@ -301,7 +291,7 @@ def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,
             for k in range(kmax + 1):
                 b = moments.moment_from_histogram(hist, "binomial", ell,
                                                   ("omega_star", k))
-                out[(x, ell, k)] = _shape_ratio_from_value(b, x, ell, k, family)
+                out[(x, ell, k)] = b / predicted_main(Statistic(sid, ell, k), x)
     return out
 
 
@@ -333,10 +323,11 @@ CONSTANT_KEYS = ("C", "gamma1", "gamma2", "H", "gss_bound", "landau_K")
 
 
 def write_constants(path, values, provenance):
+    """Write each value as repr(float), so read_constants gives it back ==."""
     lines = []
     for key in sorted(values):
         note = provenance.get(key, "")
-        lines.append(f"{key} = {values[key]:.12g} # {note}")
+        lines.append(f"{key} = {float(values[key])!r} # {note}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -368,15 +359,57 @@ def read_constants(path):
     return out
 
 
+def coprime_gap_ratios(xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
+                       workers=1):
+    """sum(r1 - r1*) over n <= x, over sqrt(x) log log x, for each x in xs."""
+    r1 = moments.power_moment_grid(RepFamily.R1, xs, 1, table,
+                                   segment_size=segment_size, workers=workers)
+    r1s = moments.power_moment_grid(RepFamily.R1_STAR, xs, 1, table,
+                                    segment_size=segment_size, workers=workers)
+    return [(a - b) / (math.sqrt(x) * math.log(math.log(x)))
+            for x, a, b in zip(xs, r1, r1s)]
+
+
+def rho_bound_ratios(xs, gamma2, table,
+                     segment_size=moments.DEFAULT_SEGMENT_SIZE, workers=1):
+    """{(x, k): rho_kN(x) / (x / log x * (L/2 + gamma2)^(k-1) / (k-1)!)}
+    for x in xs and 1 <= k <= 8, L = log log x."""
+    out = {}
+    for x, hist in zip(xs, moments.rho_kN_grid(xs, table,
+                                               segment_size=segment_size,
+                                               workers=workers)):
+        for k in range(1, 9):
+            rho = int(hist[k]) if k < len(hist) else 0
+            core = (x / math.log(x)
+                    * (0.5 * math.log(math.log(x)) + gamma2) ** (k - 1)
+                    / math.factorial(k - 1))
+            out[(x, k)] = rho / core
+    return out
+
+
+def gss_shape_max(xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
+                  workers=1):
+    """Max shape ratio over GSS_FAMILIES, x in xs, ell in (1, 2), k <= 8."""
+    return max(max(gss_shape_ratios_grid(family, xs, table,
+                                         segment_size=segment_size,
+                                         workers=workers).values())
+               for family in GSS_FAMILIES)
+
+
 def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
               workers=1, cutoff=DEFAULT_LANDAU_CUTOFF):
     """Compute the fitted constants (C, gamma1, gamma2, H, gss_bound).
 
-    Every constant is the max (or fit) over its deterministic grid, so a
-    replay of the same grids reproduces the file bit for bit.  The
-    truncated Landau product at `cutoff` is recorded alongside, with its
-    tail bound in the provenance comment.
+    C, gamma1 and gss_bound are the max of coprime_gap_ratios,
+    rho_bound_ratios and gss_shape_max over deterministic grids, which the
+    calibrated suite replays against the stored values.  The truncated
+    Landau product at `cutoff` is recorded alongside, with its tail bound
+    in the provenance comment.
     """
+    if grid_max < 10**4:
+        raise ValueError("grid_max must be >= 10000, the first x of the "
+                         f"gss_bound grid; got {grid_max}")
+
     def decades(lo):
         xs, x = [], lo
         while x <= grid_max:
@@ -387,13 +420,9 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     values, notes = {}, {}
 
     xs_c = decades(10**3)
-    r1 = moments.power_moment_grid(RepFamily.R1, xs_c, 1, table,
-                                   segment_size=segment_size, workers=workers)
-    r1s = moments.power_moment_grid(RepFamily.R1_STAR, xs_c, 1, table,
-                                    segment_size=segment_size, workers=workers)
-    gaps = [(a - b) / (math.sqrt(x) * math.log(math.log(x)))
-            for x, a, b in zip(xs_c, r1, r1s)]
-    values["C"] = max(gaps)
+    values["C"] = max(coprime_gap_ratios(xs_c, table,
+                                         segment_size=segment_size,
+                                         workers=workers))
     notes["C"] = ("max of sum(r1 - r1*) / (sqrt(x) log log x) over x in "
                   f"{xs_c}")
 
@@ -405,17 +434,9 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                        f"{xs_g2}")
 
     xs_rho = decades(10**3)
-    rho_hists = moments.rho_kN_grid(xs_rho, table, segment_size=segment_size,
-                                    workers=workers)
-    g1 = 0.0
-    for x, hist in zip(xs_rho, rho_hists):
-        for k in range(1, 9):
-            rho = int(hist[k]) if k < len(hist) else 0
-            bound_core = (x / math.log(x)
-                          * (0.5 * math.log(math.log(x)) + values["gamma2"])
-                          ** (k - 1) / math.factorial(k - 1))
-            g1 = max(g1, rho / bound_core)
-    values["gamma1"] = g1
+    values["gamma1"] = max(rho_bound_ratios(xs_rho, values["gamma2"], table,
+                                            segment_size=segment_size,
+                                            workers=workers).values())
     notes["gamma1"] = f"max of rho_kN / bound core over x in {xs_rho}, k <= 8"
 
     xs_h = [x for x in range(2 * 10**5, 10**6 + 1, 2 * 10**5)]
@@ -426,13 +447,9 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     notes["H"] = f"mean of (m2 - x log x / 4)/x over the last half of {xs_h}"
 
     xs_gss = decades(10**4)
-    best = 0.0
-    for family in GSS_FAMILIES:
-        ratios = gss_shape_ratios_grid(family, xs_gss, table,
-                                       segment_size=segment_size,
-                                       workers=workers)
-        best = max(best, max(ratios.values()))
-    values["gss_bound"] = best
+    values["gss_bound"] = gss_shape_max(xs_gss, table,
+                                        segment_size=segment_size,
+                                        workers=workers)
     notes["gss_bound"] = ("max shape ratio over families r1/rrstar/"
                           f"rrprimestar, x in {xs_gss}, ell in (1, 2), k <= 8")
 

@@ -81,7 +81,7 @@ def _default_workers():
 
 def _work_table(x):
     """Table for verify/calibrate at scale x: primes and spf to sqrt(x)."""
-    limit = max(10**4, math.isqrt(x) + 1)
+    limit = max(10**4, math.isqrt(max(x, 0)) + 1)
     return arith.prime_table(limit, spf_cap=limit)
 
 
@@ -224,6 +224,8 @@ def _cmd_zeroth(args):
 
 
 def _cmd_verify(args):
+    if args.x is not None and args.x < 1:
+        raise ValueError(f"--x must be >= 1, got {args.x}")
     suites = acceptance.SUITES if args.suite == "all" else (args.suite,)
     constants = None
     if "calibrated" in suites:

@@ -543,6 +543,8 @@ def _hist_sweep(state, xs, table, segment_size, workers):
     state["segment"](lo, hi, state) gives a segment's histogram; with
     workers > 1 the function and the state are pickled to the pool.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     xmax = max(int(x) for x in xs)
     if xmax > MAX_X:
         raise CapacityError(f"x = {xmax} exceeds engine budget MAX_X = {MAX_X}")
@@ -555,7 +557,7 @@ def _hist_sweep(state, xs, table, segment_size, workers):
     acc = None
     want = {c + 1 for c in cps}
     with contextlib.ExitStack() as stack:
-        if workers and workers > 1:
+        if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(state,)))
@@ -748,13 +750,10 @@ def falling_factorial(x, l):
     return out
 
 
-def moment_identity_residual(family, x, k, table,
-                             segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
-    """power_moment minus its Stirling expansion in binomial moments; always 0."""
+def moment_identity_residual(hist, k):
+    """hist's k-th power moment minus its Stirling expansion; always 0."""
     if not 1 <= k <= 6:
         raise ValueError("identity checked for 1 <= k <= 6")
-    hist = histogram_grid(family, [x], table, segment_size=segment_size,
-                          workers=workers)[0]
     expansion = sum(stirling(k, l) * math.factorial(l)
                     * moment_from_histogram(hist, "binomial", l)
                     for l in range(1, k + 1))

@@ -10,7 +10,8 @@ expected to stay red -- the printed detail carries the measured values.
 
 import pytest
 
-from repnum import acceptance, arith, asymp
+from repnum import acceptance, arith, asymp, moments
+from repnum.repfun import RepFamily
 
 
 def _report(rows):
@@ -61,6 +62,20 @@ def test_sum_of_squares_first_moments(table):
 
 def test_exact_identities(table):
     _report(acceptance.check_identities(table, x=10**4, workers=2))
+
+
+def test_identities_sweep_each_family_once(table, monkeypatch):
+    calls = []
+    histogram_grid = moments.histogram_grid
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return histogram_grid(*args, **kw)
+
+    monkeypatch.setattr(moments, "histogram_grid", counted)
+    rows = acceptance.check_identities(table, x=10**4)
+    assert all(r.passed for r in rows)
+    assert calls == [RepFamily.R0, RepFamily.R1, RepFamily.R2]
 
 
 def test_sieve_dominance():

@@ -48,6 +48,10 @@ def test_predicted_main():
     shape = asymp.predicted_main(Statistic("gss_shape", ell=1, k=2), 10**4)
     big_l = math.log(math.log(10**4))
     assert shape == pytest.approx(10**4 * big_l**2 / 2 / math.log(10**4) ** 2)
+    # a bare shape id carries no (ell, k)
+    for stat in ("gss_shape", "rR_shape", Statistic("rR_shape", ell=1)):
+        with pytest.raises(ValueError, match=r"needs Statistic\(id, ell, k\)"):
+            asymp.predicted_main(stat, 10**4)
 
 
 def test_ratio_report_examples(table):
@@ -174,20 +178,25 @@ def test_smooth_squarefull_sum_rejects_short_table():
 
 
 def test_gss_shape_ratio(table):
-    got = asymp.gss_shape_ratio(10, 1, 1, RepFamily.R1, table)
-    assert got == pytest.approx(
+    grid = asymp.gss_shape_ratios_grid(RepFamily.R1, [10], table, kmax=5)
+    assert grid[(10, 1, 1)] == pytest.approx(
         3 * math.log(10) ** 2 / (10 * math.log(math.log(10))), rel=1e-12)
-    assert asymp.gss_shape_ratio(10, 1, 5, RepFamily.R1, table) == 0.0
-    assert asymp.gss_shape_ratio(10, 2, 1, RepFamily.R1, table) == 0.0
-    with pytest.raises(ValueError):
-        asymp.gss_shape_ratio(10, 1, 1, RepFamily.R0, table)
+    assert grid[(10, 1, 5)] == 0.0
+    assert grid[(10, 2, 1)] == 0.0
+    with pytest.raises(ValueError, match="family must be one of"):
+        asymp.gss_shape_ratios_grid(RepFamily.R0, [10], table)
+    with pytest.raises(ValueError, match="ell >= 1"):
+        asymp.gss_shape_ratios_grid(RepFamily.R1, [10], table, ells=(0, 1))
 
 
 def test_gss_grid_matches_single(table):
     grid = asymp.gss_shape_ratios_grid(RepFamily.RPRIME_STAR, [100, 1000],
                                        table, ells=(1, 2), kmax=3)
+    assert len(grid) == 2 * 2 * 4
     for (x, ell, k), v in grid.items():
-        single = asymp.gss_shape_ratio(x, ell, k, RepFamily.RPRIME_STAR, table)
+        b = moments.binomial_moment(RepFamily.RPRIME_STAR, x, ell, table,
+                                    omega_filter=("omega_star", k))
+        single = b / asymp.predicted_main(Statistic("rR_shape", ell, k), x)
         assert v == pytest.approx(single, rel=1e-12), (x, ell, k)
 
 
@@ -208,16 +217,17 @@ def test_tau_growth_max(table6, monkeypatch):
 
 
 def test_constants_file_roundtrip(tmp_path):
+    # values that 12 significant digits would not give back exactly
     path = str(tmp_path / "constants.txt")
-    values = {"C": 0.8563, "gamma1": 1.0, "gamma2": 0.5, "H": -0.25,
-              "gss_bound": 2.0, "landau_K": 0.764}
+    values = {"C": 0.8563351730546764, "gamma1": 0.1 + 0.2,
+              "gamma2": -0.2775406929822688, "H": -0.25, "gss_bound": 2.0,
+              "landau_K": 0.764}
     asymp.write_constants(path, values, {"C": "gap fit", "H": "moment fit"})
     with open(path) as fh:
         text = fh.read()
-    assert "C = 0.8563 # gap fit" in text
+    assert "C = 0.8563351730546764 # gap fit" in text
     assert text.endswith("\n")
-    back = asymp.read_constants(path)
-    assert back == pytest.approx(values)
+    assert asymp.read_constants(path) == values
 
 
 @pytest.mark.parametrize("body, line", [
@@ -250,3 +260,9 @@ def test_calibrate_small_grid(table):
     assert set(v1) == {"C", "gamma1", "gamma2", "H", "gss_bound", "landau_K"}
     assert set(notes) == set(v1)
     assert v1["C"] > 0 and v1["gamma1"] > 0 and v1["gss_bound"] > 0
+    # each fitted constant is the max of the statistic the replay reads
+    xs = [10**3, 10**4, 10**5]
+    assert v1["C"] == max(asymp.coprime_gap_ratios(xs, table))
+    assert v1["gamma1"] == max(
+        asymp.rho_bound_ratios(xs, v1["gamma2"], table).values())
+    assert v1["gss_bound"] == asymp.gss_shape_max([10**4, 10**5], table)

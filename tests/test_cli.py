@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repnum import acceptance, asymp, cli
+from repnum import acceptance, asymp, cli, moments
 
 
 def run(capsys, *argv):
@@ -112,6 +112,26 @@ def test_bad_constants_file_exits_2(tmp_path, capsys, verb):
         assert err.startswith("error: ") and needle in err
 
 
+@pytest.mark.parametrize("x", ["-5", "0"])
+def test_verify_x_below_one_is_a_usage_error(capsys, x):
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--x", x)
+    assert (code, out) == (2, "")
+    assert err == f"error: --x must be >= 1, got {x}\n"
+
+
+def test_calibrate_grid_max_below_gss_grid(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kw):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(moments, "_hist_sweep", no_sweep)
+    path = tmp_path / "constants.txt"
+    for grid_max in ("500", "-5"):
+        code, out, err = run(capsys, "calibrate", "--grid-max", grid_max,
+                             "--constants", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid_max must be >= 10000")
+        assert not path.exists()
+
+
 def test_calibrate_and_constants(tmp_path, capsys):
     path = str(tmp_path / "constants.txt")
     code, out, _ = run(capsys, "calibrate", "--grid-max", "100000",
@@ -155,12 +175,17 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("size", ["0", "-5"])
-def test_segment_size_below_one_is_a_usage_error(capsys, size):
+@pytest.mark.parametrize("flag, value, name", [
+    ("--segment-size", "0", "segment_size"),
+    ("--segment-size", "-5", "segment_size"),
+    ("--workers", "0", "workers"),
+    ("--workers", "-3", "workers"),
+], ids=["0", "-5", "workers=0", "workers=-3"])
+def test_segment_size_below_one_is_a_usage_error(capsys, flag, value, name):
     code, out, err = run(capsys, "moments", "--family", "r0", "--x", "1000",
-                         "--power", "2", "--segment-size", size)
+                         "--power", "2", flag, value)
     assert (code, out) == (2, "")
-    assert err == "error: segment_size must be >= 1\n"
+    assert err == f"error: {name} must be >= 1\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -102,8 +102,9 @@ def test_stirling(table):
 
 def test_identity_residual(table):
     for fam in (RepFamily.R0, RepFamily.R1, RepFamily.R2):
+        (hist,) = moments.histogram_grid(fam, [2000], table)
         for k in range(1, 5):
-            assert moments.moment_identity_residual(fam, 2000, k, table) == 0
+            assert moments.moment_identity_residual(hist, k) == 0
 
 
 def test_rho_examples(table):
@@ -167,7 +168,7 @@ def test_validation(table):
     with pytest.raises(CapacityError):
         moments.power_moment(RepFamily.R0, 10**6, 1, small)
     with pytest.raises(ValueError):
-        moments.moment_identity_residual(RepFamily.R0, 100, 7, table)
+        moments.moment_identity_residual(np.ones(5, dtype=np.int64), 7)
     for size in (0, -5):
         with pytest.raises(ValueError, match="segment_size must be >= 1"):
             moments.histogram_grid(RepFamily.R0, [100], table,
