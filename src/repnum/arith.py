@@ -9,6 +9,7 @@ All logarithms are natural.
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ LIMIT_CAP = 2_000_000_000
 SPF_CAP = 100_000_000
 
 CACHE_MAGIC = b"RNPK"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -325,7 +326,8 @@ def log_integral(x):
 # ---------------------------------------------------------------------------
 # Prime-table cache file
 #
-# Header: magic "RNPK", version u32 LE, limit u64 LE.
+# Header: magic "RNPK", version u32 LE (2), limit u64 LE, zlib.crc32 of
+# the body u32 LE.
 # Body: bitset over odd integers 3..limit (bit set <=> prime), LSB-first
 # within each byte, padded to whole bytes; exactly ceil(n_odd / 8) bytes.
 # ---------------------------------------------------------------------------
@@ -355,7 +357,7 @@ def write_prime_cache(table, path=None):
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC)
             fh.write(struct.pack("<I", CACHE_VERSION))
-            fh.write(struct.pack("<Q", table.limit))
+            fh.write(struct.pack("<QI", table.limit, zlib.crc32(body)))
             fh.write(body)
         os.replace(tmp, path)
     except BaseException:
@@ -368,26 +370,30 @@ def write_prime_cache(table, path=None):
 def read_prime_cache(path, spf_cap=SPF_CAP, limit=None):
     """Rebuild a PrimeTable from a cache file written by write_prime_cache.
 
-    Raises ValueError unless the header is whole, names `limit` (when
-    given), and the body has exactly the length that its limit needs.
+    Raises ValueError unless the header is whole and of this version,
+    names `limit` (when given), and the body has exactly the length that
+    its limit needs and the header's CRC.
     """
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        body = np.frombuffer(fh.read(), dtype=np.uint8)
+        head = fh.read(20)
+        raw = fh.read()
     if head[:4] != CACHE_MAGIC:
         raise ValueError(f"bad cache magic {head[:4]!r} in {path}")
-    if len(head) < 16:
+    if len(head) < 20:
         raise ValueError(f"truncated cache header in {path}")
-    version, stored = struct.unpack("<IQ", head[4:])
+    version, stored, crc = struct.unpack("<IQI", head[4:])
     if version != CACHE_VERSION:
         raise ValueError(f"unsupported cache version {version}")
     if limit is not None and stored != limit:
         raise ValueError(f"cache {path} holds limit {stored}, wanted {limit}")
     n_odd = max((stored - 1) // 2, 0)
+    body = np.frombuffer(raw, dtype=np.uint8)
     if len(body) != (n_odd + 7) // 8:
         raise ValueError(
             f"cache body of {len(body)} bytes in {path}; limit {stored} needs "
             f"{(n_odd + 7) // 8}")
+    if zlib.crc32(raw) != crc:
+        raise ValueError(f"cache body of {path} fails its CRC check")
     bits = np.unpackbits(body, bitorder="little", count=n_odd).astype(bool)
     odd_primes = 3 + 2 * np.nonzero(bits)[0].astype(np.int64)
     if stored >= 2:

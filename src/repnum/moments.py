@@ -283,7 +283,7 @@ def _window_primes(primes, lo, hi):
         raise CapacityError(
             f"window [{lo}, {hi}) needs primes to {pmax} but the prime array "
             f"ends at {last}")
-    return [int(p) for p in primes[:cut]]
+    return primes[:cut].tolist()
 
 
 @dataclass(frozen=True)
@@ -309,40 +309,54 @@ class SegmentProfile:
         return np.where(self.has3 | (self.v2 >= 2), 0,
                         np.left_shift(1, self.n1mod4.astype(np.int64)))
 
-    def in_nn(self):
-        """Membership in the set with no 3-mod-4 prime factors and 4 not dividing n."""
-        return ~self.has3 & (self.v2 <= 1)
-
 
 # SegmentProfile's statistics, in field order, with their dtypes
 _FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
                  "n1mod4": np.uint8, "has3": bool, "v2": np.uint8,
                  "lpf": np.int64, "lpf_sq": bool, "tau": np.uint16}
-_NN_FIELDS = ("omega_star", "has3", "v2")  # what in_nn and rho_kN read
-_UINT32_MAX = 2**32 - 1  # the walk's smooth part and leftover are uint32
-_LEFTOVER_CHUNK = 1 << 16  # n per step of the leftover pass; bounds its scratch
+_NN_FIELDS = ("omega_star", "has3")  # what rho_kN reads, with n mod 4
+_UINT32_MAX = 2**32 - 1  # the walk's n, smooth part and leftover are uint32
+_LEFTOVER_CHUNK = 1 << 15  # n per step of the leftover pass; bounds its scratch
 _PRESIEVE = (2, 3, 5, 7, 11, 13)
 _TILE = 4 * 3 * 5 * 7 * 11 * 13  # 60060: n mod 4 and a first power of each
+_LG_SCALE = 128  # lg(p) = floor(128 log2 p), so lg(2) = 128
+_COUNT_BITS = 4  # the walk's word is (W << 4) | count, count <= 9 < 16
+_LEFT_GAP = 47   # n in [2^j, 2^(j+1)) has a leftover prime iff W < 128 j - 47
+_WORD_COUNTS = ("omega_star", "omega")  # the fields read off the walk's word
+
+
+def _lg(p):
+    """floor(128 * log2(p)) of each prime p < 2^16, as int64.
+
+    Exact: tests check 2^lg(p) <= p^128 < 2^(lg(p) + 1) in integers for
+    every prime below 2^16, so no 128 log2 p lies within float64 rounding
+    of an integer.
+    """
+    logs = _LG_SCALE * np.log2(np.asarray(p, dtype=np.float64))
+    return np.floor(logs).astype(np.int64)
 
 
 @lru_cache(maxsize=1)
 def _presieve_tile():
-    """Every SegmentProfile field of n from its primes p <= 13, for
+    """The SegmentProfile fields of n from its primes p <= 13, for
     n = 0, ..., 2 * _TILE - 1, read-only: the first power of each such p
     that divides n, and v2 from n mod 4; lpf is the largest of these primes
     (0 if none) and lpf_sq False.  "sm" is the product of these primes, as
-    uint32.  The fields have period _TILE; two periods hold every run of
-    up to _TILE consecutive n, starting at n mod _TILE.
+    uint32.  "word" is _factor_walk's uint16 word over these first powers
+    and 2^2: (sum of their lg(p)) << 4 plus the count of odd ones; the
+    walk reads omega and omega_star off it.  The fields have period _TILE;
+    two periods hold every run of up to _TILE consecutive n, starting at
+    n mod _TILE.
     """
     r = np.arange(2 * _TILE)
-    tile = {f: np.zeros(len(r), dtype=dt) for f, dt in _FIELD_DTYPES.items()}
+    tile = {f: np.zeros(len(r), dtype=dt) for f, dt in _FIELD_DTYPES.items()
+            if f not in _WORD_COUNTS}
     tile["tau"] += 1
     tile["sm"] = np.ones(len(r), dtype=np.uint32)
-    for p in _PRESIEVE:
+    tile["word"] = np.zeros(len(r), dtype=np.uint16)
+    for p, lg in zip(_PRESIEVE, _lg(_PRESIEVE).tolist()):
         hit = r % p == 0
-        tile["omega"] += hit
-        if p != 2:
-            tile["omega_star"] += hit
+        tile["word"][hit] += (lg << _COUNT_BITS) | (p != 2)
         if p % 4 == 1:
             tile["n1mod4"] += hit
         elif p % 4 == 3:
@@ -352,28 +366,86 @@ def _presieve_tile():
         tile["sm"][hit] *= p
     tile["v2"][r % 2 == 0] = 1
     tile["v2"][r % 4 == 0] = 2
+    tile["word"][r % 4 == 0] += _LG_SCALE << _COUNT_BITS  # W's 2^2
     for a in tile.values():
         a.setflags(write=False)
     return tile
+
+
+def _add_powers(word, lo, hi, ps, lgs):
+    """Add lg(p) << 4 to word at the multiples in [lo, hi) of every power
+    p^k <= hi - 1, k >= 2, of the primes ps (lgs their lg).  A power below
+    the window size is a strided add; every other power hits the window at
+    most once, so all of those go in one np.add.at.
+    """
+    size = len(word)
+    q = ps * ps  # < 2^48: p < 2^16 and every q kept is <= hi - 1 < 2^32
+    q[ps == 2] = 8  # the tile holds the 2^2
+    at, add = [np.arange(0)], [np.arange(0)]
+    while len(q):
+        keep = q <= hi - 1
+        ps, lgs, q = ps[keep], lgs[keep], q[keep]
+        many = q < size
+        for qk, lg in zip(q[many].tolist(), lgs[many].tolist()):
+            word[-lo % qk::qk] += lg << _COUNT_BITS
+        off = -lo % q[~many]
+        hit = off < size
+        at.append(off[hit])
+        add.append(lgs[~many][hit])
+        q = q * ps
+    np.add.at(word, np.concatenate(at),
+              (np.concatenate(add) << _COUNT_BITS).astype(np.uint16))
+
+
+def _leftover_flag(word, a, b):
+    """n in [a, b) with a prime factor the walk did not take, from the
+    walk's words of those n: one compare per dyadic piece [2^j, 2^(j+1))."""
+    left = np.zeros(b - a, dtype=bool)
+    for j in range(max(a.bit_length() - 1, 1), (b - 1).bit_length()):
+        s = slice(max(a, 1 << j) - a, min(b, 2 << j) - a)
+        np.less(word[s], (_LG_SCALE * j - _LEFT_GAP) << _COUNT_BITS,
+                out=left[s])
+    return left
 
 
 def _factor_walk(lo, hi, primes, fields):
     """SegmentProfile of [lo, hi) with only `fields` computed, the rest None.
 
     The primes p <= 13 come from the _presieve_tile, read from lo on and
-    repeated over the window: each asked field, and the uint32 smooth part
-    sm, starts as the tile's.  The tile may also mark a prime <= 13 above
-    isqrt(hi - 1) in a window near 1; that prime is then the one leftover
-    prime of n, which the walk would have found below.  One walk over the
-    sieving primes 13 < p <= isqrt(hi - 1) marks the multiples of each p in
-    the asked fields, and every power p^k <= hi - 1 (k >= 2 only for
-    p <= 13) multiplies p into sm at its multiples; tau takes the factor
-    k + 1 in place of k there, and lpf_sq is set at the multiples of p^2.
-    sm divides n, so n != sm flags the n with a leftover prime, the single
-    prime > isqrt(hi - 1) of n.  Only n1mod4, has3 and lpf read that prime,
-    n // sm, exact since sm | n <= 2^32 - 1; the division is skipped when
-    none of them is asked.  The leftover pass steps through the window
-    _LEFTOVER_CHUNK n at a time, so no window-sized n or flag array exists.
+    repeated over the window: each asked field starts as the tile's.  The
+    tile may also mark a prime <= 13 above isqrt(hi - 1) in a window near
+    1; that prime is then the one leftover prime of n, which the walk would
+    have found below.  One walk over the sieving primes
+    13 < p <= isqrt(hi - 1) marks the multiples of each p in the asked
+    fields; tau takes the factor k + 1 in place of k at the multiples of
+    every power p^k <= hi - 1 (k >= 2 only for p <= 13), and lpf_sq is set
+    at the multiples of p^2, both in prime order.
+
+    What the walk did not take is the leftover prime L of n: the single
+    prime > isqrt(hi - 1) dividing n, or none.  It is found without
+    dividing.  Each n has a uint16 word (W << 4) | c, where c counts the
+    walked odd primes of n (<= 9 for n < 2^32) and W is the sum of
+    lg(p) = floor(128 log2 p) over the walked prime powers p^k || n.  The
+    tile starts the word; each sieving prime adds (lg(p) << 4) | 1 at its
+    multiples and each power p^k, k >= 2, adds lg(p) << 4 at its own
+    (_add_powers).  For n in [2^j, 2^(j+1)), n has a leftover prime iff
+    W < 128 j - 47.  Proof: lg(2) = 128 exactly, and each odd prime factor
+    of n, counted with multiplicity, falls short of its share 128 log2 p
+    by less than 1; there are Omega_odd(n) <= 20 of them (3^21 > 2^32).
+    With no leftover, W > 128 log2 n - 20 >= 128 j - 20.  With a leftover
+    L >= 3, W <= 128 (log2 n - log2 3) < 128 (j + 1) - 202 = 128 j - 74.
+    W <= 128 log2 n < 4096 fits in 12 bits.
+
+    c plus the flag is omega_star, written over the front half of the
+    words' buffer, and omega is omega_star plus 1 at even n.  If no walked
+    prime = 3 (mod 4) divides n, L = odd(n) (mod 4), so has3 takes the
+    leftover from bit 1 of n's odd part; a walked 3-mod-4 prime has set
+    has3 already.  tau and lpf_sq read only the flag.  lpf and n1mod4 read
+    L's value or residue: for them alone the walk also builds the uint32
+    smooth part sm (the tile's, times p at the multiples of every walked
+    power) and divides n // sm, exact since sm | n <= 2^32 - 1.  The
+    leftover pass steps through the window _LEFTOVER_CHUNK n at a time, so
+    no window-sized temporary exists.
     """
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
@@ -389,21 +461,31 @@ def _factor_walk(lo, hi, primes, fields):
     def start(name):
         return np.resize(tile[name][head], size)
 
-    out = {f: start(f) for f in fields}
+    counts = [f for f in _WORD_COUNTS if f in fields]
+    word = start("word")
+    out = {f: start(f) for f in fields if f not in counts}
+    if counts:  # the first count overwrites the words' front half
+        out[counts[0]] = word.view(np.uint8)[:size]
+    if len(counts) == 2:
+        out["omega"] = np.empty(size, dtype=np.uint8)
     omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq, tau = (
         out.get(f) for f in _FIELD_DTYPES)
     small_lpf = None  # read at p <= 13, before the walk writes to lpf
     if lpf_sq is not None:
         small_lpf = lpf if lpf is not None else start("lpf")
-    sm = start("sm")
-    for p in walk_primes:
+    sm = start("sm") if lpf is not None or n1mod4 is not None else None
+    ps = np.array(walk_primes, dtype=np.int64)
+    lgs = _lg(ps)
+    big = ps > _PRESIEVE[-1]
+    for p, inc in zip(ps[big].tolist(),
+                      ((lgs[big] << _COUNT_BITS) | 1).tolist()):
+        word[-lo % p::p] += inc
+    _add_powers(word, lo, hi, ps, lgs)
+    marked = any(a is not None for a in (n1mod4, has3, lpf, lpf_sq, sm, tau))
+    for p in walk_primes if marked else ():  # the fields, in prime order
         small = p <= _PRESIEVE[-1]
         if not small:
             sl = slice(-lo % p, None, p)
-            if omega is not None:
-                omega[sl] += 1
-            if omega_star is not None:
-                omega_star[sl] += 1
             if p % 4 == 1:
                 if n1mod4 is not None:
                     n1mod4[sl] += 1
@@ -416,34 +498,45 @@ def _factor_walk(lo, hi, primes, fields):
         if lpf_sq is not None and p * p <= hi - 1:
             sq = slice(-lo % (p * p), None, p * p)
             lpf_sq[sq] = small_lpf[sq] == p if small else True
+        if sm is None and tau is None:
+            continue
         q, k = (p * p, 2) if small else (p, 1)
         while q <= hi - 1:
             sq = slice(-lo % q, None, q)
-            sm[sq] *= p
+            if sm is not None:
+                sm[sq] *= p
             if tau is not None:
                 if k > 1:
                     tau[sq] //= k
                 tau[sq] *= k + 1
             q, k = q * p, k + 1
-    divide = n1mod4 is not None or has3 is not None or lpf is not None
     for i in range(0, size, _LEFTOVER_CHUNK):
         c = slice(i, i + _LEFTOVER_CHUNK)
-        n = np.arange(lo + i, min(lo + i + _LEFTOVER_CHUNK, hi),
-                      dtype=np.uint32)
-        left = n != sm[c]  # a single prime > isqrt(hi - 1); odd, as 2 is in sm
-        if omega is not None:
-            omega[c] += left
-        if omega_star is not None:
-            omega_star[c] += left
-        if divide:
+        a, b = lo + i, min(lo + i + _LEFTOVER_CHUNK, hi)
+        left = _leftover_flag(word[c], a, b)  # L is odd: 2 is always walked
+        if counts:
+            # the count's bytes [i, i + chunk) overlay the words
+            # [i / 2, (i + chunk) / 2), all read by now
+            first = out[counts[0]][c]
+            first[:] = word[c] & ((1 << _COUNT_BITS) - 1)
+            first += left  # omega_star
+            if omega is not None:
+                omega[c] = first
+                omega[c][a % 2::2] += 1
+        if has3 is not None:  # bit 1 of odd(n): n & (lowbit(n) << 1)
+            n = np.arange(a, b, dtype=np.uint32)
+            bit = np.negative(n)
+            bit &= n
+            bit <<= 1  # 2^31 << 1 wraps to 0; odd(2^31) = 1 anyway
+            bit &= n
+            has3[c] |= left & (bit != 0)
+        if sm is not None:
+            n = np.arange(a, b, dtype=np.uint32)
             n //= sm[c]  # the leftover prime, or 1
             if lpf is not None:
                 np.copyto(lpf[c], n, where=left)
-            n &= 3
             if n1mod4 is not None:
-                n1mod4[c] += left & (n == 1)
-            if has3 is not None:
-                has3[c] |= n == 3
+                n1mod4[c] += left & ((n & 3) == 1)
         if lpf_sq is not None:
             lpf_sq[c] &= ~left
         if tau is not None:
@@ -502,7 +595,10 @@ def _family_segment(lo, hi, state):
     width = int(runs.max(initial=0)) + 1
     out = np.bincount(om[d].astype(np.int64) * width + runs,
                       minlength=rows * width).reshape(rows, width)
-    out[:, 0] = [np.count_nonzero(om == j) for j in range(rows)]
+    # column 0 is 0 here, as every run counts >= 1; chunks bound the scratch
+    for i in range(0, len(om), _LEFTOVER_CHUNK):
+        part = om[i:i + _LEFTOVER_CHUNK]
+        out[:, 0] += [np.count_nonzero(part == j) for j in range(rows)]
     out[:, 0] -= out[:, 1:].sum(axis=1)
     return out
 
@@ -510,7 +606,12 @@ def _family_segment(lo, hi, state):
 def _nn_segment(lo, hi, state):
     """omega_star histogram of the restricted-set members of [lo, hi)."""
     prof = _factor_walk(lo, hi, state["primes"], _NN_FIELDS)
-    return np.bincount(prof.omega_star[prof.in_nn()].astype(np.int64))
+    keep = prof.has3  # the walk's own array, turned into membership
+    keep[-lo % 4::4] = True
+    np.logical_not(keep, out=keep)
+    om = prof.omega_star[keep]
+    del prof, keep  # freed before bincount's int64 copy of om
+    return np.bincount(om)
 
 
 def _pad_add(acc, h):

@@ -3,6 +3,7 @@ import os
 import random
 import struct
 import warnings
+import zlib
 
 import mpmath
 import numpy as np
@@ -203,15 +204,13 @@ def test_cache_roundtrip(tmp_path, monkeypatch, table):
     assert np.array_equal(t1.primes, t2.primes)
     assert t1.limit == t2.limit == 5000
     with open(path, "rb") as fh:
-        head = fh.read(16)
+        head, body = fh.read(20), fh.read()
     assert head[:4] == b"RNPK"
-    assert struct.unpack("<I", head[4:8])[0] == arith.CACHE_VERSION
+    assert struct.unpack("<I", head[4:8])[0] == arith.CACHE_VERSION == 2
     assert struct.unpack("<Q", head[8:16])[0] == 5000
+    assert struct.unpack("<I", head[16:20])[0] == zlib.crc32(body)
     # body is a bitset over odd 3..limit, LSB first: bit i is 3 + 2i
-    with open(path, "rb") as fh:
-        fh.seek(16)
-        first = fh.read(1)[0]
-    assert first == 0b10110111  # 3, 5, 7, 11, 13, 17 prime; 9, 15 not
+    assert body[0] == 0b10110111  # 3, 5, 7, 11, 13, 17 prime; 9, 15 not
 
 
 def test_cache_rejects_garbage(tmp_path):
@@ -271,6 +270,30 @@ def test_cache_rejects_wrong_limit(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="wanted 5000"):
         arith.cached_prime_table(5000)
     assert arith.read_prime_cache(arith.cache_path(5000)).limit == 5001
+
+
+def test_cache_rejects_flipped_body_byte(tmp_path):
+    path = arith.write_prime_cache(arith.prime_table(10**5),
+                                   str(tmp_path / "p.rnpk"))
+    with open(path, "r+b") as fh:
+        fh.seek(20 + 1000)
+        byte = fh.read(1)[0]
+        fh.seek(20 + 1000)
+        fh.write(bytes([byte ^ 0x10]))  # same length, one prime more or less
+    with pytest.raises(ValueError, match="CRC"):
+        arith.read_prime_cache(path)
+
+
+def test_cache_rejects_v1_header(tmp_path):
+    """A version-1 file: the same magic and limit, no CRC, body at 16."""
+    table = arith.prime_table(5000)
+    path = arith.write_prime_cache(table, str(tmp_path / "p.rnpk"))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(b"RNPK" + struct.pack("<IQ", 1, 5000) + data[20:])
+    with pytest.raises(ValueError, match="unsupported cache version 1"):
+        arith.read_prime_cache(path)
 
 
 def test_cache_write_replaces_atomically(tmp_path):

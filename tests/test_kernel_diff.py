@@ -9,11 +9,14 @@ other segment sizes must not change a single count.  The omega-filtered
 segment histogram, built from the sorted pair offsets, must equal the
 dense per-n histogram kept here as a reference.  The factorization walk
 must agree with `arith.factor` field by field, up to its uint32 cap, and
-with the walk without the small-prime presieve kept here as a reference.
+with the walk without the small-prime presieve kept here as a reference,
+which divides by the smooth part: the walk's leftover flag is checked
+against it where its threshold steps and at the words nearest it.
 """
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,6 +489,70 @@ def _tile_windows():
 @pytest.mark.parametrize("lo, hi", _tile_windows())
 def test_walk_matches_reference_across_tiles(u32_primes, lo, hi):
     check_walk_against_reference(lo, hi, u32_primes, WALK_FIELDS.values())
+
+
+# ---------------------------------------------------------------------------
+# The leftover flag read off the walk's log word
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("j", range(2, 32))
+def test_walk_matches_reference_across_powers_of_two(u32_primes, j):
+    """Windows straddling 2^j, where the flag's threshold 128 j - 47
+    steps."""
+    check_walk_against_reference(max(1, (1 << j) - 64), (1 << j) + 64,
+                                 u32_primes, WALK_FIELDS.values())
+
+
+# n whose word lies nearest the threshold, or whose powers meet
+EXTREME_N = {
+    "3^20": 3**20,          # Omega_odd(n) = 20, the most below 2^32
+    "3^16*5^2": 3**16 * 5**2,  # W = 128 * 30 - 14: nearest the threshold
+                               # of the 47-smooth n
+    "3^18*5": 3**18 * 5,    # 3^19 * 5 is above 2^32
+    "3^19*2": 3**19 * 2,
+    "2^32-1": U32_TOP,
+    "251^2*257^2": 251**2 * 257**2,
+}
+
+
+@pytest.mark.parametrize("n", EXTREME_N.values(), ids=EXTREME_N.keys())
+def test_walk_matches_reference_at_extreme_words(u32_primes, n):
+    check_walk_against_reference(n - 100, min(n + 101, U32_TOP + 1),
+                                 u32_primes, WALK_FIELDS.values())
+
+
+def test_walk_two_single_hit_squares_on_one_n(u32_primes):
+    """251^2 and 257^2 each hit a window of 201 n at most once; both land
+    on n = 251^2 257^2, whose word takes both and whose tau is 9."""
+    n = 251**2 * 257**2
+    prof = moments._factor_walk(n - 100, n + 101, u32_primes, ALL_FIELDS)
+    assert 201 < 251**2
+    assert (prof.omega[100], prof.tau[100], prof.lpf[100]) == (2, 9, 257)
+    assert prof.lpf_sq[100] and prof.has3[100]  # 251 = 3 (mod 4)
+
+
+def test_lg_is_exact(u32_primes):
+    """2^lg(p) <= p^128 < 2^(lg(p) + 1) in integers, for every prime
+    below 2^16, and lg(2) = 128."""
+    lgs = moments._lg(u32_primes).tolist()
+    assert lgs[0] == 128
+    for p, lg in zip(u32_primes.tolist(), lgs):
+        assert 1 << lg <= p**128 < 1 << (lg + 1), p
+
+
+def test_omega_walk_scratch_peak(u32_primes):
+    """The omega_star walk of a 2^20 window below 1e8 peaks at no more
+    than 4 MiB of numpy memory (its word takes 2 MiB), once a first call
+    has built the presieve tile."""
+    lo, hi = 10**8 - 2**20, 10**8
+    moments._segment_omega(lo, hi, u32_primes, "omega_star")
+    tracemalloc.start()
+    try:
+        moments._segment_omega(lo, hi, u32_primes, "omega_star")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
