@@ -7,9 +7,6 @@ All logarithms are natural.
 """
 
 import math
-import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +20,6 @@ LIMIT_CAP = 2_000_000_000
 # Default cap on the smallest-prime-factor table (entries, i.e. max n).
 # Beyond it, factor() falls back to trial division by tabulated primes.
 SPF_CAP = 100_000_000
-
-CACHE_MAGIC = b"RNPK"
-CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -321,96 +315,3 @@ def log_integral(x):
         total += term
         if term < 1e-17 * total:
             return total
-
-
-# ---------------------------------------------------------------------------
-# Prime-table cache file
-#
-# Header: magic "RNPK", version u32 LE (2), limit u64 LE, zlib.crc32 of
-# the body u32 LE.
-# Body: bitset over odd integers 3..limit (bit set <=> prime), LSB-first
-# within each byte, padded to whole bytes; exactly ceil(n_odd / 8) bytes.
-# ---------------------------------------------------------------------------
-
-def cache_dir():
-    return os.environ.get("REPNUM_CACHE_DIR", "./.repnum-cache")
-
-
-def cache_path(limit):
-    return os.path.join(cache_dir(), f"primes-{limit}.rnpk")
-
-
-def write_prime_cache(table, path=None):
-    """Serialize the table's primality bitset; returns the path written."""
-    if path is None:
-        path = cache_path(table.limit)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    n_odd = max((table.limit - 1) // 2, 0)  # odds 3, 5, ..., up to limit
-    bits = np.zeros(n_odd, dtype=bool)
-    odd_primes = table.primes[table.primes >= 3]
-    bits[(odd_primes - 3) // 2] = True
-    body = np.packbits(bits, bitorder="little").tobytes()
-    # write a sibling temp file and rename it over the target, so a reader
-    # sees either no file or a whole one
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<I", CACHE_VERSION))
-            fh.write(struct.pack("<QI", table.limit, zlib.crc32(body)))
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def read_prime_cache(path, spf_cap=SPF_CAP, limit=None):
-    """Rebuild a PrimeTable from a cache file written by write_prime_cache.
-
-    Raises ValueError unless the header is whole and of this version,
-    names `limit` (when given), and the body has exactly the length that
-    its limit needs and the header's CRC.
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(20)
-        raw = fh.read()
-    if head[:4] != CACHE_MAGIC:
-        raise ValueError(f"bad cache magic {head[:4]!r} in {path}")
-    if len(head) < 20:
-        raise ValueError(f"truncated cache header in {path}")
-    version, stored, crc = struct.unpack("<IQI", head[4:])
-    if version != CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {version}")
-    if limit is not None and stored != limit:
-        raise ValueError(f"cache {path} holds limit {stored}, wanted {limit}")
-    n_odd = max((stored - 1) // 2, 0)
-    body = np.frombuffer(raw, dtype=np.uint8)
-    if len(body) != (n_odd + 7) // 8:
-        raise ValueError(
-            f"cache body of {len(body)} bytes in {path}; limit {stored} needs "
-            f"{(n_odd + 7) // 8}")
-    if zlib.crc32(raw) != crc:
-        raise ValueError(f"cache body of {path} fails its CRC check")
-    bits = np.unpackbits(body, bitorder="little", count=n_odd).astype(bool)
-    odd_primes = 3 + 2 * np.nonzero(bits)[0].astype(np.int64)
-    if stored >= 2:
-        primes = np.concatenate(([2], odd_primes))
-    else:
-        primes = odd_primes
-    spf_limit = min(stored, spf_cap)
-    spf = _spf_sieve(spf_limit)
-    return PrimeTable(limit=int(stored), primes=primes, spf=spf,
-                      spf_limit=int(spf_limit))
-
-
-def cached_prime_table(limit, spf_cap=SPF_CAP):
-    """prime_table() with read-through caching under REPNUM_CACHE_DIR."""
-    path = cache_path(limit)
-    if os.path.exists(path):
-        return read_prime_cache(path, spf_cap=spf_cap, limit=limit)
-    table = prime_table(limit, spf_cap=spf_cap)
-    write_prime_cache(table, path)
-    return table

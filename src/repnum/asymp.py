@@ -409,6 +409,8 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     if grid_max < 10**4:
         raise ValueError("grid_max must be >= 10000, the first x of the "
                          f"gss_bound grid; got {grid_max}")
+    # a bad cutoff fails here, before any sweep
+    k_val, k_tail = landau_ramanujan(cutoff)
 
     def decades(lo):
         xs, x = [], lo
@@ -453,7 +455,6 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     notes["gss_bound"] = ("max shape ratio over families r1/rrstar/"
                           f"rrprimestar, x in {xs_gss}, ell in (1, 2), k <= 8")
 
-    k_val, k_tail = landau_ramanujan(cutoff)
     values["landau_K"] = k_val
     notes["landau_K"] = (f"truncated product over p = 3 mod 4 up to {cutoff}; "
                          f"|log(true/partial)| <= {k_tail:.3g}")

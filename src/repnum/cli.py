@@ -67,9 +67,9 @@ def _xs_from(args):
     return [args.x]
 
 
-def _table_for(xmax, spf=False):
-    limit = max(math.isqrt(xmax) + 1, 100)
-    return arith.prime_table(limit, spf_cap=limit if spf else 0)
+def _table(x):
+    """Primes to isqrt(x) + 1, at least 10^4; spf to that or SPF_CAP."""
+    return arith.prime_table(max(math.isqrt(max(x, 0)) + 1, 10**4))
 
 
 def _default_workers():
@@ -77,12 +77,6 @@ def _default_workers():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _work_table(x):
-    """Table for verify/calibrate at scale x: primes and spf to sqrt(x)."""
-    limit = max(10**4, math.isqrt(max(x, 0)) + 1)
-    return arith.prime_table(limit, spf_cap=limit)
 
 
 def _add_flags(p, *flags):
@@ -111,10 +105,8 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     _add_flags(p)
 
-    p = sub.add_parser("table", help="build (and optionally cache) a prime table")
+    p = sub.add_parser("table", help="build a prime table")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--cache", action="store_true",
-                   help="store/reuse the bitset cache under REPNUM_CACHE_DIR")
     _add_flags(p)
 
     p = sub.add_parser("moments", help="bulk power/binomial moments")
@@ -158,7 +150,7 @@ def _build_parser():
 
 def _cmd_eval(args):
     fam = RepFamily.from_name(args.family)
-    table = _table_for(args.n, spf=True)
+    table = _table(args.n)
     if fam is RepFamily.R0:
         value = repfun.r0_formula(arith.factor(args.n, table))
     elif fam is RepFamily.R0_STAR:
@@ -170,14 +162,9 @@ def _cmd_eval(args):
 
 
 def _cmd_table(args):
-    if args.cache:
-        table = arith.cached_prime_table(args.limit)
-        path = arith.cache_path(args.limit)
-    else:
-        table = arith.prime_table(args.limit)
-        path = ""
-    _emit(["limit", "primes", "spf_limit", "cache_path"],
-          [[table.limit, len(table.primes), table.spf_limit, path]], args.out)
+    table = arith.prime_table(args.limit)
+    _emit(["limit", "primes", "spf_limit"],
+          [[table.limit, len(table.primes), table.spf_limit]], args.out)
     return 0
 
 
@@ -196,7 +183,7 @@ def _cmd_moments(args):
     elif args.omega_star is not None:
         omega_filter = ("omega_star", args.omega_star)
         filt_label = f"omega_star={args.omega_star}"
-    table = _table_for(max(xs))
+    table = _table(max(xs))
     kw = dict(omega_filter=omega_filter, segment_size=args.segment_size,
               workers=args.workers)
     if args.binomial is not None:
@@ -214,7 +201,7 @@ def _cmd_moments(args):
 def _cmd_zeroth(args):
     fam = RepFamily.from_name(args.family)
     xs = _xs_from(args)
-    table = _table_for(max(xs))
+    table = _table(max(xs))
     vals = moments.zeroth_moment_grid(fam, xs, table,
                                       segment_size=args.segment_size,
                                       workers=args.workers)
@@ -235,7 +222,7 @@ def _cmd_verify(args):
                 f"`repnum calibrate` first\n")
             return 2
         constants = asymp.read_constants(args.constants)
-    table = _work_table(args.x or 0)
+    table = _table(args.x or 0)
     rows, ok = [], True
     for suite in suites:
         for res in acceptance.run_suite(suite, table, constants=constants,
@@ -274,7 +261,7 @@ def _cmd_constants(args):
 
 
 def _cmd_calibrate(args):
-    table = _work_table(args.grid_max)
+    table = _table(args.grid_max)
     values, notes = asymp.calibrate(table, grid_max=args.grid_max,
                                     segment_size=args.segment_size,
                                     workers=args.workers, cutoff=args.cutoff)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import repfun
 from .errors import CapacityError
-from .repfun import RepFamily
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_X = 10**9          # desk-scale budget for the segment engine
@@ -28,17 +27,6 @@ _COUNTER_MAX = (1 << 32) - 1
 _BLOCK_PAIRS = 1 << 18  # lattice pairs per bucket block; bounds scratch memory
 _INT32_MAX = 2**31 - 1  # the bucket pass's pair arithmetic is int32
 _NO_PRIME = np.int32(_INT32_MAX)  # replaces a padding 0; divides no a > 0
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    """One bulk-moment request: family, cutoff, mode, optional omega filter."""
-
-    family: RepFamily
-    x: int
-    mode: str              # 'power' | 'binomial' | 'zeroth'
-    k: int = 1             # exponent (power) or lower index (binomial)
-    omega_filter: tuple = None  # (kind, value); kind in {'omega', 'omega_star'}
 
 
 # ---------------------------------------------------------------------------
@@ -814,12 +802,6 @@ def binomial_moment(family, x, ell, table, **kw):
 
 def zeroth_moment(family, x, table, **kw):
     return zeroth_moment_grid(family, [x], table, **kw)[0]
-
-
-def evaluate(query, table, segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
-    """The moment a MomentQuery asks for."""
-    return _moment_grid(query.family, [query.x], query.mode, query.k, table,
-                        query.omega_filter, segment_size, workers)[0]
 
 
 # ---------------------------------------------------------------------------

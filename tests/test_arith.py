@@ -1,9 +1,6 @@
 import math
-import os
 import random
-import struct
 import warnings
-import zlib
 
 import mpmath
 import numpy as np
@@ -192,120 +189,3 @@ def test_two_pow_omega_at_most_tau(table6):
             omega += 1
             tau *= e + 1
         assert (1 << omega) <= tau
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch, table):
-    monkeypatch.setenv("REPNUM_CACHE_DIR", str(tmp_path))
-    assert arith.cache_dir() == str(tmp_path)
-    t1 = arith.cached_prime_table(5000)
-    path = arith.cache_path(5000)
-    assert os.path.exists(path)
-    t2 = arith.cached_prime_table(5000)
-    assert np.array_equal(t1.primes, t2.primes)
-    assert t1.limit == t2.limit == 5000
-    with open(path, "rb") as fh:
-        head, body = fh.read(20), fh.read()
-    assert head[:4] == b"RNPK"
-    assert struct.unpack("<I", head[4:8])[0] == arith.CACHE_VERSION == 2
-    assert struct.unpack("<Q", head[8:16])[0] == 5000
-    assert struct.unpack("<I", head[16:20])[0] == zlib.crc32(body)
-    # body is a bitset over odd 3..limit, LSB first: bit i is 3 + 2i
-    assert body[0] == 0b10110111  # 3, 5, 7, 11, 13, 17 prime; 9, 15 not
-
-
-def test_cache_rejects_garbage(tmp_path):
-    bad = tmp_path / "x.rnpk"
-    bad.write_bytes(b"NOPE" + b"\0" * 12)
-    with pytest.raises(ValueError, match="magic"):
-        arith.read_prime_cache(str(bad))
-
-
-def _corrupt(path, body_delta=0, limit=None):
-    """Rewrite a cache file with its body cut or extended, or a new limit."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head, body = data[:16], data[16:]
-    if limit is not None:
-        head = head[:8] + struct.pack("<Q", limit)
-    if body_delta < 0:
-        body = body[:body_delta]
-    else:
-        body += b"\xff" * body_delta
-    with open(path, "wb") as fh:
-        fh.write(head + body)
-
-
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_cache_rejects_body_length(tmp_path, delta):
-    path = arith.write_prime_cache(arith.prime_table(10**5),
-                                   str(tmp_path / "p.rnpk"))
-    _corrupt(path, body_delta=delta)
-    with pytest.raises(ValueError, match="body"):
-        arith.read_prime_cache(path)
-
-
-def test_cache_rejects_half_body(tmp_path):
-    path = arith.write_prime_cache(arith.prime_table(10**5),
-                                   str(tmp_path / "p.rnpk"))
-    size = os.path.getsize(path)
-    with open(path, "r+b") as fh:
-        fh.truncate(16 + (size - 16) // 2)
-    with pytest.raises(ValueError, match="body"):
-        arith.read_prime_cache(path)
-    with open(path, "r+b") as fh:
-        fh.truncate(10)
-    with pytest.raises(ValueError, match="header"):
-        arith.read_prime_cache(path)
-
-
-def test_cache_rejects_wrong_limit(tmp_path, monkeypatch):
-    path = arith.write_prime_cache(arith.prime_table(5000),
-                                   str(tmp_path / "p.rnpk"))
-    _corrupt(path, limit=6000)  # header no longer matches the body
-    with pytest.raises(ValueError, match="body"):
-        arith.read_prime_cache(path)
-    # a whole file for another limit, stored under this limit's name
-    monkeypatch.setenv("REPNUM_CACHE_DIR", str(tmp_path))
-    arith.write_prime_cache(arith.prime_table(5001), arith.cache_path(5000))
-    with pytest.raises(ValueError, match="wanted 5000"):
-        arith.cached_prime_table(5000)
-    assert arith.read_prime_cache(arith.cache_path(5000)).limit == 5001
-
-
-def test_cache_rejects_flipped_body_byte(tmp_path):
-    path = arith.write_prime_cache(arith.prime_table(10**5),
-                                   str(tmp_path / "p.rnpk"))
-    with open(path, "r+b") as fh:
-        fh.seek(20 + 1000)
-        byte = fh.read(1)[0]
-        fh.seek(20 + 1000)
-        fh.write(bytes([byte ^ 0x10]))  # same length, one prime more or less
-    with pytest.raises(ValueError, match="CRC"):
-        arith.read_prime_cache(path)
-
-
-def test_cache_rejects_v1_header(tmp_path):
-    """A version-1 file: the same magic and limit, no CRC, body at 16."""
-    table = arith.prime_table(5000)
-    path = arith.write_prime_cache(table, str(tmp_path / "p.rnpk"))
-    with open(path, "rb") as fh:
-        data = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(b"RNPK" + struct.pack("<IQ", 1, 5000) + data[20:])
-    with pytest.raises(ValueError, match="unsupported cache version 1"):
-        arith.read_prime_cache(path)
-
-
-def test_cache_write_replaces_atomically(tmp_path):
-    path = str(tmp_path / "p.rnpk")
-    with open(path, "wb") as fh:
-        fh.write(b"RNPK partial")
-    arith.write_prime_cache(arith.prime_table(1000), path)
-    assert os.listdir(tmp_path) == ["p.rnpk"]  # no temp file left behind
-    assert arith.read_prime_cache(path, limit=1000).primes.tolist() == \
-        arith.prime_table(1000).primes.tolist()
-
-
-def test_cache_default_dir(monkeypatch):
-    monkeypatch.delenv("REPNUM_CACHE_DIR", raising=False)
-    assert arith.cache_dir() == "./.repnum-cache"

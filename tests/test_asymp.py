@@ -253,6 +253,17 @@ def test_read_constants_names_missing_keys(tmp_path):
     assert str(exc.value) == f"{path}: missing constant(s) C, H"
 
 
+@pytest.mark.parametrize("cutoff, error", [(2, ValueError),
+                                           (3 * 10**9, CapacityError)])
+def test_calibrate_checks_cutoff_before_any_sweep(table, monkeypatch, cutoff,
+                                                  error):
+    def no_sweep(*args, **kw):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(moments, "_hist_sweep", no_sweep)
+    with pytest.raises(error):
+        asymp.calibrate(table, cutoff=cutoff)
+
+
 def test_calibrate_small_grid(table):
     v1, notes = asymp.calibrate(table, grid_max=10**5)
     v2, _ = asymp.calibrate(table, grid_max=10**5)

@@ -1,12 +1,17 @@
-"""The benchmark's tracer wraps repnum functions by name.
+"""The benchmark reads repnum names that tier-1 must keep alive.
 
 `perfbench/tracing.py` looks each wrapped name up with getattr, so a name
 that disappears from the library breaks the traced benchmark run; this test
 makes the same lookups in tier-1 and checks that every wrap is undone.
 `selberg._remainder_exact` is wrapped only if present, so losing it would
-silently count the remainder algebra as the bound's own time.
+silently count the remainder algebra as the bound's own time.  The probes
+and workloads read library names as attributes (`moments.segment_profile`)
+or import them (`from repnum.repfun import RepFamily`); every such name in
+`perfbench/*.py` must exist.
 """
 
+import ast
+import importlib
 import pathlib
 
 from repnum import moments, selberg
@@ -29,3 +34,33 @@ def test_tracer_wraps_and_restores_library_names(monkeypatch):
             assert getattr(module, name) is not fn, name
     for (module, name), fn in zip(WRAPPED, originals):
         assert getattr(module, name) is fn, name
+
+
+LIBRARY = ("arith", "cli", "moments", "repfun", "selberg")
+
+
+def _perfbench_names():
+    """(module, name) for each library name that a perfbench file reads."""
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in LIBRARY):
+                found.add((node.value.id, node.attr))
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("repnum.")):
+                found.update((node.module[len("repnum."):], alias.name)
+                             for alias in node.names)
+    return found
+
+
+def test_perfbench_reads_only_live_library_names():
+    names = _perfbench_names()
+    # the per-layer probes, which no workload's own run reaches
+    assert {("moments", "accumulate_counts"), ("moments", "segment_profile"),
+            ("moments", "_segment_omega"), ("repfun", "RepFamily")} <= names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"repnum.{module}"),
+                              name)]
+    assert missing == []

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repnum import acceptance, asymp, cli, moments
+from repnum import acceptance, arith, asymp, cli, moments
 
 
 def run(capsys, *argv):
@@ -146,13 +146,34 @@ def test_calibrate_and_constants(tmp_path, capsys):
     assert len(out.splitlines()) == 7
 
 
-def test_table_command(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPNUM_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "table", "--limit", "1000", "--cache")
-    assert code == 0
-    row = out.splitlines()[1].split(",")
-    assert row[0] == "1000" and row[1] == "168"
-    assert os.path.exists(row[3])
+def test_table_command(capsys):
+    code, out, _ = run(capsys, "table", "--limit", "1000")
+    assert (code, out) == (0, "limit,primes,spf_limit\n1000,168,1000\n")
+    code, out, err = run(capsys, "table", "--limit", "1000", "--cache")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --cache" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--family", "r0", "--n", str(10**18)),
+    ("verify", "--suite", "identities", "--x", str(10**18)),
+    ("calibrate", "--grid-max", str(10**18)),
+], ids=lambda argv: argv[0])
+def test_verb_tables_honour_spf_cap(monkeypatch, argv):
+    """A verb at x = 1e18 needs primes to 1e9 but spf only to SPF_CAP."""
+    class Recorded(Exception):
+        pass
+
+    asked = []
+
+    def recorder(n):
+        asked.append(n)
+        raise Recorded  # stop before the sieve allocates anything
+
+    monkeypatch.setattr(arith, "_spf_sieve", recorder)
+    with pytest.raises(Recorded):
+        cli.main(list(argv))
+    assert asked == [arith.SPF_CAP]
 
 
 def test_sieve_demo(capsys):

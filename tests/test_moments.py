@@ -5,7 +5,6 @@ import pytest
 
 from repnum import arith, moments, repfun
 from repnum.errors import CapacityError
-from repnum.moments import MomentQuery
 from repnum.repfun import RepFamily
 
 
@@ -144,14 +143,12 @@ def test_grid_matches_single_runs(table):
 
 
 def test_evaluate_dispatch(table):
-    q = MomentQuery(RepFamily.R0, 10, "power", 2)
-    assert moments.evaluate(q, table) == 13
-    q = MomentQuery(RepFamily.R0, 10, "binomial", 2)
-    assert moments.evaluate(q, table) == 2
-    q = MomentQuery(RepFamily.R0, 10, "zeroth")
-    assert moments.evaluate(q, table) == 7
-    with pytest.raises(ValueError):
-        moments.evaluate(MomentQuery(RepFamily.R0, 10, "median"), table)
+    assert moments.power_moment(RepFamily.R0, 10, 2, table) == 13
+    assert moments.binomial_moment(RepFamily.R0, 10, 2, table) == 2
+    assert moments.zeroth_moment(RepFamily.R0, 10, table) == 7
+    hist = moments.histogram_grid(RepFamily.R0, [10], table)[0]
+    with pytest.raises(ValueError, match="unknown moment mode 'median'"):
+        moments.moment_from_histogram(hist, "median", 2)
 
 
 def test_validation(table):
