@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, asymp, moments, repfun, selberg
+from .errors import CapacityError
 from .repfun import RepFamily
 
 
@@ -43,7 +44,14 @@ def _row(name, passed, detail):
 # Suite: oracle  (closed forms against the lattice-enumeration oracle)
 # ---------------------------------------------------------------------------
 
+ORACLE_MAX_X = 3 * 10**5  # two lattice enumerations per n: about a minute
+
+
 def check_oracle(table, x=10**5):
+    if x > ORACLE_MAX_X:
+        raise CapacityError(
+            f"x = {x} exceeds the oracle suite's cap ORACLE_MAX_X = "
+            f"{ORACLE_MAX_X}")
     bad = []
     for n in range(1, x + 1):
         f = arith.factor(n, table)
@@ -234,7 +242,7 @@ def check_calibrated(table, constants, workers=1):
 
     c = constants["C"]
     xs_c = [10**3, 10**4, 10**5, 10**6, 10**7]
-    gaps = asymp.coprime_gap_ratios(xs_c, table, workers=workers)
+    gaps = asymp.coprime_gap_ratios(xs_c, table)
     bad = [(x, r) for x, r in zip(xs_c, gaps) if r > c]
     rows.append(_row("coprime_gap_bound", not bad,
                      f"C = {c:.4f}, failures: {bad}"))
@@ -312,6 +320,9 @@ _ASYMPTOTICS = (check_r0_first_moment, check_r1_first_moment,
                 check_r2_first_moment, check_landau_zeroth_moment,
                 check_sum_of_squares_first_moments,
                 check_r1_binomial_second_moment)
+
+# the suites that read x, and the largest x each takes
+X_CAPS = {"oracle": ORACLE_MAX_X, "identities": moments.MAX_X}
 
 # suite name -> its rows from (table, constants, workers, x), in the order
 # `repnum verify --suite all` runs them

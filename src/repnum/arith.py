@@ -147,7 +147,7 @@ def factor(n, table):
 
 
 # ---------------------------------------------------------------------------
-# Classical arithmetic functions (exact; Lambda returns a natural log)
+# Classical arithmetic functions (exact)
 # ---------------------------------------------------------------------------
 
 def tau(fact):
@@ -156,14 +156,6 @@ def tau(fact):
     for _, e in fact.factors:
         out *= e + 1
     return out
-
-
-def mobius(fact):
-    """Mobius mu: 0 unless squarefree, else (-1)^(number of primes)."""
-    for _, e in fact.factors:
-        if e > 1:
-            return 0
-    return -1 if len(fact.factors) % 2 else 1
 
 
 def omega(fact):
@@ -183,48 +175,8 @@ def largest_prime_factor(fact):
     return fact.factors[-1][0]
 
 
-def chi4(n):
-    """Non-principal Dirichlet character mod 4: 0 on evens, +1/-1 on 4k+-1."""
-    if n % 2 == 0:
-        return 0
-    return 1 if n % 4 == 1 else -1
-
-
-def von_mangoldt(fact):
-    """Lambda(n): log p if n is a prime power p^k, else 0."""
-    if len(fact.factors) == 1:
-        return math.log(fact.factors[0][0])
-    return 0.0
-
-
-def theta_indicator(fact):
-    """Summand of Chebyshev theta: log n if n is prime, else 0."""
-    if len(fact.factors) == 1 and fact.factors[0][1] == 1:
-        return math.log(fact.n)
-    return 0.0
-
-
-_DISPATCH = {
-    "tau": lambda f: tau(f),
-    "mu": lambda f: mobius(f),
-    "omega": lambda f: omega(f),
-    "omega_star": lambda f: omega_star(f),
-    "largest_prime_factor": lambda f: largest_prime_factor(f),
-    "chi4": lambda f: chi4(f.n),
-    "von_mangoldt": lambda f: von_mangoldt(f),
-    "theta_indicator": lambda f: theta_indicator(f),
-}
-
-
-def arithmetic_function(name, n, table):
-    """Evaluate one of the named classical functions at n."""
-    if name not in _DISPATCH:
-        raise ValueError(f"unknown arithmetic function {name!r}")
-    return _DISPATCH[name](factor(n, table))
-
-
 # ---------------------------------------------------------------------------
-# Prime counting / reciprocal sums / Chebyshev functions / Li
+# Prime counting / reciprocal sums / Li
 # ---------------------------------------------------------------------------
 
 def _filtered_primes(x, residue_filter, table):
@@ -259,32 +211,6 @@ def prime_recip_sum(x, residue_filter=None, table=None):
     primes = _filtered_primes(x, residue_filter, table)
     # ascending accumulation keeps the float error well under 1e-12 relative
     return float(np.add.reduce(1.0 / primes.astype(np.float64)))
-
-
-def chebyshev(kind, x, table=None):
-    """Chebyshev psi(x) (prime powers) or theta(x) (primes), natural logs."""
-    if kind not in ("psi", "theta"):
-        raise ValueError(f"kind must be 'psi' or 'theta', got {kind!r}")
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x < 2:
-        return 0.0
-    if table is None:
-        table = prime_table(x, spf_cap=0)
-    primes = _filtered_primes(x, None, table)
-    total = float(np.log(primes.astype(np.float64)).sum())
-    if kind == "theta":
-        return total
-    # proper prime powers p^k <= x need p <= sqrt(x)
-    for p in primes:
-        p = int(p)
-        if p * p > x:
-            break
-        q = p * p
-        while q <= x:
-            total += math.log(p)
-            q *= p
-    return total
 
 
 def log_integral(x):

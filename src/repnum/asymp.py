@@ -15,6 +15,7 @@ import numpy as np
 
 from . import moments
 from .arith import prime_recip_sum, prime_table
+from .errors import CapacityError
 from .repfun import RepFamily
 
 DEFAULT_LANDAU_CUTOFF = 10**6
@@ -242,14 +243,22 @@ def inductive_claim_sum(x, table):
 # Profile-driven sums (smooth/squarefull, shape ratios, tau growth)
 # ---------------------------------------------------------------------------
 
-_SMOOTH_FIELDS = ("n1mod4", "has3", "v2", "lpf", "lpf_sq")  # r0* and P(n)
+_SMOOTH_FIELDS = ("lpf", "lpf_sq", "leftover")  # P(n) <= z or P(n)^2 | n
 
 
 def _smooth_squarefull_segment(lo, hi, state):
-    """r0* histogram of the n in [lo, hi) with P(n) <= z or P(n)^2 | n."""
-    prof = moments._factor_walk(lo, hi, state["primes"], _SMOOTH_FIELDS)
-    keep = (prof.lpf <= state["z"]) | prof.lpf_sq
-    return np.bincount(prof.r0_star_values()[keep])
+    """r0* histogram of the n in [lo, hi) with P(n) <= z or P(n)^2 | n.
+
+    r0* is the bucket kernel's R0_STAR count.  The walk runs to
+    max(isqrt(hi - 1), z), so a leftover n has P(n) > z and P(n)^2 not
+    dividing it; every other n has lpf = P(n).
+    """
+    prof = moments._factor_walk(lo, hi, state["primes"], _SMOOTH_FIELDS,
+                                bound=state["z"])
+    keep = prof.lpf <= state["z"]
+    keep &= ~prof.leftover
+    keep |= prof.lpf_sq
+    return np.bincount(moments._segment_counts(lo, hi, state)[keep])
 
 
 def smooth_squarefull_rstar_sum(x, m, table,
@@ -258,14 +267,16 @@ def smooth_squarefull_rstar_sum(x, m, table,
     """Exact sum of r0*(n)^m over n <= x that are z-smooth or squarefull-topped.
 
     z = x^(1/log log x); the condition is P(n) <= z or P(n)^2 | n, read off
-    a segmented factorization pass.
+    a segmented factorization pass, and r0* off the bucket kernel.
     """
     if x < 16:
         raise ValueError("x must be >= 16")
     if m < 1:
         raise ValueError("m must be >= 1")
-    state = {"segment": _smooth_squarefull_segment, "primes": table.primes,
-             "z": x ** (1.0 / math.log(math.log(x)))}
+    state = moments._lattice_state(RepFamily.R0_STAR.traits, math.isqrt(x),
+                                   table)
+    state.update(segment=_smooth_squarefull_segment, primes=table.primes,
+                 z=math.floor(x ** (1.0 / math.log(math.log(x)))))
     (hist,) = moments._hist_sweep(state, [x], table, segment_size, workers)
     return moments.moment_from_histogram(hist, "power", m)
 
@@ -359,15 +370,24 @@ def read_constants(path):
     return out
 
 
-def coprime_gap_ratios(xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
-                       workers=1):
+def coprime_gap(x, table):
+    """sum(r1 - r1*) over n <= x, exact: the pairs (a, p) with p | a.
+
+    With a = p t, p^2 (t^2 + 1) <= x, so each prime p <= sqrt(x) gives
+    isqrt(x // p^2 - 1) + 1 pairs.
+    """
+    root = math.isqrt(x)
+    if root > table.limit:
+        raise CapacityError(
+            f"x = {x} needs primes to {root} but table limit is {table.limit}")
+    ps = table.primes[: int(np.searchsorted(table.primes, root, side="right"))]
+    return int((moments._isqrt(x // (ps * ps) - 1) + 1).sum())
+
+
+def coprime_gap_ratios(xs, table):
     """sum(r1 - r1*) over n <= x, over sqrt(x) log log x, for each x in xs."""
-    r1 = moments.power_moment_grid(RepFamily.R1, xs, 1, table,
-                                   segment_size=segment_size, workers=workers)
-    r1s = moments.power_moment_grid(RepFamily.R1_STAR, xs, 1, table,
-                                    segment_size=segment_size, workers=workers)
-    return [(a - b) / (math.sqrt(x) * math.log(math.log(x)))
-            for x, a, b in zip(xs, r1, r1s)]
+    return [coprime_gap(x, table) / (math.sqrt(x) * math.log(math.log(x)))
+            for x in xs]
 
 
 def rho_bound_ratios(xs, gamma2, table,
@@ -409,6 +429,9 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     if grid_max < 10**4:
         raise ValueError("grid_max must be >= 10000, the first x of the "
                          f"gss_bound grid; got {grid_max}")
+    if grid_max > moments.MAX_X:
+        raise CapacityError(f"grid_max = {grid_max} exceeds engine budget "
+                            f"MAX_X = {moments.MAX_X}")
     # a bad cutoff fails here, before any sweep
     k_val, k_tail = landau_ramanujan(cutoff)
 
@@ -422,9 +445,7 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     values, notes = {}, {}
 
     xs_c = decades(10**3)
-    values["C"] = max(coprime_gap_ratios(xs_c, table,
-                                         segment_size=segment_size,
-                                         workers=workers))
+    values["C"] = max(coprime_gap_ratios(xs_c, table))
     notes["C"] = ("max of sum(r1 - r1*) / (sqrt(x) log log x) over x in "
                   f"{xs_c}")
 

@@ -67,8 +67,13 @@ def _xs_from(args):
     return [args.x]
 
 
-def _table(x):
-    """Primes to isqrt(x) + 1, at least 10^4; spf to that or SPF_CAP."""
+def _table(x, cap=None):
+    """Primes to isqrt(x) + 1, at least 10^4; spf to that or SPF_CAP.
+
+    CapacityError first, with no sieve, when x exceeds `cap`.
+    """
+    if cap is not None and x > cap:
+        raise CapacityError(f"x = {x} exceeds this verb's cap {cap}")
     return arith.prime_table(max(math.isqrt(max(x, 0)) + 1, 10**4))
 
 
@@ -183,7 +188,7 @@ def _cmd_moments(args):
     elif args.omega_star is not None:
         omega_filter = ("omega_star", args.omega_star)
         filt_label = f"omega_star={args.omega_star}"
-    table = _table(max(xs))
+    table = _table(max(xs), moments.MAX_X)
     kw = dict(omega_filter=omega_filter, segment_size=args.segment_size,
               workers=args.workers)
     if args.binomial is not None:
@@ -201,7 +206,7 @@ def _cmd_moments(args):
 def _cmd_zeroth(args):
     fam = RepFamily.from_name(args.family)
     xs = _xs_from(args)
-    table = _table(max(xs))
+    table = _table(max(xs), moments.MAX_X)
     vals = moments.zeroth_moment_grid(fam, xs, table,
                                       segment_size=args.segment_size,
                                       workers=args.workers)
@@ -222,7 +227,8 @@ def _cmd_verify(args):
                 f"`repnum calibrate` first\n")
             return 2
         constants = asymp.read_constants(args.constants)
-    table = _table(args.x or 0)
+    caps = [acceptance.X_CAPS[s] for s in suites if s in acceptance.X_CAPS]
+    table = _table((args.x or 0) if caps else 0, min(caps, default=None))
     rows, ok = [], True
     for suite in suites:
         for res in acceptance.run_suite(suite, table, constants=constants,
@@ -261,7 +267,7 @@ def _cmd_constants(args):
 
 
 def _cmd_calibrate(args):
-    table = _table(args.grid_max)
+    table = _table(args.grid_max, moments.MAX_X)
     values, notes = asymp.calibrate(table, grid_max=args.grid_max,
                                     segment_size=args.segment_size,
                                     workers=args.workers, cutoff=args.cutoff)

@@ -256,15 +256,14 @@ def _next_prime(n):
     return n
 
 
-def _window_primes(primes, lo, hi):
-    """Sieving primes for the window: p <= max(isqrt(hi-1), 2) when hi > 2.
+def _window_primes(primes, lo, hi, bound=0):
+    """The walk's primes for the window: p <= max(isqrt(hi - 1), bound, 13),
+    the presieved primes always included.
 
     `primes` holds every prime up to some limit (a prime table's primes);
     CapacityError when a prime the window needs lies beyond it.
     """
-    pmax = math.isqrt(hi - 1)
-    if hi > 2:
-        pmax = max(pmax, 2)
+    pmax = max(math.isqrt(hi - 1), bound, _PRESIEVE[-1])
     cut = int(np.searchsorted(primes, pmax, side="right"))
     last = int(primes[-1]) if len(primes) else 1
     if cut == len(primes) and _next_prime(last) <= pmax:
@@ -278,39 +277,39 @@ def _window_primes(primes, lo, hi):
 class SegmentProfile:
     """Factorization statistics for n in [lo, hi), one entry per n.
 
-    A profile from _factor_walk holds None in the fields it was not asked
-    for; segment_profile fills all but tau, which tau_growth_max asks for.
+    The walk takes the primes up to a bound B >= isqrt(hi - 1), so n has at
+    most one prime factor above B, its leftover; lpf is P(n) wherever
+    leftover is False.  A profile from _factor_walk holds None in the
+    fields it was not asked for; segment_profile fills all but tau, which
+    tau_growth_max asks for.
     """
 
     lo: int
     hi: int
     omega: np.ndarray       # distinct primes
     omega_star: np.ndarray  # distinct odd primes
-    n1mod4: np.ndarray      # distinct primes = 1 (mod 4)
     has3: np.ndarray        # divisible by some prime = 3 (mod 4)
-    v2: np.ndarray          # exponent of 2, capped at 2
-    lpf: np.ndarray         # largest prime factor (0 for n = 1)
+    lpf: np.ndarray         # largest walked prime (0 if none)
     lpf_sq: np.ndarray      # P(n)^2 | n
+    leftover: np.ndarray    # n has a prime factor above the walk bound
     tau: np.ndarray         # number of divisors
-
-    def r0_star_values(self):
-        return np.where(self.has3 | (self.v2 >= 2), 0,
-                        np.left_shift(1, self.n1mod4.astype(np.int64)))
 
 
 # SegmentProfile's statistics, in field order, with their dtypes
-_FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
-                 "n1mod4": np.uint8, "has3": bool, "v2": np.uint8,
-                 "lpf": np.int64, "lpf_sq": bool, "tau": np.uint16}
+_FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8, "has3": bool,
+                 "lpf": np.uint16, "lpf_sq": bool, "leftover": bool,
+                 "tau": np.uint16}
 _NN_FIELDS = ("omega_star", "has3")  # what rho_kN reads, with n mod 4
-_UINT32_MAX = 2**32 - 1  # the walk's n, smooth part and leftover are uint32
+_UINT32_MAX = 2**32 - 1  # the walk's n is uint32
+_WALK_MAX = 2**16 - 1    # walked primes: lg(p) is exact and lpf is uint16
 _LEFTOVER_CHUNK = 1 << 15  # n per step of the leftover pass; bounds its scratch
 _PRESIEVE = (2, 3, 5, 7, 11, 13)
 _TILE = 4 * 3 * 5 * 7 * 11 * 13  # 60060: n mod 4 and a first power of each
 _LG_SCALE = 128  # lg(p) = floor(128 log2 p), so lg(2) = 128
 _COUNT_BITS = 4  # the walk's word is (W << 4) | count, count <= 9 < 16
 _LEFT_GAP = 47   # n in [2^j, 2^(j+1)) has a leftover prime iff W < 128 j - 47
-_WORD_COUNTS = ("omega_star", "omega")  # the fields read off the walk's word
+_WORD_COUNTS = ("omega_star", "omega")  # the counts read off the walk's word
+_WORD_FIELDS = _WORD_COUNTS + ("leftover",)  # every field read off it
 
 
 def _lg(p):
@@ -328,32 +327,25 @@ def _lg(p):
 def _presieve_tile():
     """The SegmentProfile fields of n from its primes p <= 13, for
     n = 0, ..., 2 * _TILE - 1, read-only: the first power of each such p
-    that divides n, and v2 from n mod 4; lpf is the largest of these primes
-    (0 if none) and lpf_sq False.  "sm" is the product of these primes, as
-    uint32.  "word" is _factor_walk's uint16 word over these first powers
-    and 2^2: (sum of their lg(p)) << 4 plus the count of odd ones; the
-    walk reads omega and omega_star off it.  The fields have period _TILE;
-    two periods hold every run of up to _TILE consecutive n, starting at
-    n mod _TILE.
+    that divides n; lpf is the largest of these primes (0 if none) and
+    lpf_sq False.  "word" is _factor_walk's uint16 word over these first
+    powers and 2^2: (sum of their lg(p)) << 4 plus the count of odd ones;
+    the walk reads omega and omega_star off it.  The fields have period
+    _TILE; two periods hold every run of up to _TILE consecutive n,
+    starting at n mod _TILE.
     """
     r = np.arange(2 * _TILE)
     tile = {f: np.zeros(len(r), dtype=dt) for f, dt in _FIELD_DTYPES.items()
-            if f not in _WORD_COUNTS}
+            if f not in _WORD_FIELDS}
     tile["tau"] += 1
-    tile["sm"] = np.ones(len(r), dtype=np.uint32)
     tile["word"] = np.zeros(len(r), dtype=np.uint16)
     for p, lg in zip(_PRESIEVE, _lg(_PRESIEVE).tolist()):
         hit = r % p == 0
         tile["word"][hit] += (lg << _COUNT_BITS) | (p != 2)
-        if p % 4 == 1:
-            tile["n1mod4"] += hit
-        elif p % 4 == 3:
+        if p % 4 == 3:
             tile["has3"] |= hit
         tile["lpf"][hit] = p
         tile["tau"][hit] *= 2
-        tile["sm"][hit] *= p
-    tile["v2"][r % 2 == 0] = 1
-    tile["v2"][r % 4 == 0] = 2
     tile["word"][r % 4 == 0] += _LG_SCALE << _COUNT_BITS  # W's 2^2
     for a in tile.values():
         a.setflags(write=False)
@@ -396,24 +388,23 @@ def _leftover_flag(word, a, b):
     return left
 
 
-def _factor_walk(lo, hi, primes, fields):
+def _factor_walk(lo, hi, primes, fields, bound=0):
     """SegmentProfile of [lo, hi) with only `fields` computed, the rest None.
 
-    The primes p <= 13 come from the _presieve_tile, read from lo on and
-    repeated over the window: each asked field starts as the tile's.  The
-    tile may also mark a prime <= 13 above isqrt(hi - 1) in a window near
-    1; that prime is then the one leftover prime of n, which the walk would
-    have found below.  One walk over the sieving primes
-    13 < p <= isqrt(hi - 1) marks the multiples of each p in the asked
-    fields; tau takes the factor k + 1 in place of k at the multiples of
-    every power p^k <= hi - 1 (k >= 2 only for p <= 13), and lpf_sq is set
-    at the multiples of p^2, both in prime order.
+    The walk bound is B = max(isqrt(hi - 1), bound, 13).  The primes
+    p <= 13 come from the _presieve_tile, read from lo on and repeated
+    over the window: each asked field starts as the tile's.  One walk over
+    the sieving primes 13 < p <= B marks the multiples of each p in the
+    asked fields; lpf takes p, so it ends as the largest walked prime; tau
+    takes the factor k + 1 in place of k at the multiples of every power
+    p^k <= hi - 1 (k >= 2 only for p <= 13), and lpf_sq is set at the
+    multiples of p^2, all in prime order.
 
     What the walk did not take is the leftover prime L of n: the single
-    prime > isqrt(hi - 1) dividing n, or none.  It is found without
-    dividing.  Each n has a uint16 word (W << 4) | c, where c counts the
-    walked odd primes of n (<= 9 for n < 2^32) and W is the sum of
-    lg(p) = floor(128 log2 p) over the walked prime powers p^k || n.  The
+    prime > B dividing n, or none, as B >= isqrt(hi - 1).  It is found
+    without dividing.  Each n has a uint16 word (W << 4) | c, where c
+    counts the walked odd primes of n (<= 9 for n < 2^32) and W is the sum
+    of lg(p) = floor(128 log2 p) over the walked prime powers p^k || n.  The
     tile starts the word; each sieving prime adds (lg(p) << 4) | 1 at its
     multiples and each power p^k, k >= 2, adds lg(p) << 4 at its own
     (_add_powers).  For n in [2^j, 2^(j+1)), n has a leftover prime iff
@@ -424,16 +415,14 @@ def _factor_walk(lo, hi, primes, fields):
     L >= 3, W <= 128 (log2 n - log2 3) < 128 (j + 1) - 202 = 128 j - 74.
     W <= 128 log2 n < 4096 fits in 12 bits.
 
-    c plus the flag is omega_star, written over the front half of the
-    words' buffer, and omega is omega_star plus 1 at even n.  If no walked
-    prime = 3 (mod 4) divides n, L = odd(n) (mod 4), so has3 takes the
-    leftover from bit 1 of n's odd part; a walked 3-mod-4 prime has set
-    has3 already.  tau and lpf_sq read only the flag.  lpf and n1mod4 read
-    L's value or residue: for them alone the walk also builds the uint32
-    smooth part sm (the tile's, times p at the multiples of every walked
-    power) and divides n // sm, exact since sm | n <= 2^32 - 1.  The
-    leftover pass steps through the window _LEFTOVER_CHUNK n at a time, so
-    no window-sized temporary exists.
+    The flag is the leftover field.  c plus the flag is omega_star, written
+    over the front half of the words' buffer, and omega is omega_star plus
+    1 at even n.  If no walked prime = 3 (mod 4) divides n,
+    L = odd(n) (mod 4), so has3 takes the leftover from bit 1 of n's odd
+    part; a walked 3-mod-4 prime has set has3 already.  tau and lpf_sq read
+    only the flag, and lpf is P(n) where it is off.  The leftover pass
+    steps through the window _LEFTOVER_CHUNK n at a time, so no
+    window-sized temporary exists.
     """
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
@@ -441,8 +430,12 @@ def _factor_walk(lo, hi, primes, fields):
         raise CapacityError(
             f"range up to {hi - 1} exceeds the factorization walk's uint32 "
             f"cap {_UINT32_MAX}")
+    if bound > _WALK_MAX:
+        raise CapacityError(
+            f"walk bound {bound} exceeds the factorization walk's cap "
+            f"{_WALK_MAX}")
     size = hi - lo
-    walk_primes = _window_primes(primes, lo, hi)
+    walk_primes = _window_primes(primes, lo, hi, bound)
     tile = _presieve_tile()
     head = slice(lo % _TILE, lo % _TILE + min(size, _TILE))
 
@@ -451,17 +444,18 @@ def _factor_walk(lo, hi, primes, fields):
 
     counts = [f for f in _WORD_COUNTS if f in fields]
     word = start("word")
-    out = {f: start(f) for f in fields if f not in counts}
+    out = {f: start(f) for f in fields if f not in _WORD_FIELDS}
     if counts:  # the first count overwrites the words' front half
         out[counts[0]] = word.view(np.uint8)[:size]
     if len(counts) == 2:
         out["omega"] = np.empty(size, dtype=np.uint8)
-    omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq, tau = (
+    if "leftover" in fields:
+        out["leftover"] = np.empty(size, dtype=bool)
+    omega, omega_star, has3, lpf, lpf_sq, leftover, tau = (
         out.get(f) for f in _FIELD_DTYPES)
     small_lpf = None  # read at p <= 13, before the walk writes to lpf
     if lpf_sq is not None:
         small_lpf = lpf if lpf is not None else start("lpf")
-    sm = start("sm") if lpf is not None or n1mod4 is not None else None
     ps = np.array(walk_primes, dtype=np.int64)
     lgs = _lg(ps)
     big = ps > _PRESIEVE[-1]
@@ -469,15 +463,12 @@ def _factor_walk(lo, hi, primes, fields):
                       ((lgs[big] << _COUNT_BITS) | 1).tolist()):
         word[-lo % p::p] += inc
     _add_powers(word, lo, hi, ps, lgs)
-    marked = any(a is not None for a in (n1mod4, has3, lpf, lpf_sq, sm, tau))
+    marked = any(a is not None for a in (has3, lpf, lpf_sq, tau))
     for p in walk_primes if marked else ():  # the fields, in prime order
         small = p <= _PRESIEVE[-1]
         if not small:
             sl = slice(-lo % p, None, p)
-            if p % 4 == 1:
-                if n1mod4 is not None:
-                    n1mod4[sl] += 1
-            elif has3 is not None:
+            if has3 is not None and p % 4 == 3:
                 has3[sl] = True
             if lpf is not None:
                 lpf[sl] = p
@@ -486,17 +477,14 @@ def _factor_walk(lo, hi, primes, fields):
         if lpf_sq is not None and p * p <= hi - 1:
             sq = slice(-lo % (p * p), None, p * p)
             lpf_sq[sq] = small_lpf[sq] == p if small else True
-        if sm is None and tau is None:
+        if tau is None:
             continue
         q, k = (p * p, 2) if small else (p, 1)
         while q <= hi - 1:
             sq = slice(-lo % q, None, q)
-            if sm is not None:
-                sm[sq] *= p
-            if tau is not None:
-                if k > 1:
-                    tau[sq] //= k
-                tau[sq] *= k + 1
+            if k > 1:
+                tau[sq] //= k
+            tau[sq] *= k + 1
             q, k = q * p, k + 1
     for i in range(0, size, _LEFTOVER_CHUNK):
         c = slice(i, i + _LEFTOVER_CHUNK)
@@ -518,15 +506,10 @@ def _factor_walk(lo, hi, primes, fields):
             bit <<= 1  # 2^31 << 1 wraps to 0; odd(2^31) = 1 anyway
             bit &= n
             has3[c] |= left & (bit != 0)
-        if sm is not None:
-            n = np.arange(a, b, dtype=np.uint32)
-            n //= sm[c]  # the leftover prime, or 1
-            if lpf is not None:
-                np.copyto(lpf[c], n, where=left)
-            if n1mod4 is not None:
-                n1mod4[c] += left & ((n & 3) == 1)
         if lpf_sq is not None:
             lpf_sq[c] &= ~left
+        if leftover is not None:
+            leftover[c] = left
         if tau is not None:
             tau[c][left] *= 2
     return SegmentProfile(lo, hi, **{f: out.get(f) for f in _FIELD_DTYPES})

@@ -60,25 +60,15 @@ def test_factor(table):
 
 
 def test_arithmetic_functions(table):
-    assert arith.arithmetic_function("tau", 12, table) == 6
-    assert arith.arithmetic_function("chi4", 7, table) == -1
-    assert arith.arithmetic_function("von_mangoldt", 8, table) == pytest.approx(math.log(2))
-    assert arith.arithmetic_function("omega_star", 45, table) == 2
-    assert arith.arithmetic_function("mu", 1, table) == 1
-    assert arith.arithmetic_function("largest_prime_factor", 45, table) == 5
-    assert arith.arithmetic_function("theta_indicator", 7, table) == pytest.approx(math.log(7))
-    assert arith.arithmetic_function("theta_indicator", 8, table) == 0.0
-    assert arith.arithmetic_function("omega", 45, table) == 2
-    with pytest.raises(ValueError):
-        arith.largest_prime_factor(arith.factor(1, table))
-    with pytest.raises(ValueError):
-        arith.arithmetic_function("phi", 10, table)
+    def at(fn, n):
+        return fn(arith.factor(n, table))
 
-
-def test_chi4_periodicity():
-    for n in range(1, 200):
-        expected = 0 if n % 2 == 0 else (1 if n % 4 == 1 else -1)
-        assert arith.chi4(n) == expected
+    assert at(arith.tau, 12) == 6
+    assert at(arith.omega_star, 45) == 2
+    assert at(arith.largest_prime_factor, 45) == 5
+    assert at(arith.omega, 45) == 2
+    with pytest.raises(ValueError):
+        at(arith.largest_prime_factor, 1)
 
 
 def test_pi_count(table):
@@ -99,27 +89,6 @@ def test_prime_recip_sum(table):
     assert arith.prime_recip_sum(2, 1, table) == 0.0
     with pytest.raises(ValueError):
         arith.prime_recip_sum(1, table=table)
-
-
-def test_chebyshev(table):
-    assert arith.chebyshev("psi", 1, table) == 0.0
-    assert arith.chebyshev("psi", 10, table) == pytest.approx(math.log(2520))
-    assert arith.chebyshev("theta", 10, table) == pytest.approx(math.log(210))
-    for x in (10, 100, 5000, 10**4):
-        psi = arith.chebyshev("psi", x, table)
-        theta = arith.chebyshev("theta", x, table)
-        assert psi >= theta
-        # proper prime powers only
-        proper = 0.0
-        for p in table.primes:
-            p = int(p)
-            if p * p > x:
-                break
-            q = p * p
-            while q <= x:
-                proper += math.log(p)
-                q *= p
-        assert psi - theta == pytest.approx(proper, abs=1e-9)
 
 
 def test_log_integral(table):
@@ -158,22 +127,6 @@ def test_mobius_convolution_is_identity(table6):
         for mask in range(1 << len(primes)):
             total += -1 if bin(mask).count("1") % 2 else 1
         assert total == (1 if n == 1 else 0)
-
-
-def test_von_mangoldt_sums_to_log(table6):
-    # full divisor enumeration at the small end;
-    # above, only prime-power divisors can contribute
-    for n in range(1, 3000):
-        f = arith.factor(n, table6)
-        divs = [1]
-        for p, e in f.factors:
-            divs = [d * p**k for d in divs for k in range(e + 1)]
-        s = sum(arith.von_mangoldt(arith.factor(d, table6)) for d in divs)
-        assert abs(math.log(n) - s) <= 1e-9
-    for n in range(3000, 10**5 + 1, 97):
-        f = arith.factor(n, table6)
-        s = sum(e * math.log(p) for p, e in f.factors)
-        assert abs(math.log(n) - s) <= 1e-9
 
 
 def test_two_pow_omega_at_most_tau(table6):

@@ -177,6 +177,39 @@ def test_smooth_squarefull_sum_rejects_short_table():
     assert smooth_squarefull_brute(20000, 1, full) == 1288
 
 
+@pytest.mark.parametrize("segment_size, workers, ms", [
+    (1, 2, (1,)), (7, 1, (1,)), (97, 1, (1, 2))],
+    ids=["size1", "size7", "size97"])
+def test_smooth_squarefull_sum_small_segments(segment_size, workers, ms):
+    """z = 75 at x = 20000 lies above isqrt(hi - 1) on every window below
+    5626, where the walk runs to z instead.  Thousands of tiny windows take
+    seconds, so those sweeps run for m = 1 only, 20000 of them on 2
+    workers."""
+    table = arith.prime_table(200)
+    for m in ms:
+        got = asymp.smooth_squarefull_rstar_sum(20000, m, table,
+                                                segment_size=segment_size,
+                                                workers=workers)
+        assert got == smooth_squarefull_brute(20000, m, table), m
+
+
+def test_coprime_gap_matches_engine(table):
+    """The closed form against the engine's r1 and r1* sweeps."""
+    xs = [16, 17, 100, 12345, 999999]
+    r1 = moments.power_moment_grid(RepFamily.R1, xs, 1, table)
+    r1s = moments.power_moment_grid(RepFamily.R1_STAR, xs, 1, table)
+    assert [asymp.coprime_gap(x, table) for x in xs] == [
+        a - b for a, b in zip(r1, r1s)]
+    xs = [10**3, 10**4, 10**5, 10**6, 10**7]
+    r1 = moments.power_moment_grid(RepFamily.R1, xs, 1, table)
+    r1s = moments.power_moment_grid(RepFamily.R1_STAR, xs, 1, table)
+    assert asymp.coprime_gap_ratios(xs, table) == [
+        (a - b) / (math.sqrt(x) * math.log(math.log(x)))
+        for x, a, b in zip(xs, r1, r1s)]
+    with pytest.raises(CapacityError):
+        asymp.coprime_gap(10**9, table)
+
+
 def test_gss_shape_ratio(table):
     grid = asymp.gss_shape_ratios_grid(RepFamily.R1, [10], table, kmax=5)
     assert grid[(10, 1, 1)] == pytest.approx(

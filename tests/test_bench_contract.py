@@ -7,11 +7,13 @@ makes the same lookups in tier-1 and checks that every wrap is undone.
 silently count the remainder algebra as the bound's own time.  The probes
 and workloads read library names as attributes (`moments.segment_profile`)
 or import them (`from repnum.repfun import RepFamily`); every such name in
-`perfbench/*.py` must exist.
+`perfbench/*.py` must exist, and every call of one must bind to its
+signature, keyword names included.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 from repnum import moments, selberg
@@ -64,3 +66,54 @@ def test_perfbench_reads_only_live_library_names():
                if not hasattr(importlib.import_module(f"repnum.{module}"),
                               name)]
     assert missing == []
+
+
+def _perfbench_calls():
+    """(file, line, module, name, positional count or None, keywords) for
+    each call of a library name in `perfbench/*.py`; the count is None
+    when the call unpacks *args."""
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name: (node.module[len("repnum."):],
+                                                  alias.name)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.startswith("repnum.")
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in LIBRARY):
+                module, name = func.value.id, func.attr
+            elif isinstance(func, ast.Name) and func.id in imported:
+                module, name = imported[func.id]
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.append((path.name, node.lineno, module, name,
+                          None if starred else len(node.args),
+                          [k.arg for k in node.keywords if k.arg]))
+    return calls
+
+
+def test_perfbench_calls_bind_to_library_signatures():
+    calls = _perfbench_calls()
+    # keyword calls the benchmark's recorder makes
+    assert ("moments", "rho_kN_grid", ["segment_size", "workers"]) in [
+        (module, name, kws) for _, _, module, name, _, kws in calls]
+    bad = []
+    for path, line, module, name, nargs, kws in calls:
+        target = getattr(importlib.import_module(f"repnum.{module}"), name,
+                         None)
+        if target is None:  # reported by the test above
+            continue
+        try:
+            inspect.signature(target).bind_partial(
+                *[None] * (nargs or 0), **dict.fromkeys(kws))
+        except TypeError as exc:
+            bad.append(f"{path}:{line}: {module}.{name}: {exc}")
+    assert bad == []

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repnum import acceptance, arith, asymp, cli, moments
+from repnum.errors import CapacityError
 
 
 def run(capsys, *argv):
@@ -154,13 +155,25 @@ def test_table_command(capsys):
     assert "unrecognized arguments: --cache" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("eval", "--family", "r0", "--n", str(10**18)),
-    ("verify", "--suite", "identities", "--x", str(10**18)),
-    ("calibrate", "--grid-max", str(10**18)),
-], ids=lambda argv: argv[0])
-def test_verb_tables_honour_spf_cap(monkeypatch, argv):
-    """A verb at x = 1e18 needs primes to 1e9 but spf only to SPF_CAP."""
+@pytest.mark.parametrize("argv, sieves", [
+    pytest.param(("eval", "--family", "r0", "--n", str(10**18)),
+                 [arith.SPF_CAP], id="eval"),
+    pytest.param(("verify", "--suite", "identities", "--x", str(10**18)), [],
+                 id="verify"),
+    pytest.param(("verify", "--suite", "oracle", "--x", str(10**18)), [],
+                 id="verify-oracle"),
+    pytest.param(("verify", "--suite", "all", "--x", str(10**18)), [],
+                 id="verify-all"),
+    pytest.param(("calibrate", "--grid-max", str(10**18)), [],
+                 id="calibrate"),
+    pytest.param(("moments", "--family", "r0", "--x", str(10**18)), [],
+                 id="moments"),
+])
+def test_verb_tables_honour_spf_cap(monkeypatch, tmp_path, capsys, argv,
+                                    sieves):
+    """A verb at x = 1e18 needs primes to 1e9 but spf only to SPF_CAP.
+    eval may build that table; a verb whose x is past its cap exits 3
+    before any sieve runs."""
     class Recorded(Exception):
         pass
 
@@ -171,9 +184,34 @@ def test_verb_tables_honour_spf_cap(monkeypatch, argv):
         raise Recorded  # stop before the sieve allocates anything
 
     monkeypatch.setattr(arith, "_spf_sieve", recorder)
-    with pytest.raises(Recorded):
-        cli.main(list(argv))
-    assert asked == [arith.SPF_CAP]
+    monkeypatch.setattr(arith, "_bool_sieve", recorder)
+    monkeypatch.chdir(tmp_path)  # where verify --suite all finds constants
+    (tmp_path / cli.DEFAULT_CONSTANTS).write_text(
+        "".join(f"{k} = 1.0\n" for k in asymp.CONSTANT_KEYS))
+    if sieves:
+        with pytest.raises(Recorded):
+            cli.main(list(argv))
+    else:
+        assert cli.main(list(argv)) == 3
+        assert "capacity: x = 1000000000000000000 exceeds" in (
+            capsys.readouterr().err)
+    assert asked == sieves
+
+
+def test_oracle_suite_cap(monkeypatch, table, capsys):
+    """Past ORACLE_MAX_X the oracle suite stops before its per-n loop."""
+    def no_factor(*args):
+        raise AssertionError("the per-n loop ran")
+
+    monkeypatch.setattr(arith, "factor", no_factor)
+    over = acceptance.ORACLE_MAX_X + 1
+    with pytest.raises(CapacityError, match="ORACLE_MAX_X"):
+        acceptance.check_oracle(table, x=over)
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--x",
+                         str(over))
+    assert (code, out) == (3, "")
+    assert err == (f"capacity: x = {over} exceeds this verb's cap "
+                   f"{acceptance.ORACLE_MAX_X}\n")
 
 
 def test_sieve_demo(capsys):

@@ -221,23 +221,29 @@ def test_smooth_squarefull_sum_schedule_independent(table, x):
 # ---------------------------------------------------------------------------
 
 PROFILE_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
-                  "n1mod4": np.uint8, "has3": np.bool_, "v2": np.uint8,
-                  "lpf": np.int64, "lpf_sq": np.bool_}
+                  "has3": np.bool_, "lpf": np.uint16, "lpf_sq": np.bool_,
+                  "leftover": np.bool_}
 U32_TOP = 2**32 - 1
 
 
-def oracle_profile(n, table):
+def walk_bound(hi, bound=0):
+    """The walk's bound B for a window ending at hi: max(isqrt(hi - 1),
+    bound, 13)."""
+    return max(math.isqrt(hi - 1), bound, 13)
+
+
+def oracle_profile(n, table, big):
+    """The profile fields of n for a walk bound `big`."""
     fact = arith.factor(n, table)
     primes = [p for p, _ in fact.factors]
     lpf = arith.largest_prime_factor(fact) if n > 1 else 0
     return {
         "omega": arith.omega(fact),
         "omega_star": arith.omega_star(fact),
-        "n1mod4": sum(p % 4 == 1 for p in primes),
         "has3": any(p % 4 == 3 for p in primes),
-        "v2": min(dict(fact.factors).get(2, 0), 2),
-        "lpf": lpf,
+        "lpf": max((p for p in primes if p <= big), default=0),
         "lpf_sq": n > 1 and n % (lpf * lpf) == 0,
+        "leftover": lpf > big,
         "tau": arith.tau(fact),
     }
 
@@ -250,7 +256,8 @@ def nn_window_histogram(lo, hi, table):
 
 
 def check_walk(lo, hi, table):
-    expected = [oracle_profile(n, table) for n in range(lo, hi)]
+    big = walk_bound(hi)
+    expected = [oracle_profile(n, table, big) for n in range(lo, hi)]
     prof = moments.segment_profile(lo, hi, table.primes)
     assert [f.name for f in dataclasses.fields(prof)][2:] == list(
         PROFILE_DTYPES) + ["tau"]
@@ -266,8 +273,8 @@ def check_walk(lo, hi, table):
         got = moments._segment_omega(lo, hi, table.primes, kind)
         assert got.dtype == np.uint8
         assert got.tolist() == [e[kind] for e in expected], (lo, kind)
-    nn = [e["omega_star"] for e in expected
-          if not e["has3"] and e["v2"] <= 1]
+    nn = [e["omega_star"] for n, e in zip(range(lo, hi), expected)
+          if not e["has3"] and n % 4]
     assert np.array_equal(nn_window_histogram(lo, hi, table),
                           np.bincount(np.array(nn, dtype=np.int64)))
 
@@ -311,6 +318,8 @@ def test_walk_uint32_cap():
                                                 table.primes, "omega")):
         with pytest.raises(CapacityError):
             call()
+    with pytest.raises(CapacityError, match="walk bound 65536"):
+        moments._factor_walk(1, 10, table.primes, ("lpf",), bound=2**16)
 
 
 def test_walk_rejects_short_prime_array(big_table):
@@ -322,7 +331,8 @@ def test_walk_rejects_short_prime_array(big_table):
     for kind in ("omega", "omega_star"):
         with pytest.raises(CapacityError, match="ends at 7"):
             moments._segment_omega(100, 200, short, kind)
-    expected = [oracle_profile(n, big_table) for n in range(100, 200)]
+    expected = [oracle_profile(n, big_table, walk_bound(200))
+                for n in range(100, 200)]
     prof = moments.segment_profile(100, 200, full)
     for name in PROFILE_DTYPES:
         assert getattr(prof, name).tolist() == [e[name] for e in expected]
@@ -343,32 +353,25 @@ def test_walk_rejects_bad_windows(big_table):
 # The presieved walk against the walk without a presieve
 # ---------------------------------------------------------------------------
 
-def _factor_walk_reference(lo, hi, primes, fields):
-    """The walk that marks every sieving prime p <= isqrt(hi - 1) itself,
-    2 to 13 included, into fields that start at zero, and divides
+def _factor_walk_reference(lo, hi, primes, fields, bound=0):
+    """The walk that marks every sieving prime p <= walk_bound(hi, bound)
+    itself, 2 to 13 included, into fields that start at zero, and divides
     n // sm over the whole window."""
     size = hi - lo
     out = {f: np.zeros(size, dtype=moments._FIELD_DTYPES[f]) for f in fields}
-    omega, omega_star, n1mod4, has3, v2, lpf, lpf_sq, tau = (
+    omega, omega_star, has3, lpf, lpf_sq, leftover, tau = (
         out.get(f) for f in moments._FIELD_DTYPES)
     if tau is not None:
         tau += 1
     sm = np.ones(size, dtype=np.uint32)
-    for p in moments._window_primes(primes, lo, hi):
+    for p in primes[primes <= walk_bound(hi, bound)].tolist():
         sl = slice(-lo % p, None, p)
         if omega is not None:
             omega[sl] += 1
-        if p == 2:
-            if v2 is not None:
-                v2[sl] = 1
-                v2[-lo % 4::4] = 2
-        else:
+        if p != 2:
             if omega_star is not None:
                 omega_star[sl] += 1
-            if p % 4 == 1:
-                if n1mod4 is not None:
-                    n1mod4[sl] += 1
-            elif has3 is not None:
+            if p % 4 == 3 and has3 is not None:
                 has3[sl] = True
         if lpf is not None:
             lpf[sl] = p
@@ -386,19 +389,16 @@ def _factor_walk_reference(lo, hi, primes, fields):
             q, k = q * p, k + 1
     rem = np.arange(lo, hi, dtype=np.uint32) // sm
     left = rem > 1
-    mod4 = rem & 3
     if omega is not None:
         omega += left
     if omega_star is not None:
         omega_star += left
-    if n1mod4 is not None:
-        n1mod4 += left & (mod4 == 1)
     if has3 is not None:
-        has3 |= mod4 == 3
-    if lpf is not None:
-        np.copyto(lpf, rem, where=left)
+        has3 |= (rem & 3) == 3
     if lpf_sq is not None:
         lpf_sq &= ~left
+    if leftover is not None:
+        leftover |= left
     if tau is not None:
         tau[left] *= 2
     return moments.SegmentProfile(
@@ -470,6 +470,46 @@ def test_walk_matches_reference_every_low_window(u32_primes):
             assert_walk_equal(got, want, fields, (lo, hi, fields), lo - 1)
             count += 1
     assert count == 200 * 200
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lo=st.integers(1, 10**6), width=st.integers(1, MAX_DIFF_WIDTH),
+       bound=st.integers(0, 1000), which=st.sampled_from(sorted(WALK_FIELDS)))
+def test_walk_with_bound_matches_reference(u32_primes, lo, width, bound,
+                                           which):
+    """A walk bound that may lie above isqrt(hi - 1), as the smooth sum's
+    z does on low windows."""
+    fields = WALK_FIELDS[which]
+    want = _factor_walk_reference(lo, lo + width, u32_primes, fields, bound)
+    got = moments._factor_walk(lo, lo + width, u32_primes, fields,
+                               bound=bound)
+    assert_walk_equal(got, want, fields, (lo, width, bound))
+
+
+def test_walk_with_bound_matches_reference_low(u32_primes):
+    """Windows [lo, hi) with hi <= 400, lo in steps of 13, under the
+    bound 75, the smooth sum's z at x = 20000, above isqrt(hi - 1)."""
+    for hi in range(2, 401):
+        want = _factor_walk_reference(1, hi, u32_primes, ALL_FIELDS, 75)
+        for lo in range(max(1, hi - 200), hi, 13):
+            got = moments._factor_walk(lo, hi, u32_primes, ALL_FIELDS,
+                                       bound=75)
+            assert_walk_equal(got, want, ALL_FIELDS, (lo, hi), lo - 1)
+
+
+@pytest.mark.parametrize("lo, hi, bound", [(1, 301, 75), (2, 4, 931),
+                                           (5000, 5100, 931),
+                                           (99000, 99100, 400)])
+def test_walk_with_bound_matches_factor(big_table, lo, hi, bound):
+    big = walk_bound(hi, bound)
+    assert big > math.isqrt(hi - 1)
+    expected = [oracle_profile(n, big_table, big) for n in range(lo, hi)]
+    prof = moments._factor_walk(lo, hi, big_table.primes, ALL_FIELDS,
+                                bound=bound)
+    for name in list(PROFILE_DTYPES) + ["tau"]:
+        assert getattr(prof, name).tolist() == [e[name] for e in expected], (
+            lo, name)
 
 
 def _tile_windows():
