@@ -277,7 +277,7 @@ def smooth_squarefull_rstar_sum(x, m, table,
                                    table)
     state.update(segment=_smooth_squarefull_segment, primes=table.primes,
                  z=math.floor(x ** (1.0 / math.log(math.log(x)))))
-    (hist,) = moments._hist_sweep(state, [x], table, segment_size, workers)
+    (hist,) = moments._hist_sweep(state, [x], segment_size, workers)
     return moments.moment_from_histogram(hist, "power", m)
 
 

@@ -26,7 +26,6 @@ MAX_BINOMIAL = 8
 _COUNTER_MAX = (1 << 32) - 1
 _BLOCK_PAIRS = 1 << 18  # lattice pairs per bucket block; bounds scratch memory
 _INT32_MAX = 2**31 - 1  # the bucket pass's pair arithmetic is int32
-_NO_PRIME = np.int32(_INT32_MAX)  # replaces a padding 0; divides no a > 0
 
 
 # ---------------------------------------------------------------------------
@@ -42,11 +41,12 @@ def _isqrt(v):
 
 
 def _prime_columns(bvals, primes):
-    """Distinct primes of each base value, ascending, in 0-padded int32 columns.
+    """Distinct primes of each base value, ascending, in int32 columns.
 
-    Row i lists the primes dividing bvals[i] (b = 1 has none); the columns
-    are marked by walking the multiples of every prime <= max(bvals) through
-    a position index of the base values.
+    Row i lists the primes dividing bvals[i] (b = 1 has none) in its first
+    columns and 0 after them; the columns are marked by walking the
+    multiples of every prime <= max(bvals) through a position index of the
+    base values.
     """
     bmax = int(bvals[-1]) if len(bvals) else 0
     ps = primes[: int(np.searchsorted(primes, bmax, side="right"))]
@@ -69,19 +69,19 @@ def _prime_columns(bvals, primes):
 def _lattice_state(traits, root, table):
     """What the bucket pass needs for base values b <= root; once per sweep.
 
-    bvals: the base set; bprimes: their prime columns (coprime families
-    only); aprimes: the int32 primes <= root that prime first coordinates
-    walk.
+    bvals: the base set; bprimes: their prime columns and nprimes: their
+    number of distinct primes, int8 so that a stable sort by it is a radix
+    sort (coprime families only); aprimes: the int32 primes <= root that
+    prime first coordinates walk.
     """
     bvals = repfun.base_values(traits.base, root, table)
     cut = int(np.searchsorted(table.primes, root, side="right"))
-    return {
-        "traits": traits,
-        "bvals": bvals,
-        "bprimes": (_prime_columns(bvals, table.primes) if traits.coprime
-                    else None),
-        "aprimes": table.primes[:cut].astype(np.int32),
-    }
+    state = {"traits": traits, "bvals": bvals, "bprimes": None,
+             "nprimes": None, "aprimes": table.primes[:cut].astype(np.int32)}
+    if traits.coprime:
+        cols = _prime_columns(bvals, table.primes)
+        state.update(bprimes=cols, nprimes=(cols > 0).sum(1, dtype=np.int8))
+    return state
 
 
 def _pair_blocks(ends, cap):
@@ -139,10 +139,13 @@ def _pair_offsets(lo, hi, lattice):
     with a >= 1; its callers count each of those pairs twice (once for
     r2unordered) and add the diagonal and axis pairs once
     (_unmirrored_offsets); r2*'s rule a != b then holds on every walked
-    pair.  Rows are laid out as one ragged column in blocks of at most
-    _BLOCK_PAIRS pairs, which bounds the per-block scratch; each block
-    writes its kept offsets a^2 + b^2 - lo into one buffer of the
-    segment's pair count.  The int32 offsets need hi - 1 <= _INT32_MAX.
+    pair.  A coprime family takes its rows by descending number of primes
+    of b, so each prime column of a block is tested on a prefix of its
+    pairs (_coprime_mask).  Rows are laid out as one ragged column in
+    blocks of at most _BLOCK_PAIRS pairs, which bounds the per-block
+    scratch; each block writes its kept offsets a^2 + b^2 - lo into one
+    buffer of the segment's pair count.  The int32 offsets need
+    hi - 1 <= _INT32_MAX.
     """
     traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
                               lattice["aprimes"])
@@ -161,11 +164,13 @@ def _pair_offsets(lo, hi, lattice):
     else:
         start, stop = a_lo, a_hi + 1
     rows = np.nonzero(stop > start)[0]
+    if traits.coprime:
+        rows = rows[np.argsort(-lattice["nprimes"][rows], kind="stable")]
+        nprimes, cols = lattice["nprimes"][rows], lattice["bprimes"][rows]
     n = (stop - start)[rows]
     start = start[rows].astype(np.int32)
     b = b[rows].astype(np.int32)
     off = (bb[rows] - lo).astype(np.int32)
-    cols = lattice["bprimes"][rows] if traits.coprime else None
     ends = np.cumsum(n)
     buf = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.int32)
     fill = 0
@@ -176,9 +181,12 @@ def _pair_offsets(lo, hi, lattice):
         a += np.repeat(start[r0:r1] - first.astype(np.int32), nr)
         if traits.first_prime:
             a = aprimes[a]
-        v = a * a + np.repeat(off[r0:r1], nr)
-        if traits.coprime:
-            v = v[_coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1])]
+        keep = (_coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1],
+                              nprimes[r0:r1])
+                if traits.coprime else slice(None))
+        a *= a
+        a += np.repeat(off[r0:r1], nr)
+        v = a[keep]
         buf[fill:fill + len(v)] = v
         fill += len(v)
     return buf[:fill]
@@ -212,11 +220,11 @@ def _offset_runs(lo, hi, lattice):
     traits = lattice["traits"]
     off = _pair_offsets(lo, hi, lattice)
     off.sort()
-    new = np.empty(len(off), dtype=bool)
-    new[:1] = True
-    np.not_equal(off[1:], off[:-1], out=new[1:])
-    d = off[new]
-    runs = np.diff(np.append(np.flatnonzero(new), len(off)))
+    new = np.ones(len(off) + 1, dtype=bool)  # run starts, and the end
+    np.not_equal(off[1:], off[:-1], out=new[1:-1])
+    d = off[new[:-1]]
+    del off  # freed before the run lengths
+    runs = np.diff(np.flatnonzero(new))
     if _mirrored(traits):
         runs *= 2
         u = _unmirrored_offsets(lo, hi, traits, lattice["aprimes"])
@@ -229,20 +237,19 @@ def _offset_runs(lo, hi, lattice):
     return d, runs
 
 
-def _coprime_mask(a, nr, first, b, cols):
+def _coprime_mask(a, nr, first, b, cols, nprimes):
     """gcd(a, b) == 1 for a block's pairs, from the prime columns of each b.
 
-    A pair survives if no prime of its b divides a.  Padding zeros stand for
-    "no prime" and test against a value no a reaches; a = 0 is then settled
+    A pair survives if no prime of its b divides a.  The rows come by
+    descending number of primes, nprimes, so the rows with a j-th prime
+    are a prefix and column j tests only their pairs; a = 0 is settled
     directly, since gcd(0, b) = b: it survives only for b = 1.
     """
     keep = np.ones(len(a), dtype=bool)
-    for j in range(cols.shape[1]):
-        col = cols[:, j]
-        if not col.any():
-            break  # primes fill each row from column 0, so later columns are 0
-        col = np.where(col == 0, _NO_PRIME, col)
-        keep &= a % np.repeat(col, nr) != 0
+    for j in range(int(nprimes.max(initial=0))):
+        r = int(np.count_nonzero(nprimes > j))
+        e = int(first[r]) if r < len(first) else len(a)
+        keep[:e] &= a[:e] % np.repeat(cols[:r, j], nr[:r]) != 0
     zero = a[first] == 0  # rows that start at a = 0
     keep[first[zero]] = b[zero] == 1
     return keep
@@ -280,15 +287,15 @@ class SegmentProfile:
     The walk takes the primes up to a bound B >= isqrt(hi - 1), so n has at
     most one prime factor above B, its leftover; lpf is P(n) wherever
     leftover is False.  A profile from _factor_walk holds None in the
-    fields it was not asked for; segment_profile fills all but tau, which
-    tau_growth_max asks for.
+    fields it was not asked for: the omega-filtered moments ask for one
+    count, the smooth/squarefull sum for lpf, lpf_sq and leftover, and
+    tau_growth_max for tau; segment_profile fills all but tau.
     """
 
     lo: int
     hi: int
     omega: np.ndarray       # distinct primes
     omega_star: np.ndarray  # distinct odd primes
-    has3: np.ndarray        # divisible by some prime = 3 (mod 4)
     lpf: np.ndarray         # largest walked prime (0 if none)
     lpf_sq: np.ndarray      # P(n)^2 | n
     leftover: np.ndarray    # n has a prime factor above the walk bound
@@ -296,10 +303,9 @@ class SegmentProfile:
 
 
 # SegmentProfile's statistics, in field order, with their dtypes
-_FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8, "has3": bool,
+_FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
                  "lpf": np.uint16, "lpf_sq": bool, "leftover": bool,
                  "tau": np.uint16}
-_NN_FIELDS = ("omega_star", "has3")  # what rho_kN reads, with n mod 4
 _UINT32_MAX = 2**32 - 1  # the walk's n is uint32
 _WALK_MAX = 2**16 - 1    # walked primes: lg(p) is exact and lpf is uint16
 _LEFTOVER_CHUNK = 1 << 15  # n per step of the leftover pass; bounds its scratch
@@ -325,12 +331,13 @@ def _lg(p):
 
 @lru_cache(maxsize=1)
 def _presieve_tile():
-    """The SegmentProfile fields of n from its primes p <= 13, for
-    n = 0, ..., 2 * _TILE - 1, read-only: the first power of each such p
-    that divides n; lpf is the largest of these primes (0 if none) and
-    lpf_sq False.  "word" is _factor_walk's uint16 word over these first
-    powers and 2^2: (sum of their lg(p)) << 4 plus the count of odd ones;
-    the walk reads omega and omega_star off it.  The fields have period
+    """The share of the primes p <= 13 in the walk's arrays, for
+    n = 0, ..., 2 * _TILE - 1, read-only, from the first power of each
+    such p that divides n: lpf is the largest of these primes (0 if none),
+    lpf_sq False and tau 2 per prime.  "word" is _factor_walk's uint16
+    word over these first powers and 2^2: (sum of their lg(p)) << 4 plus
+    the count of odd ones; the walk reads omega, omega_star and leftover
+    off it, so the tile holds no array of theirs.  The arrays have period
     _TILE; two periods hold every run of up to _TILE consecutive n,
     starting at n mod _TILE.
     """
@@ -342,8 +349,6 @@ def _presieve_tile():
     for p, lg in zip(_PRESIEVE, _lg(_PRESIEVE).tolist()):
         hit = r % p == 0
         tile["word"][hit] += (lg << _COUNT_BITS) | (p != 2)
-        if p % 4 == 3:
-            tile["has3"] |= hit
         tile["lpf"][hit] = p
         tile["tau"][hit] *= 2
     tile["word"][r % 4 == 0] += _LG_SCALE << _COUNT_BITS  # W's 2^2
@@ -393,12 +398,12 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
 
     The walk bound is B = max(isqrt(hi - 1), bound, 13).  The primes
     p <= 13 come from the _presieve_tile, read from lo on and repeated
-    over the window: each asked field starts as the tile's.  One walk over
-    the sieving primes 13 < p <= B marks the multiples of each p in the
-    asked fields; lpf takes p, so it ends as the largest walked prime; tau
-    takes the factor k + 1 in place of k at the multiples of every power
-    p^k <= hi - 1 (k >= 2 only for p <= 13), and lpf_sq is set at the
-    multiples of p^2, all in prime order.
+    over the window: the word and each asked lpf, lpf_sq or tau start as
+    the tile's.  One walk over the sieving primes 13 < p <= B marks the
+    multiples of each p in those fields; lpf takes p, so it ends as the
+    largest walked prime; tau takes the factor k + 1 in place of k at the
+    multiples of every power p^k <= hi - 1 (k >= 2 only for p <= 13), and
+    lpf_sq is set at the multiples of p^2, all in prime order.
 
     What the walk did not take is the leftover prime L of n: the single
     prime > B dividing n, or none, as B >= isqrt(hi - 1).  It is found
@@ -417,10 +422,8 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
 
     The flag is the leftover field.  c plus the flag is omega_star, written
     over the front half of the words' buffer, and omega is omega_star plus
-    1 at even n.  If no walked prime = 3 (mod 4) divides n,
-    L = odd(n) (mod 4), so has3 takes the leftover from bit 1 of n's odd
-    part; a walked 3-mod-4 prime has set has3 already.  tau and lpf_sq read
-    only the flag, and lpf is P(n) where it is off.  The leftover pass
+    1 at even n.  tau and lpf_sq read only the flag, and lpf is P(n) where
+    it is off.  The leftover pass
     steps through the window _LEFTOVER_CHUNK n at a time, so no
     window-sized temporary exists.
     """
@@ -451,7 +454,7 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
         out["omega"] = np.empty(size, dtype=np.uint8)
     if "leftover" in fields:
         out["leftover"] = np.empty(size, dtype=bool)
-    omega, omega_star, has3, lpf, lpf_sq, leftover, tau = (
+    omega, omega_star, lpf, lpf_sq, leftover, tau = (
         out.get(f) for f in _FIELD_DTYPES)
     small_lpf = None  # read at p <= 13, before the walk writes to lpf
     if lpf_sq is not None:
@@ -463,13 +466,11 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
                       ((lgs[big] << _COUNT_BITS) | 1).tolist()):
         word[-lo % p::p] += inc
     _add_powers(word, lo, hi, ps, lgs)
-    marked = any(a is not None for a in (has3, lpf, lpf_sq, tau))
+    marked = any(a is not None for a in (lpf, lpf_sq, tau))
     for p in walk_primes if marked else ():  # the fields, in prime order
         small = p <= _PRESIEVE[-1]
         if not small:
             sl = slice(-lo % p, None, p)
-            if has3 is not None and p % 4 == 3:
-                has3[sl] = True
             if lpf is not None:
                 lpf[sl] = p
             if lpf_sq is not None:
@@ -499,13 +500,6 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
             if omega is not None:
                 omega[c] = first
                 omega[c][a % 2::2] += 1
-        if has3 is not None:  # bit 1 of odd(n): n & (lowbit(n) << 1)
-            n = np.arange(a, b, dtype=np.uint32)
-            bit = np.negative(n)
-            bit &= n
-            bit <<= 1  # 2^31 << 1 wraps to 0; odd(2^31) = 1 anyway
-            bit &= n
-            has3[c] |= left & (bit != 0)
         if lpf_sq is not None:
             lpf_sq[c] &= ~left
         if leftover is not None:
@@ -574,15 +568,10 @@ def _family_segment(lo, hi, state):
     return out
 
 
-def _nn_segment(lo, hi, state):
-    """omega_star histogram of the restricted-set members of [lo, hi)."""
-    prof = _factor_walk(lo, hi, state["primes"], _NN_FIELDS)
-    keep = prof.has3  # the walk's own array, turned into membership
-    keep[-lo % 4::4] = True
-    np.logical_not(keep, out=keep)
-    om = prof.omega_star[keep]
-    del prof, keep  # freed before bincount's int64 copy of om
-    return np.bincount(om)
+def _runs_segment(lo, hi, state):
+    """H[v] = #{n in [lo, hi) : count(n) = v} for v >= 1 (H[0] = 0), from
+    the runs of sorted pair offsets (_offset_runs)."""
+    return np.bincount(_offset_runs(lo, hi, state)[1])
 
 
 def _pad_add(acc, h):
@@ -595,39 +584,36 @@ def _pad_add(acc, h):
     return out
 
 
-def _plan_segments(xs, segment_size):
+def _cutoffs(xs):
+    """The distinct cutoffs in xs, ascending, checked before any work."""
     cps = sorted(set(int(x) for x in xs))
+    if not cps:
+        raise ValueError("empty grid: need at least one moment cutoff")
     if cps[0] < 1:
         raise ValueError("moment cutoffs must be >= 1")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    top = cps[-1] + 1
-    bounds = set(range(1, top, segment_size))
-    bounds.update(c + 1 for c in cps)
-    bounds.add(top)
-    bounds = sorted(bounds)
-    return cps, list(zip(bounds[:-1], bounds[1:]))
+    if cps[-1] > MAX_X:
+        raise CapacityError(
+            f"x = {cps[-1]} exceeds engine budget MAX_X = {MAX_X}")
+    return cps
 
 
-def _hist_sweep(state, xs, table, segment_size, workers):
+def _hist_sweep(state, xs, segment_size, workers):
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
 
     state["segment"](lo, hi, state) gives a segment's histogram; with
-    workers > 1 the function and the state are pickled to the pool.
+    workers > 1 the function and the state are pickled to the pool.  The
+    state's _lattice_state, built to isqrt(max(xs)), has checked the table.
     """
+    cps = _cutoffs(xs)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    xmax = max(int(x) for x in xs)
-    if xmax > MAX_X:
-        raise CapacityError(f"x = {xmax} exceeds engine budget MAX_X = {MAX_X}")
-    root = math.isqrt(xmax)
-    if root > table.limit:
-        raise CapacityError(
-            f"x = {xmax} needs primes to {root} but table limit is {table.limit}")
-    cps, segments = _plan_segments(xs, segment_size)
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
+    want = {c + 1 for c in cps}  # the segments end at each cutoff
+    bounds = sorted(want.union(range(1, cps[-1] + 1, segment_size)))
+    segments = list(zip(bounds[:-1], bounds[1:]))
     snapshots = {}
     acc = None
-    want = {c + 1 for c in cps}
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
@@ -654,18 +640,31 @@ def histogram_grid(family, xs, table, omega_kind=None,
     """
     if omega_kind not in (None, "omega", "omega_star"):
         raise ValueError(f"bad omega kind {omega_kind!r}")
-    xmax = max(int(x) for x in xs)
-    state = _lattice_state(family.traits, math.isqrt(xmax), table)
+    root = math.isqrt(_cutoffs(xs)[-1])
+    state = _lattice_state(family.traits, root, table)
     state.update(segment=_family_segment, primes=table.primes,
                  omega_kind=omega_kind)
-    return _hist_sweep(state, xs, table, segment_size, workers)
+    return _hist_sweep(state, xs, segment_size, workers)
 
 
 def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
                         workers=1):
-    """Per-cutoff histograms of omega_star over the 4-free, 3-mod-4-free set."""
-    state = {"segment": _nn_segment, "primes": table.primes}
-    return _hist_sweep(state, xs, table, segment_size, workers)
+    """Per-cutoff histograms of omega_star over the 4-free, 3-mod-4-free set.
+
+    That set is where r0* is nonzero, and there r0*(n) = 2^omega_star(n),
+    so h[k] = H[2^k] of the r0* histogram H, read off the sparse runs of
+    the R0_STAR bucket pass (_runs_segment).
+    """
+    root = math.isqrt(_cutoffs(xs)[-1])
+    state = _lattice_state(repfun.RepFamily.R0_STAR.traits, root, table)
+    state["segment"] = _runs_segment
+    out = []
+    for hist in _hist_sweep(state, xs, segment_size, workers):
+        powers = 1 << np.arange((len(hist) - 1).bit_length())
+        if hist[powers].sum() != hist.sum():
+            raise RuntimeError("r0* count off a power of two")  # unreachable
+        out.append(hist[powers])
+    return out
 
 
 # ---------------------------------------------------------------------------

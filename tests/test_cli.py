@@ -51,6 +51,16 @@ def test_negative_omega_filter_exits_2(capsys):
         assert "omega filter value must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--family", "r0", "--x", "-5", "--power", "2"],
+    ["zeroth", "--family", "r0star", "--x", "-5"],
+], ids=["moments", "zeroth"])
+def test_cutoff_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: moment cutoffs must be >= 1\n"
+
+
 def test_grid(capsys):
     code, out, _ = run(capsys, "moments", "--family", "r0", "--grid",
                        "10:1000:10")

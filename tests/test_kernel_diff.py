@@ -7,7 +7,9 @@ windows and on the windows that hold the unmirrored pairs n = k^2 and
 n = 2k^2; splitting the lattice into tiny pair blocks or the sweep into
 other segment sizes must not change a single count.  The omega-filtered
 segment histogram, built from the sorted pair offsets, must equal the
-dense per-n histogram kept here as a reference.  The factorization walk
+dense per-n histogram kept here as a reference, and rho_kN's r0* runs
+must match the restricted set and omega* from `arith.factor`.  The
+coprime reference tests gcd(a, b) = 1 itself.  The factorization walk
 must agree with `arith.factor` field by field, up to its uint32 cap, and
 with the walk without the small-prime presieve kept here as a reference,
 which divides by the smooth part: the walk's leftover flag is checked
@@ -103,7 +105,6 @@ def _segment_counts_reference(lo, hi, lattice):
     start = start[rows].astype(np.int32)
     b = b[rows].astype(np.int32)
     off = (bb[rows] - lo).astype(np.int32)
-    cols = lattice["bprimes"][rows] if traits.coprime else None
     ends = np.cumsum(n)
     for r0, r1 in moments._pair_blocks(ends, moments._BLOCK_PAIRS):
         nr = n[r0:r1]
@@ -116,7 +117,7 @@ def _segment_counts_reference(lo, hi, lattice):
         if traits.distinct:
             keep = a != np.repeat(b[r0:r1], nr)
         if traits.coprime:
-            cop = moments._coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1])
+            cop = np.gcd(a, np.repeat(b[r0:r1], nr)) == 1
             keep = cop if keep is None else keep & cop
         v = a * a + np.repeat(off[r0:r1], nr)
         if keep is not None:
@@ -208,6 +209,56 @@ def test_rho_kN_grid_segment_size_independent(table):
             assert np.array_equal(a, b), size
 
 
+# ---------------------------------------------------------------------------
+# rho_kN's segment function, the r0* runs, against arith.factor
+# ---------------------------------------------------------------------------
+
+RUNS_WIDTH = 3000
+
+
+@pytest.fixture(scope="module")
+def r0star_lattice(big_table):
+    return moments._lattice_state(RepFamily.R0_STAR.traits, math.isqrt(TOP),
+                                  big_table)
+
+
+def check_runs_segment(lattice, table, lo, hi):
+    """H[v] = #{n in [lo, hi) : r0*(n) = v}, v >= 1, where r0*(n) is
+    2^omega_star(n) on the restricted set (4 does not divide n and no
+    prime = 3 (mod 4) does) and 0 off it, from arith.factor."""
+    stars = []
+    for n in range(lo, hi):
+        fact = arith.factor(n, table)
+        if n % 4 and all(p % 4 != 3 for p, _ in fact.factors):
+            stars.append(arith.omega_star(fact))
+    got = moments._runs_segment(lo, hi, lattice)
+    want = np.bincount(np.left_shift(1, np.array(stars, dtype=np.int64)))
+    assert np.array_equal(got, want), (lo, hi)
+    return stars
+
+
+def test_runs_segment_matches_factor_at_rich_n(r0star_lattice, big_table):
+    for n in RICH:
+        check_runs_segment(r0star_lattice, big_table, n - 2, n + 2)
+
+
+def test_runs_segment_matches_factor_low_and_top(r0star_lattice, big_table):
+    check_runs_segment(r0star_lattice, big_table, TOP - RUNS_WIDTH + 1,
+                       TOP + 1)
+    stars = check_runs_segment(r0star_lattice, big_table, 1, 400)
+    (h,) = moments.rho_kN_grid([399], big_table)
+    assert h.tolist() == np.bincount(stars).tolist()
+
+
+@settings(max_examples=16, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lo=st.integers(1, TOP - RUNS_WIDTH + 1),
+       width=st.integers(1, RUNS_WIDTH))
+def test_runs_segment_matches_factor_high(r0star_lattice, big_table, lo,
+                                          width):
+    check_runs_segment(r0star_lattice, big_table, lo, lo + width)
+
+
 @pytest.mark.parametrize("x", [10**6, 3 * 10**6])
 def test_smooth_squarefull_sum_schedule_independent(table, x):
     sums = {(size, workers): asymp.smooth_squarefull_rstar_sum(
@@ -221,8 +272,7 @@ def test_smooth_squarefull_sum_schedule_independent(table, x):
 # ---------------------------------------------------------------------------
 
 PROFILE_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
-                  "has3": np.bool_, "lpf": np.uint16, "lpf_sq": np.bool_,
-                  "leftover": np.bool_}
+                  "lpf": np.uint16, "lpf_sq": np.bool_, "leftover": np.bool_}
 U32_TOP = 2**32 - 1
 
 
@@ -240,19 +290,11 @@ def oracle_profile(n, table, big):
     return {
         "omega": arith.omega(fact),
         "omega_star": arith.omega_star(fact),
-        "has3": any(p % 4 == 3 for p in primes),
         "lpf": max((p for p in primes if p <= big), default=0),
         "lpf_sq": n > 1 and n % (lpf * lpf) == 0,
         "leftover": lpf > big,
         "tau": arith.tau(fact),
     }
-
-
-def nn_window_histogram(lo, hi, table):
-    """The per-segment histogram a rho_kN sweep adds up, for [lo, hi)."""
-    moments._init_worker({"segment": moments._nn_segment,
-                          "primes": table.primes})
-    return moments._run_segment((lo, hi))
 
 
 def check_walk(lo, hi, table):
@@ -273,10 +315,6 @@ def check_walk(lo, hi, table):
         got = moments._segment_omega(lo, hi, table.primes, kind)
         assert got.dtype == np.uint8
         assert got.tolist() == [e[kind] for e in expected], (lo, kind)
-    nn = [e["omega_star"] for n, e in zip(range(lo, hi), expected)
-          if not e["has3"] and n % 4]
-    assert np.array_equal(nn_window_histogram(lo, hi, table),
-                          np.bincount(np.array(nn, dtype=np.int64)))
 
 
 @settings(max_examples=40, deadline=None,
@@ -359,7 +397,7 @@ def _factor_walk_reference(lo, hi, primes, fields, bound=0):
     n // sm over the whole window."""
     size = hi - lo
     out = {f: np.zeros(size, dtype=moments._FIELD_DTYPES[f]) for f in fields}
-    omega, omega_star, has3, lpf, lpf_sq, leftover, tau = (
+    omega, omega_star, lpf, lpf_sq, leftover, tau = (
         out.get(f) for f in moments._FIELD_DTYPES)
     if tau is not None:
         tau += 1
@@ -368,11 +406,8 @@ def _factor_walk_reference(lo, hi, primes, fields, bound=0):
         sl = slice(-lo % p, None, p)
         if omega is not None:
             omega[sl] += 1
-        if p != 2:
-            if omega_star is not None:
-                omega_star[sl] += 1
-            if p % 4 == 3 and has3 is not None:
-                has3[sl] = True
+        if p != 2 and omega_star is not None:
+            omega_star[sl] += 1
         if lpf is not None:
             lpf[sl] = p
         if lpf_sq is not None:
@@ -393,8 +428,6 @@ def _factor_walk_reference(lo, hi, primes, fields, bound=0):
         omega += left
     if omega_star is not None:
         omega_star += left
-    if has3 is not None:
-        has3 |= (rem & 3) == 3
     if lpf_sq is not None:
         lpf_sq &= ~left
     if leftover is not None:
@@ -410,7 +443,6 @@ ALL_FIELDS = tuple(moments._FIELD_DTYPES)
 WALK_FIELDS = {
     "omega": ("omega",),
     "omega_star": ("omega_star",),
-    "nn": moments._NN_FIELDS,
     "tau": ("tau",),
     "profile": tuple(f for f in ALL_FIELDS if f != "tau"),
     "smooth": asymp._SMOOTH_FIELDS,
@@ -568,7 +600,7 @@ def test_walk_two_single_hit_squares_on_one_n(u32_primes):
     prof = moments._factor_walk(n - 100, n + 101, u32_primes, ALL_FIELDS)
     assert 201 < 251**2
     assert (prof.omega[100], prof.tau[100], prof.lpf[100]) == (2, 9, 257)
-    assert prof.lpf_sq[100] and prof.has3[100]  # 251 = 3 (mod 4)
+    assert prof.lpf_sq[100]
 
 
 def test_lg_is_exact(u32_primes):

@@ -172,6 +172,29 @@ def test_validation(table):
                                    segment_size=size)
 
 
+def test_cutoffs_checked_before_any_work(table, monkeypatch):
+    """An empty grid or a cutoff below 1 is a ValueError before any isqrt
+    or lattice build, on every sweep entry point."""
+    def no_lattice(*args, **kw):
+        raise AssertionError("the lattice was built")
+    monkeypatch.setattr(moments, "_lattice_state", no_lattice)
+    calls = [
+        lambda xs: moments.histogram_grid(RepFamily.R0, xs, table),
+        lambda xs: moments.rho_kN_grid(xs, table),
+        lambda xs: moments.nn_omega_histograms(xs, table),
+        lambda xs: moments._hist_sweep({}, xs, 1 << 20, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="empty grid"):
+            call([])
+        for xs in ([-5], [0, 100]):
+            with pytest.raises(ValueError,
+                               match="moment cutoffs must be >= 1"):
+                call(xs)
+        with pytest.raises(CapacityError, match="MAX_X"):
+            call([moments.MAX_X + 1])
+
+
 def test_omega_filter_validated_before_the_sweep(table, monkeypatch):
     """A negative row must not read H[-j], and a bad filter must fail
     before any segment runs."""
