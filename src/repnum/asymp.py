@@ -258,7 +258,11 @@ def _smooth_squarefull_segment(lo, hi, state):
     keep = prof.lpf <= state["z"]
     keep &= ~prof.leftover
     keep |= prof.lpf_sq
-    return np.bincount(moments._segment_counts(lo, hi, state)[keep])
+    d, runs = moments._offset_runs(lo, hi, state)
+    kept = keep[d]
+    out = np.bincount(runs[kept], minlength=1)
+    out[0] = np.count_nonzero(keep) - np.count_nonzero(kept)
+    return out
 
 
 def smooth_squarefull_rstar_sum(x, m, table,

@@ -1,11 +1,11 @@
 """Segmented bulk computation of representation-count moments.
 
 The heavy lifting happens in per-segment kernels: a bucket pass that
-generates lattice pairs (a, b) with lo <= a^2 + b^2 < hi and increments
-per-n counters, and a factorization pass that sieves omega-style statistics
-over the same window.  Segments reduce to histograms of exact integers, so
-results are independent of segment size and worker schedule by construction
-(integer addition is associative and commutative).
+generates lattice pairs (a, b) with lo <= a^2 + b^2 < hi and counts them
+per n from their sorted offsets, and a factorization pass that sieves
+omega-style statistics over the same window.  Segments reduce to exact
+integer histograms, independent of segment size and worker schedule by
+construction (integer addition is associative and commutative).
 """
 
 import contextlib
@@ -24,7 +24,7 @@ MAX_X = 10**9          # desk-scale budget for the segment engine
 MAX_POWER = 8
 MAX_BINOMIAL = 8
 _COUNTER_MAX = (1 << 32) - 1
-_BLOCK_PAIRS = 1 << 18  # lattice pairs per bucket block; bounds scratch memory
+_BLOCK_PAIRS = 1 << 16  # lattice pairs per bucket block; bounds temporaries
 _INT32_MAX = 2**31 - 1  # the bucket pass's pair arithmetic is int32
 
 
@@ -69,19 +69,37 @@ def _prime_columns(bvals, primes):
 def _lattice_state(traits, root, table):
     """What the bucket pass needs for base values b <= root; once per sweep.
 
-    bvals: the base set; bprimes: their prime columns and nprimes: their
-    number of distinct primes, int8 so that a stable sort by it is a radix
-    sort (coprime families only); aprimes: the int32 primes <= root that
-    prime first coordinates walk.
+    bvals: the base set; bprimes (coprime families only): the distinct
+    primes of every b as two arrays, the index of b in bvals (ascending)
+    and the int64 prime, read off _prime_columns; aprimes: the int32
+    primes <= root that prime first coordinates walk.
     """
     bvals = repfun.base_values(traits.base, root, table)
     cut = int(np.searchsorted(table.primes, root, side="right"))
     state = {"traits": traits, "bvals": bvals, "bprimes": None,
-             "nprimes": None, "aprimes": table.primes[:cut].astype(np.int32)}
+             "aprimes": table.primes[:cut].astype(np.int32)}
     if traits.coprime:
         cols = _prime_columns(bvals, table.primes)
-        state.update(bprimes=cols, nprimes=(cols > 0).sum(1, dtype=np.int8))
+        state["bprimes"] = (np.nonzero(cols)[0],
+                            cols[cols > 0].astype(np.int64))
     return state
+
+
+def _scratch(state, name, n, dtype, iota=False):
+    """A length-n view of the state's grow-only buffer `name`.
+
+    A sweep's state is one per process (_init_worker), dropped when the
+    sweep ends, so its segments reuse these pages, not fresh ones.  A
+    buffer too short is replaced by one an eighth longer than n, which
+    the next segments fit.  An iota buffer holds 0, 1, 2, ..., read only.
+    """
+    bufs = state.setdefault("scratch", {})
+    buf = bufs.get(name)
+    if buf is None or len(buf) < n:
+        size = n + n // 8
+        buf = bufs[name] = (np.arange(size, dtype=dtype) if iota
+                            else np.empty(size, dtype=dtype))
+    return buf[:n]
 
 
 def _pair_blocks(ends, cap):
@@ -103,7 +121,7 @@ def _symmetric(traits):
 
 
 def _unmirrored_offsets(lo, hi, traits, aprimes):
-    """n - lo, int64, of the pairs with no mirror for a symmetric family:
+    """n - lo, int32, of the pairs with no mirror for a symmetric family:
     the diagonal (a, a) at n = 2a^2 (none for r2*) and, when a may be 0,
     the axis (0, b) at n = b^2.  A coprime family keeps only a = 1 and
     b = 1, since gcd(a, a) = a and gcd(0, b) = b.  2a^2 = b^2 has no
@@ -125,32 +143,32 @@ def _unmirrored_offsets(lo, hi, traits, aprimes):
         axis = np.arange(math.isqrt(lo - 1) + 1,
                          min(math.isqrt(hi - 1), top) + 1, dtype=np.int64)
         off.append(axis * axis - lo)
-    return np.concatenate(off)
+    return np.concatenate(off).astype(np.int32)
 
 
 def _pair_offsets(lo, hi, lattice):
     """int32 offsets n - lo of the family pairs with lo <= n < hi that the
-    bucket pass walks, one entry per pair, unordered.
+    bucket pass walks, one entry per pair, ascending: a view of the
+    lattice's scratch (_scratch), overwritten by its next call.
 
-    One vectorized pass over every base value b <= isqrt(hi - 1) of the
+    One vectorized pass over the base values b <= isqrt(hi - 1) of the
     _lattice_state `lattice`: each b owns a row of first coordinates a
     (integers, or prime indices for the prime-first families) with
     lo <= a^2 + b^2 < hi.  A symmetric family walks only the rows a < b
-    with a >= 1; its callers count each of those pairs twice (once for
-    r2unordered) and add the diagonal and axis pairs once
-    (_unmirrored_offsets); r2*'s rule a != b then holds on every walked
-    pair.  A coprime family takes its rows by descending number of primes
-    of b, so each prime column of a block is tested on a prefix of its
-    pairs (_coprime_mask).  Rows are laid out as one ragged column in
-    blocks of at most _BLOCK_PAIRS pairs, which bounds the per-block
-    scratch; each block writes its kept offsets a^2 + b^2 - lo into one
-    buffer of the segment's pair count.  The int32 offsets need
+    with a >= 1, so only b with 2b^2 > lo; its callers count each of
+    those pairs twice (once for r2unordered) and add the diagonal and axis
+    pairs once (_unmirrored_offsets); r2*'s rule a != b then holds on
+    every walked pair.  Blocks of at most _BLOCK_PAIRS pairs (bounding
+    their temporaries) write a^2 + b^2 - lo in place into the scratch; a
+    coprime family marks the pairs with gcd(a, b) > 1 past the window
+    (_strike) and cuts them off after the sort.  The int32 offsets need
     hi - 1 <= _INT32_MAX.
     """
     traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
                               lattice["aprimes"])
-    nb = int(np.searchsorted(bvals, math.isqrt(hi - 1), side="right"))
-    b = bvals[:nb]
+    b0 = int(np.searchsorted(
+        bvals, math.isqrt((lo - 1) // 2) if _symmetric(traits) else 0))
+    b = bvals[b0:np.searchsorted(bvals, math.isqrt(hi - 1), side="right")]
     bb = b * b
     a_hi = _isqrt(hi - 1 - bb)
     t = lo - bb
@@ -163,33 +181,57 @@ def _pair_offsets(lo, hi, lattice):
         stop = np.searchsorted(aprimes, a_hi, side="right")
     else:
         start, stop = a_lo, a_hi + 1
-    rows = np.nonzero(stop > start)[0]
-    if traits.coprime:
-        rows = rows[np.argsort(-lattice["nprimes"][rows], kind="stable")]
-        nprimes, cols = lattice["nprimes"][rows], lattice["bprimes"][rows]
-    n = (stop - start)[rows]
-    start = start[rows].astype(np.int32)
-    b = b[rows].astype(np.int32)
-    off = (bb[rows] - lo).astype(np.int32)
+    n = np.maximum(stop - start, 0)  # every b keeps its row, maybe empty
+    sq = (bb - lo).astype(np.int32)
     ends = np.cumsum(n)
-    buf = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.int32)
-    fill = 0
+    off = _scratch(lattice, "offsets", int(n.sum()), np.int32)
     for r0, r1 in _pair_blocks(ends, _BLOCK_PAIRS):
         nr = n[r0:r1]
-        first = ends[r0:r1] - nr - (ends[r0 - 1] if r0 else 0)
-        a = np.arange(int(nr.sum()), dtype=np.int32)
-        a += np.repeat(start[r0:r1] - first.astype(np.int32), nr)
+        base = int(ends[r0 - 1]) if r0 else 0
+        blk = off[base:int(ends[r1 - 1])]
+        first = ends[r0:r1] - nr - base  # each row's place in the block
+        np.add(_scratch(lattice, "iota", len(blk), np.int32, iota=True),
+               np.repeat((start[r0:r1] - first).astype(np.int32), nr),
+               out=blk)
         if traits.first_prime:
-            a = aprimes[a]
-        keep = (_coprime_mask(a, nr, first, b[r0:r1], cols[r0:r1],
-                              nprimes[r0:r1])
-                if traits.coprime else slice(None))
-        a *= a
-        a += np.repeat(off[r0:r1], nr)
-        v = a[keep]
-        buf[fill:fill + len(v)] = v
-        fill += len(v)
-    return buf[:fill]
+            blk[:] = aprimes[blk]
+        np.square(blk, out=blk)
+        blk += np.repeat(sq[r0:r1], nr)
+        if traits.coprime:
+            _strike(blk, hi - lo, b0 + r0, b0 + r1, start[r0:r1], nr, first,
+                    lattice)
+    off.sort()
+    if traits.coprime:
+        off = off[:int(np.searchsorted(off, np.int32(hi - lo)))]
+    return off
+
+
+def _strike(blk, mark, i0, i1, start, nr, first, lattice):
+    """Write `mark` over the block's offsets of the pairs with gcd(a, b) > 1.
+
+    The block holds the rows of bvals[i0:i1].  A coprime family's first
+    coordinates are consecutive integers, so row i holds a = start[i],
+    start[i] + 1, ... from place first[i] of the block on, and each prime
+    p of its b hits every p-th pair of the row, from (-start[i]) mod p on;
+    a = 0 is hit by every prime of b, so it stays only for b = 1.  The
+    places are built in int32 (p times an index may wrap; the places fit)
+    and copied to intp scratch, so the scatter converts no index array.
+    """
+    prow, p = lattice["bprimes"]
+    g0, g1 = np.searchsorted(prow, (i0, i1))
+    ri, p = prow[g0:g1] - i0, p[g0:g1]
+    o = -start[ri] % p
+    hits = (nr[ri] - o + p - 1) // p  # >= 0, as o < p
+    # hit list entry m, of (row, prime) g, is at first + o + p (m - cs[g])
+    cs = np.cumsum(hits) - hits
+    total = int(hits.sum())
+    at = _scratch(lattice, "strike32", total, np.int32)
+    np.multiply(np.repeat(p.astype(np.int32), hits),
+                _scratch(lattice, "iota", total, np.int32, iota=True), out=at)
+    at += np.repeat((first[ri] + o - p * cs).astype(np.int32), hits)
+    place = _scratch(lattice, "strike", total, np.intp)
+    place[:] = at
+    blk[place] = mark
 
 
 def _mirrored(traits):
@@ -200,7 +242,8 @@ def _mirrored(traits):
 def _segment_counts(lo, hi, lattice):
     """Counts of family pairs per n in [lo, hi), as int64: one bincount of
     the _pair_offsets, doubled and completed by the unmirrored pairs for
-    the symmetric ordered families."""
+    the symmetric ordered families.  The dense one-window route of
+    accumulate_counts."""
     traits = lattice["traits"]
     counts = np.bincount(_pair_offsets(lo, hi, lattice), minlength=hi - lo)
     if _mirrored(traits):
@@ -209,50 +252,47 @@ def _segment_counts(lo, hi, lattice):
     return counts
 
 
-def _offset_runs(lo, hi, lattice):
-    """The n - lo with a nonzero count in [lo, hi), int32, and their counts.
+def _offset_runs(lo, hi, state):
+    """The n - lo with a nonzero count in [lo, hi), int32, and their counts,
+    intp: views of the state's scratch, overwritten by its next call.
 
-    The pair offsets are sorted in place and cut into runs of equal
-    offsets; a symmetric ordered family doubles each run and merges its
-    unmirrored offsets: +1 on a run they hit, a new entry of count 1
-    otherwise.  The entries are distinct but not in order.
+    The sorted pair offsets are cut into runs of equal offsets: a run
+    starts where an offset differs from the one before (listed _CHUNK
+    offsets at a time, which bounds the temporaries), and its length is
+    the distance to the next start.  A symmetric ordered family doubles
+    each run and merges its unmirrored offsets: +1 on a run they hit, a
+    new entry of count 1 otherwise.  The entries are distinct, unordered.
     """
-    traits = lattice["traits"]
-    off = _pair_offsets(lo, hi, lattice)
-    off.sort()
-    new = np.ones(len(off) + 1, dtype=bool)  # run starts, and the end
+    traits = state["traits"]
+    off = _pair_offsets(lo, hi, state)
+    u = (_unmirrored_offsets(lo, hi, traits, state["aprimes"])
+         if _mirrored(traits) else off[:0])
+    new = _scratch(state, "new", len(off) + 1, bool)  # run starts, the end
+    new[0] = new[-1] = True
     np.not_equal(off[1:], off[:-1], out=new[1:-1])
-    d = off[new[:-1]]
-    del off  # freed before the run lengths
-    runs = np.diff(np.flatnonzero(new))
+    nruns = int(np.count_nonzero(new)) - 1
+    starts = _scratch(state, "runs", nruns + 1 + len(u), np.intp)
+    fill = 0
+    for i in range(0, len(new), _CHUNK):
+        at = np.flatnonzero(new[i:i + _CHUNK])
+        at += i
+        starts[fill:fill + len(at)] = at
+        fill += len(at)
+    d = _scratch(state, "distinct", nruns + len(u), np.int32)
+    np.take(off, starts[:nruns], out=d[:nruns], mode="clip")
+    runs = starts[:nruns]
+    np.subtract(starts[1:nruns + 1], runs, out=runs)
     if _mirrored(traits):
         runs *= 2
-        u = _unmirrored_offsets(lo, hi, traits, lattice["aprimes"])
-        pos = np.searchsorted(d, u)
-        hit = pos < len(d)
+        pos = np.searchsorted(d[:nruns], u)
+        hit = pos < nruns
         hit[hit] = d[pos[hit]] == u[hit]
         runs[pos[hit]] += 1
-        d = np.concatenate([d, u[~hit].astype(np.int32)])
-        runs = np.concatenate([runs, np.ones(len(d) - len(runs), np.int64)])
-    return d, runs
-
-
-def _coprime_mask(a, nr, first, b, cols, nprimes):
-    """gcd(a, b) == 1 for a block's pairs, from the prime columns of each b.
-
-    A pair survives if no prime of its b divides a.  The rows come by
-    descending number of primes, nprimes, so the rows with a j-th prime
-    are a prefix and column j tests only their pairs; a = 0 is settled
-    directly, since gcd(0, b) = b: it survives only for b = 1.
-    """
-    keep = np.ones(len(a), dtype=bool)
-    for j in range(int(nprimes.max(initial=0))):
-        r = int(np.count_nonzero(nprimes > j))
-        e = int(first[r]) if r < len(first) else len(a)
-        keep[:e] &= a[:e] % np.repeat(cols[:r, j], nr[:r]) != 0
-    zero = a[first] == 0  # rows that start at a = 0
-    keep[first[zero]] = b[zero] == 1
-    return keep
+        miss = u[~hit]
+        d[nruns:nruns + len(miss)] = miss
+        starts[nruns:nruns + len(miss)] = 1
+        nruns += len(miss)
+    return d[:nruns], starts[:nruns]
 
 
 def _next_prime(n):
@@ -308,7 +348,7 @@ _FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
                  "tau": np.uint16}
 _UINT32_MAX = 2**32 - 1  # the walk's n is uint32
 _WALK_MAX = 2**16 - 1    # walked primes: lg(p) is exact and lpf is uint16
-_LEFTOVER_CHUNK = 1 << 15  # n per step of the leftover pass; bounds its scratch
+_CHUNK = 1 << 15  # entries per step of a chunked pass; bounds its temporaries
 _PRESIEVE = (2, 3, 5, 7, 11, 13)
 _TILE = 4 * 3 * 5 * 7 * 11 * 13  # 60060: n mod 4 and a first power of each
 _LG_SCALE = 128  # lg(p) = floor(128 log2 p), so lg(2) = 128
@@ -424,7 +464,7 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
     over the front half of the words' buffer, and omega is omega_star plus
     1 at even n.  tau and lpf_sq read only the flag, and lpf is P(n) where
     it is off.  The leftover pass
-    steps through the window _LEFTOVER_CHUNK n at a time, so no
+    steps through the window _CHUNK n at a time, so no
     window-sized temporary exists.
     """
     if not 1 <= lo < hi:
@@ -487,9 +527,9 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
                 tau[sq] //= k
             tau[sq] *= k + 1
             q, k = q * p, k + 1
-    for i in range(0, size, _LEFTOVER_CHUNK):
-        c = slice(i, i + _LEFTOVER_CHUNK)
-        a, b = lo + i, min(lo + i + _LEFTOVER_CHUNK, hi)
+    for i in range(0, size, _CHUNK):
+        c = slice(i, i + _CHUNK)
+        a, b = lo + i, min(lo + i + _CHUNK, hi)
         left = _leftover_flag(word[c], a, b)  # L is odd: 2 is always walked
         if counts:
             # the count's bytes [i, i + chunk) overlay the words
@@ -528,6 +568,7 @@ _WORKER = {}
 
 
 def _init_worker(state):
+    """Make `state` this process's segment state, where _scratch lives."""
     _WORKER.clear()
     _WORKER.update(state)
 
@@ -540,38 +581,32 @@ def _run_segment(seg):
 def _family_segment(lo, hi, state):
     """Count histogram of [lo, hi), by omega row when state has an omega kind.
 
-    Unfiltered, one bincount of the dense per-n counts.  With an omega kind,
-    H[j, v] for v >= 1 is one bincount over the n with a nonzero count
-    (_offset_runs), keyed by kind(n) * width + v, and the zero column is
+    From the runs of equal pair offsets (_offset_runs): unfiltered, H[v]
+    for v >= 1 is one bincount of the run lengths and H[0] the rest of
+    the window.  With an omega kind, H[j, v] for v >= 1 is one bincount
+    keyed by kind(n) * width + v over the runs' n, and the zero column is
     the rest of each omega row: #{n : kind(n) = j} minus the row's sum.
-    H has max kind(n) + 1 rows and max count + 1 columns either way.
+    H has max kind(n) + 1 rows and max count + 1 columns.
     """
-    kind = state["omega_kind"]
-    if kind is None:
-        counts = _segment_counts(lo, hi, state)
-        if counts.max(initial=0) > _COUNTER_MAX:
-            raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
-        return np.bincount(counts)
     d, runs = _offset_runs(lo, hi, state)
     if runs.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
+    kind = state["omega_kind"]
+    if kind is None:
+        out = np.bincount(runs, minlength=1)
+        out[0] = hi - lo - len(runs)
+        return out
     om = _segment_omega(lo, hi, state["primes"], kind)
     rows = int(om.max()) + 1
     width = int(runs.max(initial=0)) + 1
     out = np.bincount(om[d].astype(np.int64) * width + runs,
                       minlength=rows * width).reshape(rows, width)
     # column 0 is 0 here, as every run counts >= 1; chunks bound the scratch
-    for i in range(0, len(om), _LEFTOVER_CHUNK):
-        part = om[i:i + _LEFTOVER_CHUNK]
+    for i in range(0, len(om), _CHUNK):
+        part = om[i:i + _CHUNK]
         out[:, 0] += [np.count_nonzero(part == j) for j in range(rows)]
     out[:, 0] -= out[:, 1:].sum(axis=1)
     return out
-
-
-def _runs_segment(lo, hi, state):
-    """H[v] = #{n in [lo, hi) : count(n) = v} for v >= 1 (H[0] = 0), from
-    the runs of sorted pair offsets (_offset_runs)."""
-    return np.bincount(_offset_runs(lo, hi, state)[1])
 
 
 def _pad_add(acc, h):
@@ -623,6 +658,7 @@ def _hist_sweep(state, xs, segment_size, workers):
                                chunksize=max(1, len(segments) // (4 * workers)))
         else:
             _init_worker(state)
+            stack.callback(_WORKER.clear)  # drops the scratch
             results = map(_run_segment, segments)
         for (lo, hi), h in zip(segments, results):
             acc = _pad_add(acc, h)
@@ -652,16 +688,16 @@ def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
     """Per-cutoff histograms of omega_star over the 4-free, 3-mod-4-free set.
 
     That set is where r0* is nonzero, and there r0*(n) = 2^omega_star(n),
-    so h[k] = H[2^k] of the r0* histogram H, read off the sparse runs of
-    the R0_STAR bucket pass (_runs_segment).
+    so h[k] = H[2^k] of the unfiltered R0_STAR histogram H
+    (_family_segment); H[0] counts the n off the set.
     """
     root = math.isqrt(_cutoffs(xs)[-1])
     state = _lattice_state(repfun.RepFamily.R0_STAR.traits, root, table)
-    state["segment"] = _runs_segment
+    state.update(segment=_family_segment, omega_kind=None)
     out = []
     for hist in _hist_sweep(state, xs, segment_size, workers):
         powers = 1 << np.arange((len(hist) - 1).bit_length())
-        if hist[powers].sum() != hist.sum():
+        if hist[powers].sum() != hist[1:].sum():
             raise RuntimeError("r0* count off a power of two")  # unreachable
         out.append(hist[powers])
     return out

@@ -7,8 +7,10 @@ windows and on the windows that hold the unmirrored pairs n = k^2 and
 n = 2k^2; splitting the lattice into tiny pair blocks or the sweep into
 other segment sizes must not change a single count.  The omega-filtered
 segment histogram, built from the sorted pair offsets, must equal the
-dense per-n histogram kept here as a reference, and rho_kN's r0* runs
-must match the restricted set and omega* from `arith.factor`.  The
+dense per-n histogram kept here as a reference, unfiltered and by omega
+row; no histogram may alias the scratch the next segment reuses; and
+rho_kN's r0* histogram must match the restricted set and omega* from
+`arith.factor`.  The
 coprime reference tests gcd(a, b) = 1 itself.  The factorization walk
 must agree with `arith.factor` field by field, up to its uint32 cap, and
 with the walk without the small-prime presieve kept here as a reference,
@@ -144,17 +146,82 @@ def lattices(int32_table):
 
 
 def check_against_reference(lattices, lo, hi):
+    """The dense counts, and the unfiltered segment histogram built from
+    the runs of sorted pair offsets, against the reference's counts."""
     for fam, lattice in lattices.items():
         got = moments._segment_counts(lo, hi, lattice)
         want = _segment_counts_reference(lo, hi, lattice)
         assert got.dtype == want.dtype, fam
         assert np.array_equal(got, want), (fam, lo, hi)
+        hist = moments._family_segment(lo, hi, dict(lattice, omega_kind=None))
+        want = np.bincount(want)
+        assert hist.dtype == want.dtype, fam
+        assert hist.shape == want.shape, (fam, lo, hi)
+        assert np.array_equal(hist, want), (fam, lo, hi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(lo=st.integers(1, TOP), width=st.integers(1, MAX_DIFF_WIDTH))
 def test_counts_match_reference_high(lattices, lo, width):
     check_against_reference(lattices, lo, lo + width)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lo=st.integers(TOP, INT32_TOP - MAX_DIFF_WIDTH + 1),
+       width=st.integers(1, MAX_DIFF_WIDTH))
+def test_counts_match_reference_to_int32_top(lattices, lo, width):
+    check_against_reference(lattices, lo, lo + width)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 4097), (10**7, 10**7 + 4096),
+                                    (INT32_TOP - 4095, INT32_TOP + 1)])
+def test_tiny_pair_blocks_match_reference(lattices, monkeypatch, lo, hi):
+    """Blocks of 7 pairs: most rows of a coprime family's strike then span
+    several blocks' worth of calls, and a single row fills a block."""
+    monkeypatch.setattr(moments, "_BLOCK_PAIRS", 7)
+    check_against_reference(lattices, lo, hi)
+
+
+SCRATCH_FAMILIES = (RepFamily.R0, RepFamily.R0_STAR, RepFamily.R1)
+
+
+@pytest.mark.parametrize("omega_kind", [None, "omega_star"])
+def test_segment_results_do_not_alias_scratch(lattices, int32_table,
+                                              omega_kind):
+    """A state's scratch is reused by its next segment: a 2^20 window, a
+    7-wide one and the 2^20 window again give equal histograms, and the
+    first one is unchanged after the others."""
+    lo = 10**8 - 2**20
+    for fam in SCRATCH_FAMILIES:
+        state = dict(lattices[fam], primes=int32_table.primes,
+                     omega_kind=omega_kind)
+        first = moments._family_segment(lo, lo + 2**20, state)
+        kept = first.copy()
+        small = moments._family_segment(lo + 3, lo + 10, state)
+        again = moments._family_segment(lo, lo + 2**20, state)
+        fresh = dict(lattices[fam], primes=int32_table.primes,
+                     omega_kind=omega_kind)
+        assert np.array_equal(
+            small, moments._family_segment(lo + 3, lo + 10, fresh)), fam
+        assert np.array_equal(first, kept), fam
+        assert np.array_equal(again, kept), fam
+
+
+@pytest.mark.parametrize("lo", [10**8 - 2**20, INT32_TOP - 2**20 + 1])
+@pytest.mark.parametrize("family", SCRATCH_FAMILIES, ids=lambda f: f.value)
+def test_segment_scratch_peak(lattices, family, lo):
+    """A warmed unfiltered segment of a 2^20 window allocates at most
+    4 MiB of numpy memory: the pair offsets, their run starts and the
+    strike's places live in the state's scratch, filled in place."""
+    state = dict(lattices[family], omega_kind=None)
+    moments._family_segment(lo, lo + 2**20, state)
+    tracemalloc.start()
+    try:
+        moments._family_segment(lo, lo + 2**20, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def _edge_windows():
@@ -218,22 +285,26 @@ RUNS_WIDTH = 3000
 
 @pytest.fixture(scope="module")
 def r0star_lattice(big_table):
-    return moments._lattice_state(RepFamily.R0_STAR.traits, math.isqrt(TOP),
-                                  big_table)
+    return dict(moments._lattice_state(RepFamily.R0_STAR.traits,
+                                       math.isqrt(TOP), big_table),
+                omega_kind=None)
 
 
 def check_runs_segment(lattice, table, lo, hi):
-    """H[v] = #{n in [lo, hi) : r0*(n) = v}, v >= 1, where r0*(n) is
+    """H[v] = #{n in [lo, hi) : r0*(n) = v}, where r0*(n) is
     2^omega_star(n) on the restricted set (4 does not divide n and no
-    prime = 3 (mod 4) does) and 0 off it, from arith.factor."""
+    prime = 3 (mod 4) does) and 0 off it, from arith.factor: H[0] is the
+    number of n off the set."""
     stars = []
     for n in range(lo, hi):
         fact = arith.factor(n, table)
         if n % 4 and all(p % 4 != 3 for p, _ in fact.factors):
             stars.append(arith.omega_star(fact))
-    got = moments._runs_segment(lo, hi, lattice)
-    want = np.bincount(np.left_shift(1, np.array(stars, dtype=np.int64)))
-    assert np.array_equal(got, want), (lo, hi)
+    got = moments._family_segment(lo, hi, lattice)
+    want = np.bincount(np.left_shift(1, np.array(stars, dtype=np.int64)),
+                       minlength=1)
+    assert got[0] == hi - lo - len(stars), (lo, hi)
+    assert np.array_equal(got[1:], want[1:]), (lo, hi)
     return stars
 
 
