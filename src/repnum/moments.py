@@ -41,12 +41,12 @@ def _isqrt(v):
 
 
 def _prime_columns(bvals, primes):
-    """Distinct primes of each base value, ascending, in int32 columns.
+    """Distinct primes of each base value, as two int64 arrays (row, prime).
 
-    Row i lists the primes dividing bvals[i] (b = 1 has none) in its first
-    columns and 0 after them; the columns are marked by walking the
-    multiples of every prime <= max(bvals) through a position index of the
-    base values.
+    Each pair is the index i of b in bvals and a prime dividing bvals[i]
+    (b = 1 has none), ordered by i and each row's primes ascending.  The
+    pairs are marked by walking the multiples of every prime <= max(bvals)
+    through a position index of the base values.
     """
     bmax = int(bvals[-1]) if len(bvals) else 0
     ps = primes[: int(np.searchsorted(primes, bmax, side="right"))]
@@ -59,29 +59,22 @@ def _prime_columns(bvals, primes):
     keep = rows >= 0
     rows, p_rep = rows[keep], p_rep[keep]
     order = np.argsort(rows, kind="stable")  # each row's primes stay sorted
-    rows, p_rep = rows[order], p_rep[order]
-    col = np.arange(len(rows)) - np.searchsorted(rows, rows, side="left")
-    out = np.zeros((len(bvals), int(col.max(initial=-1)) + 1), dtype=np.int32)
-    out[rows, col] = p_rep
-    return out
+    return rows[order], p_rep[order]
 
 
 def _lattice_state(traits, root, table):
     """What the bucket pass needs for base values b <= root; once per sweep.
 
     bvals: the base set; bprimes (coprime families only): the distinct
-    primes of every b as two arrays, the index of b in bvals (ascending)
-    and the int64 prime, read off _prime_columns; aprimes: the int32
-    primes <= root that prime first coordinates walk.
+    primes of every b, as _prime_columns' (row, prime) arrays; aprimes: the
+    int32 primes <= root that prime first coordinates walk.
     """
     bvals = repfun.base_values(traits.base, root, table)
     cut = int(np.searchsorted(table.primes, root, side="right"))
     state = {"traits": traits, "bvals": bvals, "bprimes": None,
              "aprimes": table.primes[:cut].astype(np.int32)}
     if traits.coprime:
-        cols = _prime_columns(bvals, table.primes)
-        state["bprimes"] = (np.nonzero(cols)[0],
-                            cols[cols > 0].astype(np.int64))
+        state["bprimes"] = _prime_columns(bvals, table.primes)
     return state
 
 

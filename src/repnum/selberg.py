@@ -16,12 +16,15 @@ enlarge the surviving set, so the computed bound still dominates.
 Each problem's box is surveyed once (`_box_survey`, cached per problem):
 one exhaustive pass over the box, capped at N <= ORACLE_BOX_CAP, gives the
 exact |A_d| behind every remainder R_d of the bound and the fully sifted
-count, so the bound and the exact count of a problem share one pass.  The
-event at p depends on a only through a mod q, with q = p for variants A
-and B and q = p^2 for C.  So the pass first computes, per sifting prime, a
-residue table of the event over the rows a = 0 .. min(q, N + 1) - 1 and
-every b of the box, and each row chunk of the box gathers its rows
-a % q from the tables.  A prime with q > N still costs a full box table.
+count, so the bound and the exact count of a problem share one pass.  Its
+rows are bits along b, packed into uint64 words: the sifted count is an OR
+and each |A_d| an AND, counted by popcount.  The event at p depends on a
+only through a mod q, with q = p for variants A and B and q = p^2 for C.
+So a prime with q <= N gets a residue table of the event over the rows
+a = 0 .. q - 1, from which each row chunk of the box gathers its rows
+a % q; a prime with q > N would use each table row once and has no table:
+each row chunk computes its rows.  The tables take at most the sum over
+q <= N of q * ceil(N / 64) words.
 """
 
 import math
@@ -321,20 +324,33 @@ def _event_mask(problem, p, a_col, b_row):
     return vals == 1
 
 
-def _residue_table(problem, p, b_row):
-    """(q, table): the event at p for a = 0 .. min(q, N + 1) - 1 over b_row.
+def _pack(mask, words):
+    """The rows of a bool mask packed along b into `words` uint64 words each.
 
-    The event depends on a only through a mod q, so row a % q of the table is
-    the event row of every a in the box.  Filled in _ROW_CHUNK row chunks.
+    The bits past the mask's last column are 0, so they never count as hit.
+    """
+    out = np.zeros((mask.shape[0], 8 * words), dtype=np.uint8)
+    out[:, :(mask.shape[1] + 7) // 8] = np.packbits(mask, axis=1)
+    return out.view(np.uint64)
+
+
+def _popcount(words):
+    return int(np.bitwise_count(words).sum())
+
+
+def _residue_table(problem, p, b_row, words):
+    """The packed event at p for a = 0 .. q - 1 over b_row, for q <= N.
+
+    The event depends on a only through a mod q, so row a % q of the table
+    is the event row of every a in the box.  Filled in _ROW_CHUNK row chunks.
     """
     q = _period(problem, p)
-    rows = min(q, problem.box + 1)
-    table = np.empty((rows, b_row.shape[1]), dtype=bool)
-    for lo in range(0, rows, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, rows)
-        a_col = np.arange(lo, hi, dtype=np.int64)[:, None]
-        table[lo:hi] = _event_mask(problem, p, a_col, b_row)
-    return q, table
+    table = np.empty((q, words), dtype=np.uint64)
+    for lo in range(0, q, _ROW_CHUNK):
+        a_col = np.arange(lo, min(lo + _ROW_CHUNK, q), dtype=np.int64)[:, None]
+        table[lo:lo + len(a_col)] = _pack(
+            _event_mask(problem, p, a_col, b_row), words)
+    return table
 
 
 @lru_cache(maxsize=128)
@@ -344,8 +360,12 @@ def _box_survey(problem):
     ds are the squarefree products d < xi^2 + 1 of active primes with their
     factors, as (d, used); counts[i] is the exact |A_d| of ds[i], the pairs
     hit by the event of every p | d; sifted counts the pairs no sifting
-    event hits.  Each sifting prime's event is computed once, as a residue
-    table; every row chunk of the box gathers its rows from the tables.
+    event hits.  Each sifting prime's event is computed once, on rows of b
+    packed into uint64 words.  A prime with period q <= N keeps a residue
+    table, whose rows every row chunk of the box gathers; a prime with
+    q > N would use each table row once, so each row chunk computes its
+    rows.  ds lists each d straight after its parent d / max(p | d), so one
+    running AND per depth gives each |A_d| from one AND and one popcount.
     """
     n = problem.box
     if n > ORACLE_BOX_CAP:
@@ -355,20 +375,31 @@ def _box_survey(problem):
                                     problem.xi * problem.xi + 1))
     counts = [0] * len(ds)
     sifted = 0
+    words = -(-n // 64)
     b_row = np.arange(1, n + 1, dtype=np.int64)[None, :]
-    tables = {p: _residue_table(problem, p, b_row) for p in primes}
+    periods = {p: _period(problem, p) for p in primes}
+    tables = {p: _residue_table(problem, p, b_row, words)
+              for p, q in periods.items() if q <= n}
+    depth = max(len(used) for _, used in ds)
+    prefix = np.empty((depth + 1, _ROW_CHUNK, words), dtype=np.uint64)
+    prefix[0] = ~np.uint64(0)  # the AND over no primes: d = 1
     for lo in range(1, n + 1, _ROW_CHUNK):
         a = np.arange(lo, min(lo + _ROW_CHUNK, n + 1), dtype=np.int64)
-        masks = {p: table[a % q] for p, (q, table) in tables.items()}
-        hit = np.zeros((len(a), n), dtype=bool)
-        for p in primes:
-            hit |= masks[p]
-        sifted += int(hit.size - np.count_nonzero(hit))
+        masks = {p: tables[p][a % q] if p in tables else
+                 _pack(_event_mask(problem, p, a[:, None], b_row), words)
+                 for p, q in periods.items()}
+        hit = np.zeros((len(a), words), dtype=np.uint64)
+        for mask in masks.values():
+            hit |= mask
+        sifted += len(a) * n - _popcount(hit)
+        acc = prefix[:, :len(a)]
         for i, (_, used) in enumerate(ds):
-            acc = np.ones_like(hit)
-            for p in used:
-                acc &= masks[p]
-            counts[i] += int(np.count_nonzero(acc))
+            k = len(used)
+            if k == 0:
+                counts[i] += len(a) * n
+                continue
+            np.bitwise_and(acc[k - 1], masks[used[-1]], out=acc[k])
+            counts[i] += _popcount(acc[k])
     return ds, tuple(counts), sifted
 
 

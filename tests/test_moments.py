@@ -225,12 +225,12 @@ def test_accumulate_counts_int32_cap():
 
 def test_prime_columns(table):
     bvals = np.array([1, 2, 6, 9, 30, 30030, 31637], dtype=np.int64)
-    cols = moments._prime_columns(bvals, table.primes)
-    assert cols.dtype == np.int32
-    assert cols.tolist() == [
-        [0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0], [2, 3, 0, 0, 0, 0],
-        [3, 0, 0, 0, 0, 0], [2, 3, 5, 0, 0, 0], [2, 3, 5, 7, 11, 13],
-        [17, 1861, 0, 0, 0, 0]]
+    rows, primes = moments._prime_columns(bvals, table.primes)
+    assert rows.dtype == primes.dtype == np.int64
+    # row 0 is b = 1, which has no primes
+    assert rows.tolist() == [1, 2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6]
+    assert primes.tolist() == [2, 2, 3, 3, 2, 3, 5, 2, 3, 5, 7, 11, 13,
+                               17, 1861]
 
 
 def test_falling_factorial():

@@ -3,6 +3,8 @@ import gc
 import itertools
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -228,11 +230,18 @@ def _oracle_survey(pr):
     # the residue tables fold: periods 49 and 121 below the box side
     SieveProblem(box=131, z=11, m=5, forms=(LinearForm(1, 2),), variant="C"),
     SieveProblem(box=150, z=13, m=5, forms=(LinearForm(1, 2),), variant="A"),
-    # the table-row cap min(q, N + 1) at q = 49 == N and q == N + 1
+    # q = 49 == N keeps a residue table, q == N + 1 takes its box rows
     SieveProblem(box=49, z=11, m=5, forms=(LinearForm(1, 2),), variant="C"),
     SieveProblem(box=48, z=11, m=5, forms=(LinearForm(1, 2),), variant="C"),
+    # tables for q = 49, 121 and box rows for q = 361, 529
+    SieveProblem(box=131, z=23, m=5, forms=(LinearForm(1, 2),), variant="C"),
+    # rows of b at uint64 word edges: the last word one bit short of full,
+    # full, or holding one bit
+    *(SieveProblem(box=n, z=13, m=5, forms=(LinearForm(1, 2),), variant=v)
+      for v in "AC" for n in (63, 64, 65, 129)),
 ], ids=["A1", "A2", "B1", "C1", "C2", "C-fold", "A-fold", "C-q=N",
-        "C-q=N+1"])
+        "C-q=N+1", "C-mixed",
+        *(f"{v}-N={n}" for v in "AC" for n in (63, 64, 65, 129))])
 def test_survey_matches_valuation_oracle(pr, monkeypatch):
     ds, counts, sifted = selberg._box_survey(pr)
     assert max(len(used) for _, used in ds) >= 2
@@ -250,8 +259,8 @@ def test_bound_and_exact_count_share_one_pass(monkeypatch):
     problems = [
         SieveProblem(box=300, z=23, xi=29, m=13,
                      forms=(LinearForm(2, 3),), variant="A"),
-        # periods 49, 121, 361, 529: the last two cap at N + 1 = 301 table
-        # rows, which take two row chunks
+        # periods 49 and 121 keep tables of two and one row chunks; 361 and
+        # 529 exceed N and take the box rows, in two row chunks
         SieveProblem(box=300, z=23, m=5, forms=(LinearForm(1, 2),),
                      variant="C"),
     ]
@@ -267,14 +276,33 @@ def test_bound_and_exact_count_share_one_pass(monkeypatch):
     for pr in problems:
         selberg.sieve_upper_bound(pr)
         selberg.sifted_count_exact(pr)
-    # each prime's residue rows 0 .. min(q, N + 1) - 1, once, in row chunks
+    # q <= N: table rows 0 .. q - 1; q > N: box rows 1 .. N; each once, in
+    # row chunks
+    chunk = selberg._ROW_CHUNK
     want = []
     for pr in problems:
         for p in pr.sifting_primes():
-            rows = min(p * p if pr.variant == "C" else p, pr.box + 1)
-            want += [(pr, p, lo, min(lo + selberg._ROW_CHUNK, rows) - 1)
-                     for lo in range(0, rows, selberg._ROW_CHUNK)]
+            q = p * p if pr.variant == "C" else p
+            lo, hi = (0, q - 1) if q <= pr.box else (1, pr.box)
+            want += [(pr, p, a, min(a + chunk - 1, hi))
+                     for a in range(lo, hi + 1, chunk)]
     assert sorted(calls, key=repr) == sorted(want, key=repr)
+
+
+def test_survey_memory_is_bounded():
+    # tables only for q <= N, packed into ceil(N / 64) words a row; a prime
+    # with q > N holds one row chunk.  A bool table of min(q, N + 1) rows
+    # per prime would grow ru_maxrss by about 190 MB here.
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    code = ("import resource; from repnum import selberg; "
+            "pr = selberg.SieveProblem(box=3000, z=200, m=5, "
+            "forms=(selberg.LinearForm(1, 2),), variant='C'); "
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "before = rss(); selberg._box_survey(pr); print(rss() - before)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert int(out.stdout) <= 32 * 1024  # ru_maxrss counts KiB on Linux
 
 
 def _event_mask_reference(problem, p, a_col, b_row):
