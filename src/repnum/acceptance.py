@@ -130,6 +130,24 @@ def check_r1_binomial_second_moment(table, workers=1):
 # Suite: identities  (exact, tolerance zero)
 # ---------------------------------------------------------------------------
 
+def _r2_square_segment(lo, hi, state):
+    """The number of n in [lo, hi) with r2(n)^2 != 2 r2(n) + D(n) - [n = 2p^2].
+
+    r2(n) is the bucket pass's count (_offset_runs); D(n), the ordered
+    2-tuples of distinct prime pairs with square-sum n, and the diagonal
+    p = q come from the window's own count of prime pairs p <= q
+    (repfun._pair_buckets).  An n in neither holds the identity as 0 = 0.
+    """
+    d, runs = moments._offset_runs(lo, hi, state)
+    r2 = dict(zip((d.astype(np.int64) + lo).tolist(), runs.tolist()))
+    buckets = repfun._pair_buckets(lo, hi, state["table"])
+    bad = 0
+    for n in r2.keys() | buckets.keys():
+        v, counts = r2.get(n, 0), buckets.get(n, ())
+        bad += v * v != 2 * v + repfun._pair_collisions(counts) - (1 in counts)
+    return np.array([bad])
+
+
 def check_identities(table, x=10**4, workers=1):
     xs = [x, 10**3, 10**4, 10**5, 10**6]  # x, then the sandwich's grid
     residuals, cs_bad = [], []
@@ -154,19 +172,12 @@ def check_identities(table, x=10**4, workers=1):
     rows.append(_row("stirling_falling_factorial_identity", not bad,
                      f"x <= 20, k <= 10, failures: {bad[:3]}"))
 
-    r2 = moments.accumulate_counts(
-        RepFamily.R2, 1, x + 1, table).astype(np.int64)
-    c1, c2 = np.cumsum(r2), np.cumsum(r2 * r2)
-    d2 = repfun.d2_prefix(x, table)[1:]
-    diag = np.zeros(x + 1, dtype=np.int64)
-    for p in table.primes:
-        p = int(p)
-        if 2 * p * p > x:
-            break
-        diag[2 * p * p] += 1
-    diag = np.cumsum(diag)[1:]
-    ok = bool(np.all(c2 == 2 * c1 + d2 - diag))
-    rows.append(_row("r2_square_identity_with_diagonal", ok,
+    # the cumulative identity holds at every cutoff <= x iff it holds per n
+    state = moments._lattice_state(RepFamily.R2.traits, math.isqrt(x), table)
+    state.update(segment=_r2_square_segment, table=table)
+    (bad,) = moments._hist_sweep(state, [x], moments.DEFAULT_SEGMENT_SIZE,
+                                 workers)
+    rows.append(_row("r2_square_identity_with_diagonal", bad[0] == 0,
                      f"all cutoffs <= {x}"))
 
     rows.append(_row("cauchy_schwarz_sandwich", not cs_bad,

@@ -240,7 +240,7 @@ def inductive_claim_sum(x, table):
 
 
 # ---------------------------------------------------------------------------
-# Profile-driven sums (smooth/squarefull, shape ratios, tau growth)
+# Profile-driven sums (smooth/squarefull, shape ratios)
 # ---------------------------------------------------------------------------
 
 _SMOOTH_FIELDS = ("lpf", "lpf_sq", "leftover")  # P(n) <= z or P(n)^2 | n
@@ -308,25 +308,6 @@ def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,
                                                   ("omega_star", k))
                 out[(x, ell, k)] = b / predicted_main(Statistic(sid, ell, k), x)
     return out
-
-
-def tau_growth_max(lo, hi, table):
-    """max(0, max over lo <= n <= hi of log(tau(n)) log log n / (log n log 2)).
-
-    tau comes from the factorization walk, one segment of the moment
-    engine's size at a time; log log n needs lo >= 2.
-    """
-    if lo < 2:
-        raise ValueError(f"tau_growth_max needs lo >= 2, got lo = {lo}")
-    best = 0.0
-    for start in range(lo, hi + 1, moments.DEFAULT_SEGMENT_SIZE):
-        stop = min(start + moments.DEFAULT_SEGMENT_SIZE, hi + 1)
-        tau = moments._factor_walk(start, stop, table.primes, ("tau",)).tau
-        logn = np.log(np.arange(start, stop, dtype=np.float64))
-        val = (np.log(tau.astype(np.float64)) * np.log(logn)
-               / (logn * math.log(2)))
-        best = max(best, float(val.max()))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -232,19 +232,6 @@ def _mirrored(traits):
     return _symmetric(traits) and not traits.unordered
 
 
-def _segment_counts(lo, hi, lattice):
-    """Counts of family pairs per n in [lo, hi), as int64: one bincount of
-    the _pair_offsets, doubled and completed by the unmirrored pairs for
-    the symmetric ordered families.  The dense one-window route of
-    accumulate_counts."""
-    traits = lattice["traits"]
-    counts = np.bincount(_pair_offsets(lo, hi, lattice), minlength=hi - lo)
-    if _mirrored(traits):
-        counts *= 2
-        counts[_unmirrored_offsets(lo, hi, traits, lattice["aprimes"])] += 1
-    return counts
-
-
 def _offset_runs(lo, hi, state):
     """The n - lo with a nonzero count in [lo, hi), int32, and their counts,
     intp: views of the state's scratch, overwritten by its next call.
@@ -321,8 +308,8 @@ class SegmentProfile:
     most one prime factor above B, its leftover; lpf is P(n) wherever
     leftover is False.  A profile from _factor_walk holds None in the
     fields it was not asked for: the omega-filtered moments ask for one
-    count, the smooth/squarefull sum for lpf, lpf_sq and leftover, and
-    tau_growth_max for tau; segment_profile fills all but tau.
+    count and the smooth/squarefull sum for lpf, lpf_sq and leftover;
+    segment_profile fills every field.
     """
 
     lo: int
@@ -332,13 +319,11 @@ class SegmentProfile:
     lpf: np.ndarray         # largest walked prime (0 if none)
     lpf_sq: np.ndarray      # P(n)^2 | n
     leftover: np.ndarray    # n has a prime factor above the walk bound
-    tau: np.ndarray         # number of divisors
 
 
 # SegmentProfile's statistics, in field order, with their dtypes
 _FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
-                 "lpf": np.uint16, "lpf_sq": bool, "leftover": bool,
-                 "tau": np.uint16}
+                 "lpf": np.uint16, "lpf_sq": bool, "leftover": bool}
 _UINT32_MAX = 2**32 - 1  # the walk's n is uint32
 _WALK_MAX = 2**16 - 1    # walked primes: lg(p) is exact and lpf is uint16
 _CHUNK = 1 << 15  # entries per step of a chunked pass; bounds its temporaries
@@ -366,8 +351,8 @@ def _lg(p):
 def _presieve_tile():
     """The share of the primes p <= 13 in the walk's arrays, for
     n = 0, ..., 2 * _TILE - 1, read-only, from the first power of each
-    such p that divides n: lpf is the largest of these primes (0 if none),
-    lpf_sq False and tau 2 per prime.  "word" is _factor_walk's uint16
+    such p that divides n: lpf is the largest of these primes (0 if none)
+    and lpf_sq False.  "word" is _factor_walk's uint16
     word over these first powers and 2^2: (sum of their lg(p)) << 4 plus
     the count of odd ones; the walk reads omega, omega_star and leftover
     off it, so the tile holds no array of theirs.  The arrays have period
@@ -377,13 +362,11 @@ def _presieve_tile():
     r = np.arange(2 * _TILE)
     tile = {f: np.zeros(len(r), dtype=dt) for f, dt in _FIELD_DTYPES.items()
             if f not in _WORD_FIELDS}
-    tile["tau"] += 1
     tile["word"] = np.zeros(len(r), dtype=np.uint16)
     for p, lg in zip(_PRESIEVE, _lg(_PRESIEVE).tolist()):
         hit = r % p == 0
         tile["word"][hit] += (lg << _COUNT_BITS) | (p != 2)
         tile["lpf"][hit] = p
-        tile["tau"][hit] *= 2
     tile["word"][r % 4 == 0] += _LG_SCALE << _COUNT_BITS  # W's 2^2
     for a in tile.values():
         a.setflags(write=False)
@@ -431,12 +414,11 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
 
     The walk bound is B = max(isqrt(hi - 1), bound, 13).  The primes
     p <= 13 come from the _presieve_tile, read from lo on and repeated
-    over the window: the word and each asked lpf, lpf_sq or tau start as
-    the tile's.  One walk over the sieving primes 13 < p <= B marks the
+    over the window: the word and each asked lpf or lpf_sq start as the
+    tile's.  One walk over the sieving primes 13 < p <= B marks the
     multiples of each p in those fields; lpf takes p, so it ends as the
-    largest walked prime; tau takes the factor k + 1 in place of k at the
-    multiples of every power p^k <= hi - 1 (k >= 2 only for p <= 13), and
-    lpf_sq is set at the multiples of p^2, all in prime order.
+    largest walked prime, and lpf_sq is set at the multiples of p^2, all
+    in prime order.
 
     What the walk did not take is the leftover prime L of n: the single
     prime > B dividing n, or none, as B >= isqrt(hi - 1).  It is found
@@ -455,10 +437,9 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
 
     The flag is the leftover field.  c plus the flag is omega_star, written
     over the front half of the words' buffer, and omega is omega_star plus
-    1 at even n.  tau and lpf_sq read only the flag, and lpf is P(n) where
-    it is off.  The leftover pass
-    steps through the window _CHUNK n at a time, so no
-    window-sized temporary exists.
+    1 at even n.  lpf_sq reads only the flag, and lpf is P(n) where it is
+    off.  The leftover pass steps through the window _CHUNK n at a time,
+    so no window-sized temporary exists.
     """
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
@@ -487,7 +468,7 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
         out["omega"] = np.empty(size, dtype=np.uint8)
     if "leftover" in fields:
         out["leftover"] = np.empty(size, dtype=bool)
-    omega, omega_star, lpf, lpf_sq, leftover, tau = (
+    omega, omega_star, lpf, lpf_sq, leftover = (
         out.get(f) for f in _FIELD_DTYPES)
     small_lpf = None  # read at p <= 13, before the walk writes to lpf
     if lpf_sq is not None:
@@ -499,7 +480,7 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
                       ((lgs[big] << _COUNT_BITS) | 1).tolist()):
         word[-lo % p::p] += inc
     _add_powers(word, lo, hi, ps, lgs)
-    marked = any(a is not None for a in (lpf, lpf_sq, tau))
+    marked = lpf is not None or lpf_sq is not None
     for p in walk_primes if marked else ():  # the fields, in prime order
         small = p <= _PRESIEVE[-1]
         if not small:
@@ -511,15 +492,6 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
         if lpf_sq is not None and p * p <= hi - 1:
             sq = slice(-lo % (p * p), None, p * p)
             lpf_sq[sq] = small_lpf[sq] == p if small else True
-        if tau is None:
-            continue
-        q, k = (p * p, 2) if small else (p, 1)
-        while q <= hi - 1:
-            sq = slice(-lo % q, None, q)
-            if k > 1:
-                tau[sq] //= k
-            tau[sq] *= k + 1
-            q, k = q * p, k + 1
     for i in range(0, size, _CHUNK):
         c = slice(i, i + _CHUNK)
         a, b = lo + i, min(lo + i + _CHUNK, hi)
@@ -537,8 +509,6 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
             lpf_sq[c] &= ~left
         if leftover is not None:
             leftover[c] = left
-        if tau is not None:
-            tau[c][left] *= 2
     return SegmentProfile(lo, hi, **{f: out.get(f) for f in _FIELD_DTYPES})
 
 
@@ -548,9 +518,8 @@ def _segment_omega(lo, hi, primes, kind):
 
 
 def segment_profile(lo, hi, primes):
-    """Every SegmentProfile field but tau for n in [lo, hi)."""
-    return _factor_walk(lo, hi, primes,
-                        tuple(f for f in _FIELD_DTYPES if f != "tau"))
+    """Every SegmentProfile field for n in [lo, hi)."""
+    return _factor_walk(lo, hi, primes, tuple(_FIELD_DTYPES))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +597,9 @@ def _cutoffs(xs):
 def _hist_sweep(state, xs, segment_size, workers):
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
 
-    state["segment"](lo, hi, state) gives a segment's histogram; with
-    workers > 1 the function and the state are pickled to the pool.  The
+    state["segment"](lo, hi, state) gives a segment's histogram, or any
+    int64 array that adds up over segments; with workers > 1 the function
+    and the state are pickled to the pool.  The
     state's _lattice_state, built to isqrt(max(xs)), has checked the table.
     """
     cps = _cutoffs(xs)
@@ -701,7 +671,8 @@ def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
 # ---------------------------------------------------------------------------
 
 def accumulate_counts(family, lo, hi, table):
-    """uint32 per-n counts over [lo, hi), index n - lo, via the bucket pass."""
+    """uint32 per-n counts over [lo, hi), index n - lo: the _offset_runs
+    of the bucket pass, scattered into the window."""
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
     if hi - 1 > _INT32_MAX:
@@ -713,11 +684,12 @@ def accumulate_counts(family, lo, hi, table):
         raise CapacityError(
             f"range up to {hi - 1} needs primes to {root}, table limit "
             f"{table.limit}")
-    lattice = _lattice_state(family.traits, root, table)
-    counts = _segment_counts(lo, hi, lattice)
-    if counts.max(initial=0) > _COUNTER_MAX:
+    d, runs = _offset_runs(lo, hi, _lattice_state(family.traits, root, table))
+    if runs.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
-    return counts.astype(np.uint32)
+    counts = np.zeros(hi - lo, dtype=np.uint32)
+    counts[d] = runs
+    return counts
 
 
 def _omega_kind(omega_filter):

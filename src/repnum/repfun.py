@@ -9,6 +9,7 @@ Every family can be evaluated by brute-force lattice enumeration
 routes below and the bulk bucket engine in the moments module.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -228,41 +229,39 @@ def base_values(base, limit, table):
 # Non-diagonal pairs of prime pairs (level 2)
 # ---------------------------------------------------------------------------
 
-def _pair_buckets(x, table):
-    """Map sum s <= x -> list of ordered-pair counts, one per unordered prime pair."""
-    root = math.isqrt(x)
+def _pair_buckets(lo, hi, table):
+    """Map s in [lo, hi) -> ordered-pair counts, one per unordered pair of
+    primes p <= q with p^2 + q^2 = s: 1 if p = q, else 2.
+
+    Per p, the q >= p with lo <= p^2 + q^2 < hi are one slice of the
+    primes, cut by bisection, so a window costs a step per p and per pair.
+    """
+    root = math.isqrt(hi - 1)
     if root > table.limit:
         raise CapacityError(
-            f"d2_count({x}) needs primes to {root} but table limit is "
-            f"{table.limit}")
-    hi = int(np.searchsorted(table.primes, root, side="right"))
-    primes = [int(p) for p in table.primes[:hi]]
+            f"prime pairs up to {hi - 1} need primes to {root} but table "
+            f"limit is {table.limit}")
+    cut = int(np.searchsorted(table.primes, root, side="right"))
+    primes = table.primes[:cut].tolist()
     buckets = {}
     for i, p in enumerate(primes):
         pp = p * p
-        if 2 * pp > x:
+        if 2 * pp >= hi:
             break
-        for q in primes[i:]:
-            s = pp + q * q
-            if s > x:
-                break
-            buckets.setdefault(s, []).append(1 if p == q else 2)
+        q_lo = math.isqrt(lo - pp - 1) + 1 if lo > pp else 0
+        j0 = bisect.bisect_left(primes, max(q_lo, p), i)
+        j1 = bisect.bisect_right(primes, math.isqrt(hi - 1 - pp), j0)
+        for q in primes[j0:j1]:
+            buckets.setdefault(pp + q * q, []).append(1 if p == q else 2)
     return buckets
+
+
+def _pair_collisions(counts):
+    """Ordered 2-tuples of distinct prime pairs in one bucket of counts."""
+    tot = sum(counts)
+    return tot * tot - sum(c * c for c in counts)
 
 
 def d2_count(x, table):
     """Ordered 2-tuples of prime pairs with equal square-sums <= x and distinct sets."""
-    total = 0
-    for counts in _pair_buckets(x, table).values():
-        tot = sum(counts)
-        total += tot * tot - sum(c * c for c in counts)
-    return total
-
-
-def d2_prefix(x, table):
-    """Array D with D[t] = d2_count(t) for 0 <= t <= x."""
-    out = np.zeros(x + 1, dtype=np.int64)
-    for s, counts in _pair_buckets(x, table).items():
-        tot = sum(counts)
-        out[s] += tot * tot - sum(c * c for c in counts)
-    return np.cumsum(out)
+    return sum(map(_pair_collisions, _pair_buckets(1, x + 1, table).values()))

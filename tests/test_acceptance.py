@@ -8,6 +8,9 @@ clause of the r1 binomial check); they are asserted as stated and are
 expected to stay red -- the printed detail carries the measured values.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repnum import acceptance, arith, asymp, moments
@@ -76,6 +79,51 @@ def test_identities_sweep_each_family_once(table, monkeypatch):
     rows = acceptance.check_identities(table, x=10**4)
     assert all(r.passed for r in rows)
     assert calls == [RepFamily.R0, RepFamily.R1, RepFamily.R2]
+
+
+@pytest.mark.parametrize("count", [1, 2], ids=["diagonal", "pair"])
+def test_r2_square_identity_catches_one_miscount(table, monkeypatch, count):
+    """One run of the identity sweep's r2 counts, in its second segment,
+    counts 1 too many: a run of 1 (a diagonal n = 2p^2) or of 2.  Any
+    r2(n) one too high breaks r2^2 = 2 r2 + D - [n = 2p^2], so the row
+    fails."""
+    offset_runs = moments._offset_runs
+    bumped = []
+
+    def miscounted(lo, hi, state):
+        d, runs = offset_runs(lo, hi, state)
+        if (state["segment"] is acceptance._r2_square_segment and lo > 1
+                and not bumped):
+            runs = runs.copy()
+            at = int(np.flatnonzero(runs == count)[0])
+            runs[at] += 1
+            bumped.append(lo + int(d[at]))
+        return d, runs
+
+    monkeypatch.setattr(moments, "_offset_runs", miscounted)
+    rows = acceptance.check_identities(table,
+                                       x=3 * moments.DEFAULT_SEGMENT_SIZE)
+    assert len(bumped) == 1
+    (row,) = [r for r in rows if r.name == "r2_square_identity_with_diagonal"]
+    assert not row.passed
+
+
+IDENTITIES_PEAK = 16 * 2**20
+
+
+def test_identities_memory_bounded(table):
+    """The identities suite sweeps in segments: its tracemalloc peak is
+    6.5 MiB at both x = 2^21 and 2^23 (Python 3.11, numpy 2.4), against
+    98 and 392 MiB for whole-range r2 and D arrays, about 48 bytes per n."""
+    for x in (2**21, 2**23):
+        tracemalloc.start()
+        try:
+            rows = acceptance.check_identities(table, x=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in rows), x
+        assert peak <= IDENTITIES_PEAK, (x, peak)
 
 
 def test_sieve_dominance():

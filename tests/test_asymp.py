@@ -233,22 +233,6 @@ def test_gss_grid_matches_single(table):
         assert v == pytest.approx(single, rel=1e-12), (x, ell, k)
 
 
-def test_tau_growth_max(table6, monkeypatch):
-    got = asymp.tau_growth_max(1000, 10**6, table6)
-    assert got == pytest.approx(1.525218379189189, abs=1e-12)
-    # the per-n loop over factor it replaced, as the reference, also with
-    # segments that split the range
-    ref = max(math.log(arith.tau(arith.factor(n, table6))) * math.log(
-        math.log(n)) / (math.log(n) * math.log(2)) for n in range(2, 5001))
-    for size in (moments.DEFAULT_SEGMENT_SIZE, 97):
-        monkeypatch.setattr(moments, "DEFAULT_SEGMENT_SIZE", size)
-        assert asymp.tau_growth_max(2, 5000, table6) == pytest.approx(
-            max(ref, 0.0), abs=1e-12)
-    for lo in (1, 0):
-        with pytest.raises(ValueError, match="lo >= 2"):
-            asymp.tau_growth_max(lo, 10, table6)
-
-
 def test_constants_file_roundtrip(tmp_path):
     # values that 12 significant digits would not give back exactly
     path = str(tmp_path / "constants.txt")

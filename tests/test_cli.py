@@ -89,6 +89,17 @@ def test_verify_identities_exit_zero(capsys):
     assert all(",pass," in line for line in out.splitlines()[1:])
 
 
+def test_verify_identities_csv_same_on_one_and_two_workers(tmp_path):
+    outs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"identities-{workers}.csv"
+        assert cli.main(["verify", "--suite", "identities", "--x", "3000000",
+                         "--workers", workers, "--out", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    assert b"r2_square_identity_with_diagonal,pass" in outs[0]
+
+
 def test_verify_argmax(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "argmax")
     assert code == 0

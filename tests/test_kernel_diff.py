@@ -146,12 +146,15 @@ def lattices(int32_table):
 
 
 def check_against_reference(lattices, lo, hi):
-    """The dense counts, and the unfiltered segment histogram built from
-    the runs of sorted pair offsets, against the reference's counts."""
+    """The runs of sorted pair offsets, scattered over the window, and the
+    unfiltered segment histogram built from them, against the reference's
+    counts."""
     for fam, lattice in lattices.items():
-        got = moments._segment_counts(lo, hi, lattice)
         want = _segment_counts_reference(lo, hi, lattice)
-        assert got.dtype == want.dtype, fam
+        d, runs = moments._offset_runs(lo, hi, lattice)
+        assert len(np.unique(d)) == len(d), (fam, lo, hi)
+        got = np.zeros(hi - lo, dtype=np.int64)
+        got[d] = runs
         assert np.array_equal(got, want), (fam, lo, hi)
         hist = moments._family_segment(lo, hi, dict(lattice, omega_kind=None))
         want = np.bincount(want)
@@ -364,7 +367,6 @@ def oracle_profile(n, table, big):
         "lpf": max((p for p in primes if p <= big), default=0),
         "lpf_sq": n > 1 and n % (lpf * lpf) == 0,
         "leftover": lpf > big,
-        "tau": arith.tau(fact),
     }
 
 
@@ -373,15 +375,11 @@ def check_walk(lo, hi, table):
     expected = [oracle_profile(n, table, big) for n in range(lo, hi)]
     prof = moments.segment_profile(lo, hi, table.primes)
     assert [f.name for f in dataclasses.fields(prof)][2:] == list(
-        PROFILE_DTYPES) + ["tau"]
+        PROFILE_DTYPES)
     for name, dtype in PROFILE_DTYPES.items():
         got = getattr(prof, name)
         assert got.dtype == dtype, name
         assert got.tolist() == [e[name] for e in expected], (lo, name)
-    assert prof.tau is None
-    tau = moments._factor_walk(lo, hi, table.primes, ("tau",)).tau
-    assert tau.dtype == np.uint16
-    assert tau.tolist() == [e["tau"] for e in expected], lo
     for kind in ("omega", "omega_star"):
         got = moments._segment_omega(lo, hi, table.primes, kind)
         assert got.dtype == np.uint8
@@ -468,10 +466,8 @@ def _factor_walk_reference(lo, hi, primes, fields, bound=0):
     n // sm over the whole window."""
     size = hi - lo
     out = {f: np.zeros(size, dtype=moments._FIELD_DTYPES[f]) for f in fields}
-    omega, omega_star, lpf, lpf_sq, leftover, tau = (
+    omega, omega_star, lpf, lpf_sq, leftover = (
         out.get(f) for f in moments._FIELD_DTYPES)
-    if tau is not None:
-        tau += 1
     sm = np.ones(size, dtype=np.uint32)
     for p in primes[primes <= walk_bound(hi, bound)].tolist():
         sl = slice(-lo % p, None, p)
@@ -484,15 +480,10 @@ def _factor_walk_reference(lo, hi, primes, fields, bound=0):
         if lpf_sq is not None:
             lpf_sq[sl] = False
             lpf_sq[-lo % (p * p)::p * p] = True
-        q, k = p, 1
+        q = p
         while q <= hi - 1:
-            sq = slice(-lo % q, None, q)
-            sm[sq] *= p
-            if tau is not None:
-                if k > 1:
-                    tau[sq] //= k
-                tau[sq] *= k + 1
-            q, k = q * p, k + 1
+            sm[-lo % q::q] *= p
+            q *= p
     rem = np.arange(lo, hi, dtype=np.uint32) // sm
     left = rem > 1
     if omega is not None:
@@ -503,8 +494,6 @@ def _factor_walk_reference(lo, hi, primes, fields, bound=0):
         lpf_sq &= ~left
     if leftover is not None:
         leftover |= left
-    if tau is not None:
-        tau[left] *= 2
     return moments.SegmentProfile(
         lo, hi, **{f: out.get(f) for f in moments._FIELD_DTYPES})
 
@@ -514,10 +503,8 @@ ALL_FIELDS = tuple(moments._FIELD_DTYPES)
 WALK_FIELDS = {
     "omega": ("omega",),
     "omega_star": ("omega_star",),
-    "tau": ("tau",),
-    "profile": tuple(f for f in ALL_FIELDS if f != "tau"),
     "smooth": asymp._SMOOTH_FIELDS,
-    "all": ALL_FIELDS,
+    "profile": ALL_FIELDS,
 }
 
 
@@ -610,7 +597,7 @@ def test_walk_with_bound_matches_factor(big_table, lo, hi, bound):
     expected = [oracle_profile(n, big_table, big) for n in range(lo, hi)]
     prof = moments._factor_walk(lo, hi, big_table.primes, ALL_FIELDS,
                                 bound=bound)
-    for name in list(PROFILE_DTYPES) + ["tau"]:
+    for name in PROFILE_DTYPES:
         assert getattr(prof, name).tolist() == [e[name] for e in expected], (
             lo, name)
 
@@ -666,11 +653,12 @@ def test_walk_matches_reference_at_extreme_words(u32_primes, n):
 
 def test_walk_two_single_hit_squares_on_one_n(u32_primes):
     """251^2 and 257^2 each hit a window of 201 n at most once; both land
-    on n = 251^2 257^2, whose word takes both and whose tau is 9."""
+    on n = 251^2 257^2, whose word takes both."""
     n = 251**2 * 257**2
     prof = moments._factor_walk(n - 100, n + 101, u32_primes, ALL_FIELDS)
     assert 201 < 251**2
-    assert (prof.omega[100], prof.tau[100], prof.lpf[100]) == (2, 9, 257)
+    assert (prof.omega[100], prof.lpf[100], prof.leftover[100]) == (2, 257,
+                                                                    False)
     assert prof.lpf_sq[100]
 
 
@@ -705,7 +693,7 @@ def test_omega_walk_scratch_peak(u32_primes):
 def _family_segment_reference(lo, hi, state):
     """H[j, v] = #{n : kind(n) = j, count(n) = v} from one bincount of
     kind(n) * width + count(n) over every n of [lo, hi)."""
-    counts = moments._segment_counts(lo, hi, state)
+    counts = _segment_counts_reference(lo, hi, state)
     om = moments._segment_omega(lo, hi, state["primes"], state["omega_kind"])
     width = int(counts.max(initial=0)) + 1
     flat = np.bincount(om.astype(np.int64) * width + counts)

@@ -71,11 +71,11 @@ def test_filtered_moments_against_brute_force(table):
               for kind, fn in (("omega", arith.omega),
                                ("omega_star", arith.omega_star))}
     for fam in (RepFamily.R1, RepFamily.RBIG_STAR):
-        counts = moments.accumulate_counts(fam, 1, x + 1, table)
+        counts = [repfun.rep_enumerate(fam, n, table) for n in range(1, x + 1)]
         for kind in ("omega", "omega_star"):
             # no n <= x has 40 prime factors: row 40 is past the histogram
             for kval in (1, 2, 40):
-                sel = [int(c) for c, om in zip(counts, omegas[kind])
+                sel = [c for c, om in zip(counts, omegas[kind])
                        if om == kval]
                 kw = dict(omega_filter=(kind, kval))
                 got = (moments.binomial_moment(fam, x, 2, table, **kw),

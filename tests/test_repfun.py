@@ -161,9 +161,16 @@ def test_d2_count(table):
     assert repfun.d2_count(100, table) == 0
     assert repfun.d2_count(337, table) == 0
     assert repfun.d2_count(338, table) == 4
-    prefix = repfun.d2_prefix(5000, table)
-    for x in (100, 338, 1000, 4999):
-        assert prefix[x] == repfun.d2_count(x, table)
+    # the windowed pair counts split [1, x + 1) at a without loss or overlap
+    x = 5000
+    whole = repfun._pair_buckets(1, x + 1, table)
+    for a in (2, 338, 339, 1000, 4999, 5000, 5001):
+        left = repfun._pair_buckets(1, a, table)
+        right = repfun._pair_buckets(a, x + 1, table)
+        assert not left.keys() & right.keys(), a
+        assert {**left, **right} == whole, a
+        assert sum(repfun._pair_collisions(c) for part in (left, right)
+                   for c in part.values()) == repfun.d2_count(x, table), a
 
 
 def test_family_names():
