@@ -131,12 +131,15 @@ def check_r1_binomial_second_moment(table, workers=1):
 # ---------------------------------------------------------------------------
 
 def _r2_square_segment(lo, hi, state):
-    """The number of n in [lo, hi) with r2(n)^2 != 2 r2(n) + D(n) - [n = 2p^2].
+    """The number of n in [lo, hi) with r2(n)^2 != 2 r2(n) + D(n) - [n = 2p^2]
+    or with r2(n) != the number of ordered prime pairs with square-sum n.
 
     r2(n) is the bucket pass's count (_offset_runs); D(n), the ordered
-    2-tuples of distinct prime pairs with square-sum n, and the diagonal
-    p = q come from the window's own count of prime pairs p <= q
-    (repfun._pair_buckets).  An n in neither holds the identity as 0 = 0.
+    2-tuples of distinct prime pairs with square-sum n, the diagonal p = q
+    and the ordered pairs themselves come from the window's own count of
+    prime pairs p <= q (repfun._pair_buckets).  The square identity alone
+    holds for r2(n) = 0 and 2 alike where D(n) = 0, so it cannot see a lone
+    pair lost; the pair count can.  An n in neither holds both as 0 = 0.
     """
     d, runs = moments._offset_runs(lo, hi, state)
     r2 = dict(zip((d.astype(np.int64) + lo).tolist(), runs.tolist()))
@@ -144,7 +147,8 @@ def _r2_square_segment(lo, hi, state):
     bad = 0
     for n in r2.keys() | buckets.keys():
         v, counts = r2.get(n, 0), buckets.get(n, ())
-        bad += v * v != 2 * v + repfun._pair_collisions(counts) - (1 in counts)
+        bad += (v != sum(counts) or v * v != 2 * v
+                + repfun._pair_collisions(counts) - (1 in counts))
     return np.array([bad])
 
 

@@ -23,8 +23,22 @@ only through a mod q, with q = p for variants A and B and q = p^2 for C.
 So a prime with q <= N gets a residue table of the event over the rows
 a = 0 .. q - 1, from which each row chunk of the box gathers its rows
 a % q; a prime with q > N would use each table row once and has no table:
-each row chunk computes its rows.  The tables take at most the sum over
+each row chunk builds its rows.  The tables take at most the sum over
 q <= N of q * ceil(N / 64) words.
+
+No event is evaluated cell by cell.  For a fixed row a, the b at which a
+factor of the product is 0 mod m (m = p, or p^2 for C) form a union of
+residue classes (Halberstam and Richert, Sieve Methods, ch. 1): one class,
+every b or no b for a linear form, and 0 or +-iota a for the norm, with
+iota^2 = -1 lifted to p^2 by Hensel's lemma.  A packed event row is
+therefore an OR of class rows (variants A and B), or for C the rows where
+exactly one factor's level-p set holds and no level-p^2 set does.  A
+modulus m <= min(N, _CLASS_TABLE_MAX) gathers class rows from an
+(m + 2)-row table; a class of a larger modulus holds at most N / m + 1 b,
+one per byte, whose bits are set by scatter.  The bound keeps a class
+table within a row chunk's rows: tables for every m <= N would keep one
+of p + 2 rows for each C prime with p <= N < p^2 through the whole pass,
+about 43 MiB at N = 1e4, z = 997.
 """
 
 import math
@@ -40,6 +54,7 @@ from .errors import CapacityError
 Z_CAP = 1000          # divisor enumeration of P(z) is exponential past this
 ORACLE_BOX_CAP = 10**4
 _ROW_CHUNK = 256
+_CLASS_TABLE_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -294,34 +309,49 @@ def _period(problem, p):
     return p * p if problem.variant == "C" else p
 
 
-def _event_mask(problem, p, a_col, b_row):
-    """Boolean mask of the event at prime p over the (a, b) sub-grid.
+@lru_cache(maxsize=256)
+def _sqrt_minus_one(p, m):
+    """iota with iota^2 = -1 (mod m), for p = 1 (mod 4) and m in {p, p^2}.
 
-    a_col is a (k, 1) column and b_row a (1, n) row of nonnegative ints.  A
-    factor's two terms are reduced as 1-D vectors: the factor is 0 mod m
-    where b's residue equals the negated residue of a's term, so the grid
-    sees one compare per factor and level, in the narrowest dtype q allows.
+    iota mod p is x^((p - 1) / 4) for the least non-residue x; one Hensel
+    step for t^2 + 1 lifts it to mod p^2.
     """
-    q = _period(problem, p)
-    a, b = a_col % q, b_row % q
-    terms = [(a * a, b * b)] + [(f.u * a, f.v * b) for f in problem.forms]
-    narrow = np.min_scalar_type(q - 1)
+    x = 2
+    while pow(x, (p - 1) // 2, p) != p - 1:
+        x += 1
+    iota = pow(x, (p - 1) // 4, p)
+    return (iota - (iota * iota + 1) * pow(2 * iota, -1, m)) % m
 
-    def divisible(col, row, m):
-        return (row % m).astype(narrow) == (-col % m).astype(narrow)
 
-    if problem.variant in ("A", "B"):
-        mask = divisible(*terms[0], p)
-        for col, row in terms[1:]:
-            mask |= divisible(col, row, p)
-        return mask
-    # v_p of the product is 1 iff exactly one factor is 0 mod p and that
-    # factor is not 0 mod p^2: sum both indicators over the factors
-    vals = np.zeros((a.shape[0], b.shape[1]), dtype=np.int8)
-    for col, row in terms:
-        vals += divisible(col, row, p).view(np.int8)
-        vals += divisible(col, row, q).view(np.int8)
-    return vals == 1
+def _factor_classes(problem, p, a, m):
+    """Per factor, the classes of b that make it 0 mod m, for the rows a.
+
+    m is p or p^2.  A factor's set is the union of its classes (r, c): r is
+    p or p^2 and c an int64 vector over a of residues mod r, with c = r for
+    every b and c = r + 1 for no b.  The norm a^2 + b^2 needs p | a, then
+    p | b, when p = 3 (mod 4); when p = 1 (mod 4) and p does not divide a it
+    vanishes at b = +-iota a.  The form u a + v b, with g = gcd(v, m), needs
+    g | a (gcd(u, v) = 1), then b = -(u a / g) (v / g)^-1 (mod m / g).
+    """
+    if p % 4 == 3:
+        norm = [(p, np.where(a % p == 0, 0, p + 1))]
+    else:
+        iota = _sqrt_minus_one(p, m)
+        norm = [(m, iota * a % m), (m, (m - iota) * a % m)]
+        if m != p:  # p | a: p | b, and then p^2 | a^2 + b^2
+            pa = a % p == 0
+            norm = [(m, np.where(pa, m + 1, c)) for _, c in norm]
+            norm.append((p, np.where(pa, 0, p + 1)))
+    out = [norm]
+    for f in problem.forms:
+        g = math.gcd(f.v, m)
+        r = m // g
+        if r == 1:  # m | v: every b once m | u a
+            out.append([(p, np.where(a % g == 0, p, p + 1))])
+            continue
+        c = -f.u * pow(f.v // g, -1, r) % r * (a // g) % r
+        out.append([(r, c if g == 1 else np.where(a % g == 0, c, r + 1))])
+    return out
 
 
 def _pack(mask, words):
@@ -338,18 +368,108 @@ def _popcount(words):
     return int(np.bitwise_count(words).sum())
 
 
-def _residue_table(problem, p, b_row, words):
-    """The packed event at p for a = 0 .. q - 1 over b_row, for q <= N.
+@lru_cache(maxsize=8)
+def _bit_places(n):
+    """(byte, bit, every) for b = 0 .. N in _pack's bit order: b's byte and
+    bit in a packed row of b = 1 .. N, with bit 0 for b = 0, which is not in
+    the row; and the packed row of every b.  Read-only."""
+    b = np.arange(n + 1)
+    places = (np.maximum(b - 1, 0) >> 3,
+              np.where(b > 0, 0x80 >> ((b - 1) & 7), 0).astype(np.uint8),
+              _pack(np.ones((1, n), dtype=bool), -(-n // 64))[0])
+    for arr in places:
+        arr.flags.writeable = False
+    return places
+
+
+def _class_tables(problem, p):
+    """The class tables of the moduli p and (variant C) p^2 that are at most
+    min(N, _CLASS_TABLE_MAX).
+
+    The table of m has packed rows of b = 1 .. N: row c < m holds the b
+    with b = c (mod m), row m every b and row m + 1 no b.  Several b of one
+    class share a byte when m < 8, so the bits are ORed in with
+    `np.bitwise_or.at`, not assigned.
+    """
+    n = problem.box
+    byte, bit, every = _bit_places(n)
+    b = np.arange(n + 1)
+    tables = {}
+    for m in {p, _period(problem, p)}:
+        if m <= min(n, _CLASS_TABLE_MAX):
+            table = np.zeros((m + 2, len(every)), dtype=np.uint64)
+            np.bitwise_or.at(table.view(np.uint8), (b % m, byte), bit)
+            table[m] = every
+            tables[m] = table
+    return tables
+
+
+def _class_rows(problem, tables, r, c):
+    """Packed rows of the classes c mod r, one per row a.
+
+    A modulus with a class table gathers them from it.  Any other modulus r
+    exceeds N or _CLASS_TABLE_MAX >= 8, so a class holds at most N / r + 1
+    b, each in its own byte: their bits are assigned by scatter into fresh
+    rows.
+    """
+    if r in tables:
+        return tables[r][c]
+    n = problem.box
+    byte, bit, every = _bit_places(n)
+    out = np.zeros((len(c), len(every)), dtype=np.uint64)
+    out[c == r] = every
+    rows = np.flatnonzero(c < r)
+    b = c[rows, None] + r * np.arange(n // r + 1)
+    keep = (b >= 1) & (b <= n)
+    i = np.broadcast_to(rows[:, None], b.shape)[keep]
+    b = b[keep]
+    out.view(np.uint8)[i, byte[b]] = bit[b]
+    return out
+
+
+def _event_rows(problem, p, a, tables):
+    """The packed event rows at p of the rows a (int64) over b = 1 .. N.
+
+    Each factor's set is a union of residue classes of b (_factor_classes),
+    so a row is assembled from class rows: for variants A and B the OR of
+    every factor's level-p set; for C the b where exactly one factor's
+    level-p set holds and no factor's level-p^2 set does.  tables holds the
+    prime's class tables (_class_tables).
+    """
+    def union(classes):
+        rows = _class_rows(problem, tables, *classes[0])
+        for cls in classes[1:]:
+            rows |= _class_rows(problem, tables, *cls)
+        return rows
+
+    level_p = _factor_classes(problem, p, a, p)
+    if problem.variant in ("A", "B"):
+        return union([cls for factor in level_p for cls in factor])
+    level_q = _factor_classes(problem, p, a, p * p)
+    once = union(level_p[0])
+    # for p = 3 (mod 4) the norm's two levels are the same set
+    deep = once.copy() if p % 4 == 3 else union(level_q[0])
+    many = np.zeros_like(once)
+    for factor in level_p[1:]:
+        x = union(factor)
+        many |= once & x
+        once |= x
+    for factor in level_q[1:]:
+        deep |= union(factor)
+    return once & ~(many | deep)
+
+
+def _residue_table(problem, p, tables):
+    """The packed event at p for a = 0 .. q - 1 over b = 1 .. N, for q <= N.
 
     The event depends on a only through a mod q, so row a % q of the table
     is the event row of every a in the box.  Filled in _ROW_CHUNK row chunks.
     """
     q = _period(problem, p)
-    table = np.empty((q, words), dtype=np.uint64)
+    table = np.empty((q, -(-problem.box // 64)), dtype=np.uint64)
     for lo in range(0, q, _ROW_CHUNK):
-        a_col = np.arange(lo, min(lo + _ROW_CHUNK, q), dtype=np.int64)[:, None]
-        table[lo:lo + len(a_col)] = _pack(
-            _event_mask(problem, p, a_col, b_row), words)
+        a = np.arange(lo, min(lo + _ROW_CHUNK, q), dtype=np.int64)
+        table[lo:lo + len(a)] = _event_rows(problem, p, a, tables)
     return table
 
 
@@ -360,10 +480,11 @@ def _box_survey(problem):
     ds are the squarefree products d < xi^2 + 1 of active primes with their
     factors, as (d, used); counts[i] is the exact |A_d| of ds[i], the pairs
     hit by the event of every p | d; sifted counts the pairs no sifting
-    event hits.  Each sifting prime's event is computed once, on rows of b
-    packed into uint64 words.  A prime with period q <= N keeps a residue
-    table, whose rows every row chunk of the box gathers; a prime with
-    q > N would use each table row once, so each row chunk computes its
+    event hits.  Each sifting prime's event rows are assembled once from
+    residue classes of b (_event_rows), on rows packed into uint64 words.
+    A prime with period q <= N keeps a residue table, whose rows every row
+    chunk of the box gathers, and drops its class tables; a prime with
+    q > N would use each table row once, so each row chunk assembles its
     rows.  ds lists each d straight after its parent d / max(p | d), so one
     running AND per depth gives each |A_d| from one AND and one popcount.
     """
@@ -376,17 +497,20 @@ def _box_survey(problem):
     counts = [0] * len(ds)
     sifted = 0
     words = -(-n // 64)
-    b_row = np.arange(1, n + 1, dtype=np.int64)[None, :]
     periods = {p: _period(problem, p) for p in primes}
-    tables = {p: _residue_table(problem, p, b_row, words)
-              for p, q in periods.items() if q <= n}
+    tables, classes = {}, {}
+    for p, q in periods.items():
+        if q <= n:
+            tables[p] = _residue_table(problem, p, _class_tables(problem, p))
+        else:
+            classes[p] = _class_tables(problem, p)
     depth = max(len(used) for _, used in ds)
     prefix = np.empty((depth + 1, _ROW_CHUNK, words), dtype=np.uint64)
     prefix[0] = ~np.uint64(0)  # the AND over no primes: d = 1
     for lo in range(1, n + 1, _ROW_CHUNK):
         a = np.arange(lo, min(lo + _ROW_CHUNK, n + 1), dtype=np.int64)
         masks = {p: tables[p][a % q] if p in tables else
-                 _pack(_event_mask(problem, p, a[:, None], b_row), words)
+                 _event_rows(problem, p, a, classes[p])
                  for p, q in periods.items()}
         hit = np.zeros((len(a), words), dtype=np.uint64)
         for mask in masks.values():
@@ -408,9 +532,14 @@ def sifted_count_exact(problem):
     return _box_survey(problem)[2]
 
 
-def _remainder_exact(problem, d, count):
-    """R_d as an exact Fraction, with the paper's size assertion."""
-    g = g_value(problem, d)
+def _remainder_exact(problem, d, used, count):
+    """R_d as an exact Fraction, with the paper's size assertion.
+
+    used are d's prime factors, so g(d) is the product of their g(p).
+    """
+    g = Fraction(1)
+    for p in used:
+        g *= weight_g(problem, p)
     r = Fraction(count) - g * problem.X
     scale = problem.box + 1  # isqrt(X) + 1, with X = N^2
     slack = d * d if problem.variant == "C" else d
@@ -428,7 +557,7 @@ def sieve_upper_bound(problem, return_parts=False):
     rem = Fraction(0)
     remainders = {}
     for (d, used), count in zip(ds, counts):
-        r = _remainder_exact(problem, d, count)
+        r = _remainder_exact(problem, d, used, count)
         remainders[d] = r
         rem += 3 ** len(used) * abs(r)
     bound = float(main + rem)

@@ -108,6 +108,29 @@ def test_r2_square_identity_catches_one_miscount(table, monkeypatch, count):
     assert not row.passed
 
 
+def test_r2_square_identity_catches_a_lost_pair(table, monkeypatch):
+    """The run of n = 13 = 2^2 + 3^2 drops from 2 to 0.  r2^2 = 2 r2 + D -
+    [n = 2p^2] holds at r2 = 0 too, since D(13) = 0; the row still fails,
+    as r2(13) no longer equals the ordered prime pairs (2, 3) and (3, 2)."""
+    offset_runs = moments._offset_runs
+    lost = []
+
+    def dropped(lo, hi, state):
+        d, runs = offset_runs(lo, hi, state)
+        at = np.flatnonzero(d.astype(np.int64) + lo == 13)
+        if state["segment"] is acceptance._r2_square_segment and len(at):
+            runs = runs.copy()
+            lost.append(int(runs[at[0]]))
+            runs[at[0]] = 0
+        return d, runs
+
+    monkeypatch.setattr(moments, "_offset_runs", dropped)
+    rows = acceptance.check_identities(table, x=10**4)
+    assert lost == [2]
+    (row,) = [r for r in rows if r.name == "r2_square_identity_with_diagonal"]
+    assert not row.passed
+
+
 IDENTITIES_PEAK = 16 * 2**20
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -250,8 +251,10 @@ def test_survey_matches_valuation_oracle(pr, monkeypatch):
     assert dict(zip((d for d, _ in ds), counts)) == want
     assert sifted == want_sifted
     assert selberg.sifted_count_exact(pr) == want_sifted
-    # row chunks of 7 leave a short last chunk; the uncached pass must agree
+    # row chunks of 7 leave a short last chunk, and class tables only up
+    # to modulus 8 leave the rest to scatter; the uncached pass must agree
     monkeypatch.setattr(selberg, "_ROW_CHUNK", 7)
+    monkeypatch.setattr(selberg, "_CLASS_TABLE_MAX", 8)
     assert selberg._box_survey.__wrapped__(pr) == (ds, counts, sifted)
 
 
@@ -265,14 +268,14 @@ def test_bound_and_exact_count_share_one_pass(monkeypatch):
                      variant="C"),
     ]
     calls = []
-    event_mask = selberg._event_mask
+    event_rows = selberg._event_rows
 
-    def counting(problem, p, a_col, b_row):
-        assert b_row.ravel().tolist() == list(range(1, problem.box + 1))
-        calls.append((problem, p, int(a_col[0, 0]), int(a_col[-1, 0])))
-        return event_mask(problem, p, a_col, b_row)
+    def counting(problem, p, a, tables):
+        calls.append((problem, p, int(a[0]), int(a[-1])))
+        assert a.tolist() == list(range(a[0], a[-1] + 1))
+        return event_rows(problem, p, a, tables)
 
-    monkeypatch.setattr(selberg, "_event_mask", counting)
+    monkeypatch.setattr(selberg, "_event_rows", counting)
     for pr in problems:
         selberg.sieve_upper_bound(pr)
         selberg.sifted_count_exact(pr)
@@ -305,6 +308,22 @@ def test_survey_memory_is_bounded():
     assert int(out.stdout) <= 32 * 1024  # ru_maxrss counts KiB on Linux
 
 
+def test_survey_tracemalloc_peak():
+    # the residue tables are built in row chunks and a class table keeps at
+    # most _CLASS_TABLE_MAX + 2 rows: 9.0 MiB here (Python 3.11, numpy
+    # 2.4); tables built in one call take the peak past 12 MiB
+    pr = SieveProblem(box=4000, z=100, m=5, forms=(LinearForm(1, 2),),
+                      variant="C")
+    pr.active_primes()
+    tracemalloc.start()
+    try:
+        selberg._box_survey.__wrapped__(pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+
+
 def _event_mask_reference(problem, p, a_col, b_row):
     """The event at p from the full-grid residues of every factor."""
     if problem.variant in ("A", "B"):
@@ -332,18 +351,41 @@ def _mask_problems():
 
 
 @pytest.mark.parametrize("variant", "ABC")
-def test_event_mask_matches_full_grid_residues(variant):
+def test_event_rows_match_full_grid_residues(variant, monkeypatch):
+    # b = 1 .. N at uint64 word edges and below one byte, so moduli p and
+    # p^2 fall on both sides of N and of the class-table bound (tables,
+    # scatter of one or several b per class); p = 5 and 7 put several b of
+    # one class in a byte; 3 divides v of one of big's forms and u of the
+    # other; 997 = 1 (mod 4) lifts iota to p^2
     rng = np.random.default_rng(ord(variant))
     for pr in _mask_problems():
-        pr = dataclasses.replace(pr, variant=variant)
-        # grids of arbitrary a, b up to the cap, 0 for the table's first row
-        a_col = rng.integers(0, selberg.ORACLE_BOX_CAP + 1, 96)[:, None]
-        b_row = rng.integers(1, selberg.ORACLE_BOX_CAP + 1, 96)[None, :]
-        a_col[0, 0] = 0
-        for p in pr.sifting_primes() + [997]:
-            got = selberg._event_mask(pr, p, a_col, b_row)
-            want = _event_mask_reference(pr, p, a_col, b_row)
-            assert got.dtype == bool and np.array_equal(got, want), (pr, p)
+        for n, table_max in itertools.product((1, 7, 63, 64, 65, 129),
+                                              (8, 256)):
+            monkeypatch.setattr(selberg, "_CLASS_TABLE_MAX", table_max)
+            pr_n = dataclasses.replace(pr, variant=variant, box=n)
+            # the table rows from a = 0, and arbitrary rows up to the cap
+            a = np.concatenate([np.arange(130), rng.integers(
+                130, selberg.ORACLE_BOX_CAP + 1, 32)])
+            b_row = np.arange(1, n + 1)[None, :]
+            for p in sorted({3, 5, 7, 997, *pr.sifting_primes()}):
+                got = selberg._event_rows(pr_n, p, a,
+                                          selberg._class_tables(pr_n, p))
+                want = selberg._pack(
+                    _event_mask_reference(pr_n, p, a[:, None], b_row),
+                    -(-n // 64))
+                assert got.dtype == np.uint64
+                assert np.array_equal(got, want), (pr_n, p, table_max)
+
+
+def test_remainder_takes_g_from_the_factors():
+    # R_d takes g(d) as the product of g(p) over d's factors, not from
+    # g_value's trial division; both give the same g(d)
+    for pr in selberg.random_problems(12, seed=21, box_max=60, z_max=60) + [
+            SieveProblem(box=10, z=3, xi=4)]:
+        ds, counts, _ = selberg._box_survey(pr)
+        for (d, used), count in zip(ds, counts):
+            assert selberg._remainder_exact(pr, d, used, count) == (
+                count - selberg.g_value(pr, d) * pr.X)
 
 
 def test_golden_file_replay():
