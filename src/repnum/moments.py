@@ -651,14 +651,12 @@ def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
     """Per-cutoff histograms of omega_star over the 4-free, 3-mod-4-free set.
 
     That set is where r0* is nonzero, and there r0*(n) = 2^omega_star(n),
-    so h[k] = H[2^k] of the unfiltered R0_STAR histogram H
-    (_family_segment); H[0] counts the n off the set.
+    so h[k] = H[2^k] of the unfiltered R0_STAR histogram H; H[0] counts
+    the n off the set.
     """
-    root = math.isqrt(_cutoffs(xs)[-1])
-    state = _lattice_state(repfun.RepFamily.R0_STAR.traits, root, table)
-    state.update(segment=_family_segment, omega_kind=None)
     out = []
-    for hist in _hist_sweep(state, xs, segment_size, workers):
+    for hist in histogram_grid(repfun.RepFamily.R0_STAR, xs, table,
+                               segment_size=segment_size, workers=workers):
         powers = 1 << np.arange((len(hist) - 1).bit_length())
         if hist[powers].sum() != hist[1:].sum():
             raise RuntimeError("r0* count off a power of two")  # unreachable

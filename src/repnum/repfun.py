@@ -260,8 +260,3 @@ def _pair_collisions(counts):
     """Ordered 2-tuples of distinct prime pairs in one bucket of counts."""
     tot = sum(counts)
     return tot * tot - sum(c * c for c in counts)
-
-
-def d2_count(x, table):
-    """Ordered 2-tuples of prime pairs with equal square-sums <= x and distinct sets."""
-    return sum(map(_pair_collisions, _pair_buckets(1, x + 1, table).values()))

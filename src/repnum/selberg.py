@@ -99,6 +99,8 @@ class SieveProblem:
             raise ValueError("variant must be A, B or C")
         if self.box < 1:
             raise ValueError("box side must be >= 1")
+        if self.z < 2:
+            raise ValueError("sieve level z must be >= 2")
         if self.z > Z_CAP:
             raise CapacityError(f"z = {self.z} exceeds sieve cap Z_CAP = {Z_CAP}")
         object.__setattr__(self, "forms", tuple(self.forms))
@@ -244,46 +246,38 @@ def _squarefree_products(primes, bound):
     return out
 
 
-def big_G(problem, d=1, xi=None):
-    """G_d(xi, z) = sum of h(l) over l with d*l | P(z), l < xi.  Exact."""
-    if xi is None:
-        xi = problem.xi
-    xi = Fraction(xi).limit_denominator(10**12) if isinstance(xi, float) \
-        else Fraction(xi)
+def _h_products(problem):
+    """(m, used, h(m)) for the squarefree products m < xi of active primes,
+    m's prime factors `used` and h(m) the product of their h(p)."""
     hmap = _h_map(problem)
-    if d != 1:
-        m = d
-        for p in sorted(hmap):
-            while m % p == 0:
-                m //= p
-        if m != 1:
-            raise ValueError(
-                f"d = {d} is not a product of active sifting primes")
-    avail = [p for p in sorted(hmap) if d % p != 0]
-    total = Fraction(0)
-    stack = [(0, 1, Fraction(1))] if xi > 1 else []
-    while stack:  # as in _squarefree_products; the sum is exact in any order
-        i, prod, hval = stack.pop()
-        total += hval
-        for j in range(i, len(avail)):
-            p = avail[j]
-            if prod * p >= xi:
-                break
-            stack.append((j + 1, prod * p, hval * hmap[p]))
-    return total
+    return [(m, used, math.prod((hmap[p] for p in used), start=Fraction(1)))
+            for m, used in _squarefree_products(sorted(hmap), problem.xi)]
+
+
+def big_G(problem):
+    """G(xi, z) = sum of h(m) over squarefree m | P(z), m < xi.  Exact."""
+    return sum(h for _, _, h in _h_products(problem))
 
 
 def lambda_weights(problem):
-    """Selberg weights lambda_d for squarefree d | P(z), d < xi.  lambda_1 = 1."""
-    primes = sorted(_h_map(problem))
-    g_total = big_G(problem)
-    out = {}
-    for d, used in _squarefree_products(primes, problem.xi):
-        prod = Fraction(1)
+    """Selberg weights lambda_d for squarefree d | P(z), d < xi.  lambda_1 = 1.
+
+    lambda_d = mu(d) S_d / (g(d) G), where S_d sums h(m) over the m < xi
+    that d divides and G = S_1 (Halberstam and Richert, Sieve Methods,
+    ch. 3), so one list of the m < xi gives every weight.
+    """
+    products = _h_products(problem)
+    sums = dict.fromkeys((m for m, _, _ in products), Fraction(0))
+    for m, used, h in products:
+        divisors = [1]
         for p in used:
-            prod *= 1 / (1 - weight_g(problem, p))
-        mu = -1 if len(used) % 2 else 1
-        out[d] = mu * prod * big_G(problem, d, xi=problem.xi / d) / g_total
+            divisors += [d * p for d in divisors]
+        for d in divisors:
+            sums[d] += h
+    out = {}
+    for d, used, _ in products:
+        g = math.prod((weight_g(problem, p) for p in used), start=Fraction(1))
+        out[d] = (-1) ** len(used) * sums[d] / (g * sums[1])
     return out
 
 

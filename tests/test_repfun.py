@@ -157,10 +157,17 @@ def test_multiplicativity(table):
         assert repfun.r0_star(fab) == repfun.r0_star(fa) * repfun.r0_star(fb)
 
 
+def _d2_count(lo, hi, table):
+    """Ordered 2-tuples of prime pairs with distinct sets and one square-sum
+    in [lo, hi)."""
+    return sum(map(repfun._pair_collisions,
+                   repfun._pair_buckets(lo, hi, table).values()))
+
+
 def test_d2_count(table):
-    assert repfun.d2_count(100, table) == 0
-    assert repfun.d2_count(337, table) == 0
-    assert repfun.d2_count(338, table) == 4
+    assert _d2_count(1, 101, table) == 0
+    assert _d2_count(1, 338, table) == 0
+    assert _d2_count(1, 339, table) == 4
     # the windowed pair counts split [1, x + 1) at a without loss or overlap
     x = 5000
     whole = repfun._pair_buckets(1, x + 1, table)
@@ -169,8 +176,8 @@ def test_d2_count(table):
         right = repfun._pair_buckets(a, x + 1, table)
         assert not left.keys() & right.keys(), a
         assert {**left, **right} == whole, a
-        assert sum(repfun._pair_collisions(c) for part in (left, right)
-                   for c in part.values()) == repfun.d2_count(x, table), a
+        assert (_d2_count(1, a, table) + _d2_count(a, x + 1, table)
+                == _d2_count(1, x + 1, table)), a
 
 
 def test_family_names():

@@ -32,8 +32,63 @@ def test_toy_weights(toy):
 
 def test_toy_big_g(toy):
     assert selberg.big_G(toy) == Fraction(9, 8)
-    assert selberg.big_G(toy, xi=3) == Fraction(1)
-    assert selberg.big_G(toy, d=3, xi=Fraction(4, 3)) == Fraction(1)
+    assert _big_g_reference(toy, 1, 3) == Fraction(1)
+    assert _big_g_reference(toy, 3, Fraction(4, 3)) == Fraction(1)
+
+
+def _products_reference(primes, bound, i=0, d=1, used=()):
+    """(d, used) for the squarefree products d < bound of primes[i:] times
+    d, by recursion."""
+    yield d, used
+    for j in range(i, len(primes)):
+        if d * primes[j] >= bound:
+            break
+        yield from _products_reference(primes, bound, j + 1, d * primes[j],
+                                       used + (primes[j],))
+
+
+def _big_g_reference(problem, d, bound):
+    """G_d(bound) = sum of h(l) over squarefree products l < bound of the
+    active primes that do not divide d."""
+    primes = [p for p in problem.active_primes() if d % p]
+    return sum(math.prod((selberg.weight_h(problem, p) for p in used),
+                         start=Fraction(1))
+               for _, used in _products_reference(primes, bound))
+
+
+def _lambda_reference(problem):
+    """lambda_d = mu(d) prod_{p | d} (1 - g(p))^-1 G_d(xi / d) / G, one
+    G_d sum per d."""
+    g_total = _big_g_reference(problem, 1, problem.xi)
+    out = {}
+    for d, used in _products_reference(problem.active_primes(), problem.xi):
+        prod = math.prod((1 / (1 - selberg.weight_g(problem, p))
+                          for p in used), start=Fraction(1))
+        out[d] = ((-1) ** len(used) * prod
+                  * _big_g_reference(problem, d, problem.xi / d) / g_total)
+    return out
+
+
+def _lambda_problems():
+    # xi > z in the last: the products below xi reach past P(z)'s primes
+    return selberg.random_problems(60, seed=17, box_max=50, z_max=200) + [
+        SieveProblem(box=10, z=3, xi=4),
+        SieveProblem(box=40, z=30, xi=Fraction(71, 2), m=13,
+                     forms=(LinearForm(2, 3),))]
+
+
+def test_lambda_matches_per_d_reference():
+    for pr in _lambda_problems():
+        assert selberg.big_G(pr) == _big_g_reference(pr, 1, pr.xi)
+        assert selberg.lambda_weights(pr) == _lambda_reference(pr), pr
+
+
+def test_selberg_identity_is_exact():
+    # sum_e mu_plus(e) g(e) = 1 / G; any lambda_d off breaks it
+    for pr in _lambda_problems():
+        mp = selberg.mu_plus(pr)
+        assert sum(v * selberg.g_value(pr, e) for e, v in mp.items()) == (
+            1 / selberg.big_G(pr)), pr
 
 
 def test_toy_lambda_and_mu_plus(toy):
@@ -139,6 +194,9 @@ def test_problem_validation():
         LinearForm(0, 1)
     with pytest.raises(ValueError):
         SieveProblem(box=10, z=5, xi=4)  # xi < z
+    for z in (0, 1):  # xi = z <= 1 leaves G an empty sum
+        with pytest.raises(ValueError, match="z must be >= 2"):
+            SieveProblem(box=5, z=z)
     with pytest.raises(ValueError):
         SieveProblem(box=10, z=5, variant="D")
     with pytest.raises(CapacityError, match="Z_CAP"):
