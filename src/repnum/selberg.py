@@ -7,11 +7,13 @@ A SieveProblem sifts the box {(a, b) : 1 <= a, b <= N} by the events
     variant C: p exactly divides the product, sifting p = 3 (mod 4)
 
 with per-prime weights g(p) given by closed forms.  All weight arithmetic
-(g, h, G, lambda, mu_plus) is exact in Fractions; only the final bound is a
-float.  Primes p <= ell + 2 are never sifted (the closed forms do not cover
-them).  Primes with g(p) = 0 keep their events in the exact sifted count but
-take no part in the lambda system: dropping a sifting condition can only
-enlarge the surviving set, so the computed bound still dominates.
+(g, h, G, lambda, mu_plus, R_d) is exact; only the final bound is a float.
+Sums run on int numerators over one common denominator (Halberstam and
+Richert, Sieve Methods, ch. 3), and each value handed out is one Fraction.
+Primes p <= ell + 2 are never sifted (the closed forms do not cover them).
+Primes with g(p) = 0 keep their events in the exact sifted count but take
+no part in the lambda system: dropping a sifting condition can only enlarge
+the surviving set, so the computed bound still dominates.
 
 Each problem's box is surveyed once (`_box_survey`, cached per problem):
 one exhaustive pass over the box, capped at N <= ORACLE_BOX_CAP, gives the
@@ -21,10 +23,11 @@ rows are bits along b, packed into uint64 words: the sifted count is an OR
 and each |A_d| an AND, counted by popcount.  The event at p depends on a
 only through a mod q, with q = p for variants A and B and q = p^2 for C.
 So a prime with q <= N gets a residue table of the event over the rows
-a = 0 .. q - 1, from which each row chunk of the box gathers its rows
-a % q; a prime with q > N would use each table row once and has no table:
-each row chunk builds its rows.  The tables take at most the sum over
-q <= N of q * ceil(N / 64) words.
+a = 0 .. q - 1, repeated for _ROW_CHUNK - 1 more rows, so that each row
+chunk of the box reads its rows a % q as one slice; a prime with q > N
+would use each table row once and has no table: each row chunk builds its
+rows.  The tables take at most the sum over q <= N of
+(q + _ROW_CHUNK - 1) * ceil(N / 64) words.
 
 No event is evaluated cell by cell.  For a fixed row a, the b at which a
 factor of the product is 0 mod m (m = p, or p^2 for C) form a union of
@@ -230,7 +233,10 @@ def _squarefree_products(primes, bound):
     Depth first, each product before its extensions by larger primes.  The
     walk keeps an explicit stack: a recursive nested function would be a
     reference cycle, left for the full cyclic collector, on every call.
+    An int is below a rational bound iff it is below its ceiling, so the
+    walk compares ints only.
     """
+    bound = math.ceil(bound)
     out = []
     stack = [(0, 1, ())]
     while stack:
@@ -246,17 +252,43 @@ def _squarefree_products(primes, bound):
     return out
 
 
+def _g_parts(hmap, used):
+    """(num, den), the products of g(p)'s numerator and denominator over the
+    primes `used` of hmap = _h_map(problem), so that g(d) = num / den for d
+    their product.
+
+    They are read off h(p) = g(p) / (1 - g(p)): g = n / e in lowest terms
+    gives h = n / (e - n) in lowest terms, so n and e are h's numerator and
+    the sum of its numerator and denominator.
+    """
+    num = den = 1
+    for p in used:
+        h = hmap[p]
+        num *= h.numerator
+        den *= h.numerator + h.denominator
+    return num, den
+
+
 def _h_products(problem):
-    """(m, used, h(m)) for the squarefree products m < xi of active primes,
-    m's prime factors `used` and h(m) the product of their h(p)."""
+    """(H, products): H is the product of h(p)'s denominators over the
+    active primes, and products lists (m, used, h(m) H) for the squarefree
+    products m < xi of active primes, with m's prime factors `used`.  h(m) H
+    is an int, since the denominators of the h(p), p | m, divide H."""
     hmap = _h_map(problem)
-    return [(m, used, math.prod((hmap[p] for p in used), start=Fraction(1)))
-            for m, used in _squarefree_products(sorted(hmap), problem.xi)]
+    big_h = math.prod(h.denominator for h in hmap.values())
+    products = []
+    for m, used in _squarefree_products(sorted(hmap), problem.xi):
+        hm = big_h
+        for p in used:
+            hm = hm // hmap[p].denominator * hmap[p].numerator
+        products.append((m, used, hm))
+    return big_h, products
 
 
 def big_G(problem):
     """G(xi, z) = sum of h(m) over squarefree m | P(z), m < xi.  Exact."""
-    return sum(h for _, _, h in _h_products(problem))
+    big_h, products = _h_products(problem)
+    return Fraction(sum(hm for _, _, hm in products), big_h)
 
 
 def lambda_weights(problem):
@@ -264,34 +296,44 @@ def lambda_weights(problem):
 
     lambda_d = mu(d) S_d / (g(d) G), where S_d sums h(m) over the m < xi
     that d divides and G = S_1 (Halberstam and Richert, Sieve Methods,
-    ch. 3), so one list of the m < xi gives every weight.
+    ch. 3), so one list of the m < xi gives every weight.  The S_d are
+    summed as ints over the common denominator H of _h_products, which
+    cancels from S_d / S_1.
     """
-    products = _h_products(problem)
-    sums = dict.fromkeys((m for m, _, _ in products), Fraction(0))
-    for m, used, h in products:
+    hmap = _h_map(problem)
+    _, products = _h_products(problem)
+    sums = dict.fromkeys((m for m, _, _ in products), 0)
+    for m, used, hm in products:
         divisors = [1]
         for p in used:
             divisors += [d * p for d in divisors]
         for d in divisors:
-            sums[d] += h
+            sums[d] += hm
     out = {}
     for d, used, _ in products:
-        g = math.prod((weight_g(problem, p) for p in used), start=Fraction(1))
-        out[d] = (-1) ** len(used) * sums[d] / (g * sums[1])
+        num, den = _g_parts(hmap, used)
+        out[d] = Fraction((-1) ** len(used) * sums[d] * den, num * sums[1])
     return out
 
 
 def mu_plus(problem, lams=None):
-    """mu_plus(d) = sum over lcm(d1, d2) = d of lambda_{d1} lambda_{d2}."""
+    """mu_plus(d) = sum over lcm(d1, d2) = d of lambda_{d1} lambda_{d2}.
+
+    The products are summed as ints over D^2, with D the lcm of the lambda
+    denominators, and each mu_plus(d) is one Fraction of its sum.
+    """
     if lams is None:
         lams = lambda_weights(problem)
-    out = {}
-    items = sorted(lams.items())
-    for d1, l1 in items:
-        for d2, l2 in items:
+    den = math.lcm(*(v.denominator for v in lams.values()))
+    items = sorted((d, v.numerator * (den // v.denominator))
+                   for d, v in lams.items())
+    acc = {}
+    for d1, n1 in items:
+        for d2, n2 in items:
             d = d1 * d2 // math.gcd(d1, d2)
-            out[d] = out.get(d, Fraction(0)) + l1 * l2
-    return out
+            acc[d] = acc.get(d, 0) + n1 * n2
+    square = den * den
+    return {d: Fraction(n, square) for d, n in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +401,9 @@ def _pack(mask, words):
 
 
 def _popcount(words):
-    return int(np.bitwise_count(words).sum())
+    # a row chunk holds at most _ROW_CHUNK * ORACLE_BOX_CAP < 2^32 bits, so
+    # the sum fits uint32, which numpy sums faster than the default uint64
+    return int(np.bitwise_count(words).sum(dtype=np.uint32))
 
 
 @lru_cache(maxsize=8)
@@ -454,16 +498,21 @@ def _event_rows(problem, p, a, tables):
 
 
 def _residue_table(problem, p, tables):
-    """The packed event at p for a = 0 .. q - 1 over b = 1 .. N, for q <= N.
+    """The packed event at p for a = 0 .. q + _ROW_CHUNK - 2 over b = 1 .. N,
+    for q <= N.
 
     The event depends on a only through a mod q, so row a % q of the table
-    is the event row of every a in the box.  Filled in _ROW_CHUNK row chunks.
+    is the event row of every a in the box.  Rows 0 .. q - 1 are filled in
+    _ROW_CHUNK row chunks and the rows past them repeat them, so the rows of
+    any _ROW_CHUNK consecutive a are one slice, from row a % q of the first.
     """
     q = _period(problem, p)
-    table = np.empty((q, -(-problem.box // 64)), dtype=np.uint64)
+    table = np.empty((q + _ROW_CHUNK - 1, -(-problem.box // 64)),
+                     dtype=np.uint64)
     for lo in range(0, q, _ROW_CHUNK):
         a = np.arange(lo, min(lo + _ROW_CHUNK, q), dtype=np.int64)
         table[lo:lo + len(a)] = _event_rows(problem, p, a, tables)
+    table[q:] = table[np.arange(q, len(table)) % q]
     return table
 
 
@@ -476,8 +525,8 @@ def _box_survey(problem):
     hit by the event of every p | d; sifted counts the pairs no sifting
     event hits.  Each sifting prime's event rows are assembled once from
     residue classes of b (_event_rows), on rows packed into uint64 words.
-    A prime with period q <= N keeps a residue table, whose rows every row
-    chunk of the box gathers, and drops its class tables; a prime with
+    A prime with period q <= N keeps a residue table, of which every row
+    chunk of the box reads a slice, and drops its class tables; a prime with
     q > N would use each table row once, so each row chunk assembles its
     rows.  ds lists each d straight after its parent d / max(p | d), so one
     running AND per depth gives each |A_d| from one AND and one popcount.
@@ -503,7 +552,7 @@ def _box_survey(problem):
     prefix[0] = ~np.uint64(0)  # the AND over no primes: d = 1
     for lo in range(1, n + 1, _ROW_CHUNK):
         a = np.arange(lo, min(lo + _ROW_CHUNK, n + 1), dtype=np.int64)
-        masks = {p: tables[p][a % q] if p in tables else
+        masks = {p: tables[p][lo % q:lo % q + len(a)] if p in tables else
                  _event_rows(problem, p, a, classes[p])
                  for p, q in periods.items()}
         hit = np.zeros((len(a), words), dtype=np.uint64)
@@ -529,32 +578,37 @@ def sifted_count_exact(problem):
 def _remainder_exact(problem, d, used, count):
     """R_d as an exact Fraction, with the paper's size assertion.
 
-    used are d's prime factors, so g(d) is the product of their g(p).
+    used are d's prime factors, so g(d) = num / den from their g(p), and
+    R_d = c / den with the int c = count den - num N^2.
     """
-    g = Fraction(1)
-    for p in used:
-        g *= weight_g(problem, p)
-    r = Fraction(count) - g * problem.X
+    num, den = _g_parts(_h_map(problem), used)
+    c = count * den - num * problem.box * problem.box
     scale = problem.box + 1  # isqrt(X) + 1, with X = N^2
     slack = d * d if problem.variant == "C" else d
-    if abs(r) > 2 * slack * scale:
+    if abs(c) > 2 * slack * scale * den:
         raise AssertionError(
-            f"|R_{d}| = {float(abs(r)):.3f} exceeds 2*{slack}*{scale}; "
+            f"|R_{d}| = {abs(c) / den:.3f} exceeds 2*{slack}*{scale}; "
             f"the weight model does not match this problem's events")
-    return r
+    return Fraction(c, den)
 
 
 def sieve_upper_bound(problem, return_parts=False):
-    """X / G(xi, z) plus the 3^omega(d) |R_d| remainder sum over d <= xi^2."""
+    """X / G(xi, z) plus the 3^omega(d) |R_d| remainder sum over d <= xi^2.
+
+    Every R_d's denominator divides L, the product of g(p)'s denominators
+    over the active primes, so the remainder sum is an int over L.
+    """
     ds, counts, _ = _box_survey(problem)
     main = problem.X / big_G(problem)
-    rem = Fraction(0)
+    hmap = _h_map(problem)
+    common = _g_parts(hmap, hmap)[1]  # over every active prime
+    rem = 0
     remainders = {}
     for (d, used), count in zip(ds, counts):
         r = _remainder_exact(problem, d, used, count)
         remainders[d] = r
-        rem += 3 ** len(used) * abs(r)
-    bound = float(main + rem)
+        rem += 3 ** len(used) * abs(r.numerator) * (common // r.denominator)
+    bound = float(main + Fraction(rem, common))
     if return_parts:
         return bound, float(main), remainders
     return bound

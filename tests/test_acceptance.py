@@ -9,11 +9,12 @@ expected to stay red -- the printed detail carries the measured values.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repnum import acceptance, arith, asymp, moments
+from repnum import acceptance, arith, asymp, moments, selberg
 from repnum.repfun import RepFamily
 
 
@@ -151,6 +152,32 @@ def test_identities_memory_bounded(table):
 
 def test_sieve_dominance():
     _report(acceptance.check_sieve_dominance(count=100, seed=20260810))
+
+
+def test_sieve_admissibility_catches_a_lowered_mu_plus(monkeypatch):
+    # lowering mu_plus(p) at the least active prime p sets the sum over
+    # d | p, (1 + lambda_p)^2, to -10^-30: below any float's resolution of
+    # the terms, so only the exact sums see it
+    problems = selberg.random_problems(10, seed=20260810)
+    mu_plus = selberg.mu_plus
+
+    def lowered(problem, lams=None):
+        out = mu_plus(problem, lams)
+        p = problem.active_primes()[0]
+        out[p] -= out[1] + out[p] + Fraction(1, 10**30)
+        return out
+
+    def admissibility():
+        rows = acceptance.check_sieve_dominance(count=10, seed=20260810)
+        return next(r for r in rows if r.name == "mu_plus_admissibility_exact")
+
+    assert all(pr.active_primes()[0] < pr.xi for pr in problems)
+    assert admissibility().passed
+    monkeypatch.setattr(selberg, "mu_plus", lowered)
+    row = admissibility()
+    assert not row.passed
+    first = f"(0, {problems[0].active_primes()[0]})"
+    assert row.detail.startswith(f"checked in rationals, failures: [{first}")
 
 
 def test_calibrated_replay(table, constants):

@@ -80,7 +80,54 @@ def _lambda_problems():
 def test_lambda_matches_per_d_reference():
     for pr in _lambda_problems():
         assert selberg.big_G(pr) == _big_g_reference(pr, 1, pr.xi)
-        assert selberg.lambda_weights(pr) == _lambda_reference(pr), pr
+        assert list(selberg.lambda_weights(pr).items()) == list(
+            _lambda_reference(pr).items()), pr
+
+
+def _mu_plus_reference(lams):
+    """mu_plus with a Fraction product and sum per pair, in the sorted
+    double loop."""
+    out = {}
+    items = sorted(lams.items())
+    for d1, l1 in items:
+        for d2, l2 in items:
+            d = d1 * d2 // math.gcd(d1, d2)
+            out[d] = out.get(d, Fraction(0)) + l1 * l2
+    return out
+
+
+def _bound_reference(problem):
+    """sieve_upper_bound(problem, return_parts=True) summed in Fractions,
+    with g(d) from g_value and G from the per-d reference."""
+    ds, counts, _ = selberg._box_survey(problem)
+    main = problem.X / _big_g_reference(problem, 1, problem.xi)
+    rem = Fraction(0)
+    remainders = {}
+    for (d, used), count in zip(ds, counts):
+        remainders[d] = count - selberg.g_value(problem, d) * problem.X
+        rem += 3 ** len(used) * abs(remainders[d])
+    return float(main + rem), float(main), remainders
+
+
+def test_integer_algebra_matches_fraction_references():
+    # G, mu_plus and the bound's parts sum ints over one denominator; the
+    # values, their Fraction type and the key order match the Fraction sums
+    problems = _lambda_problems()
+    assert {pr.variant for pr in problems} == set("ABC")
+    assert max(pr.z for pr in problems) > 150
+    for pr in problems:
+        big_g = selberg.big_G(pr)
+        assert type(big_g) is Fraction
+        assert big_g == _big_g_reference(pr, 1, pr.xi), pr
+        lams = selberg.lambda_weights(pr)
+        mp = selberg.mu_plus(pr, lams)
+        assert list(mp.items()) == list(_mu_plus_reference(lams).items()), pr
+        bound, main, rem = selberg.sieve_upper_bound(pr, return_parts=True)
+        want_bound, want_main, want_rem = _bound_reference(pr)
+        assert (bound, main) == (want_bound, want_main), pr
+        assert list(rem.items()) == list(want_rem.items()), pr
+        assert all(type(v) is Fraction
+                   for v in [*mp.values(), *rem.values()])
 
 
 def test_selberg_identity_is_exact():
@@ -368,7 +415,7 @@ def test_survey_memory_is_bounded():
 
 def test_survey_tracemalloc_peak():
     # the residue tables are built in row chunks and a class table keeps at
-    # most _CLASS_TABLE_MAX + 2 rows: 9.0 MiB here (Python 3.11, numpy
+    # most _CLASS_TABLE_MAX + 2 rows: 8.0 MiB here (Python 3.11, numpy
     # 2.4); tables built in one call take the peak past 12 MiB
     pr = SieveProblem(box=4000, z=100, m=5, forms=(LinearForm(1, 2),),
                       variant="C")
@@ -444,6 +491,36 @@ def test_remainder_takes_g_from_the_factors():
         for (d, used), count in zip(ds, counts):
             assert selberg._remainder_exact(pr, d, used, count) == (
                 count - selberg.g_value(pr, d) * pr.X)
+
+
+@pytest.mark.parametrize("pr, slack", [
+    # variant A, g(7) = 1/49, slack d; N = 70 is a multiple of d
+    (SieveProblem(box=70, z=7), 7),
+    # variant C, g(7) = 36/343, slack d^2; N = 98 is a multiple of d^2
+    (SieveProblem(box=98, z=7, m=5, forms=(LinearForm(1, 2),), variant="C"),
+     49),
+], ids=["A", "C"])
+def test_remainder_bound_admits_equality(pr, slack):
+    # g(d) N^2 is an int, so |R_d| can land exactly on 2 slack (N + 1):
+    # that passes, and one more raises, on both sides of g(d) X
+    d = 7
+    main = selberg.weight_g(pr, d) * pr.X
+    assert main.denominator == 1
+    limit = 2 * slack * (pr.box + 1)
+    for sign in (1, -1):
+        count = int(main) + sign * limit
+        assert selberg._remainder_exact(pr, d, (d,), count) == sign * limit
+        with pytest.raises(AssertionError,
+                           match=rf"\|R_7\| = {limit + 1}\.000 exceeds"):
+            selberg._remainder_exact(pr, d, (d,), count + sign)
+
+
+def test_popcount_of_a_full_chunk_at_the_cap():
+    # the most bits one count sees: every bit of a row chunk of the widest
+    # box; the uint32 sum must not wrap
+    words = -(-selberg.ORACLE_BOX_CAP // 64)
+    full = np.full((selberg._ROW_CHUNK, words), ~np.uint64(0))
+    assert selberg._popcount(full) == selberg._ROW_CHUNK * words * 64
 
 
 def test_golden_file_replay():
