@@ -1,10 +1,12 @@
 """Reference constants, predicted main terms, and empirical-vs-predicted reports.
 
 Every statistic the moment engine can measure has exactly one predicted main
-term here.  Infinite products over primes = 3 (mod 4) are truncated with an
-explicit tail bound (sum of p^-2 beyond the cutoff is below 1/(cutoff-1)),
-so no constant is ever invented.  Fitted constants are produced only by
-calibrate() and stored in a text constants file that verification replays.
+term here, a function of the statistic and x alone.  Infinite products over
+primes = 3 (mod 4) are truncated at LANDAU_CUTOFF with an explicit tail
+bound (sum of p^-2 beyond the cutoff is below 1/(cutoff-1)), and the r0
+second-moment constant H is in closed form, so no constant is ever
+invented.  The bounds that calibrate() takes as maxima over deterministic
+grids are stored in a text constants file that verification replays.
 """
 
 import math
@@ -18,7 +20,8 @@ from .arith import prime_recip_sum, prime_table
 from .errors import CapacityError
 from .repfun import RepFamily
 
-DEFAULT_LANDAU_CUTOFF = 10**6
+# where every product over p = 3 mod 4 stops; its tail bound is 1e-6
+LANDAU_CUTOFF = 10**6
 
 GSS_FAMILIES = (RepFamily.R1, RepFamily.RBIG_STAR, RepFamily.RPRIME_STAR)
 
@@ -52,7 +55,7 @@ class RatioReport:
 
 
 # ---------------------------------------------------------------------------
-# The Landau-Ramanujan product and derived constants
+# The Landau-Ramanujan product, derived constants, and H
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
@@ -71,21 +74,46 @@ def landau_ramanujan(cutoff):
     return value, 1.0 / (cutoff - 1)
 
 
-def _landau_value(cutoff):
-    return landau_ramanujan(cutoff)[0]
+def _landau_value():
+    return landau_ramanujan(LANDAU_CUTOFF)[0]
 
 
-def _three_mod4_square_product(cutoff):
+def _three_mod4_square_product():
     """prod_{p = 3 mod 4} (1 - p^-2), via the cached Landau value."""
-    k = _landau_value(cutoff)
+    k = _landau_value()
     return 1.0 / (2.0 * k * k)
+
+
+def _zeta_prime_2():
+    """zeta'(2) = -sum_{k >= 2} log k / k^2: the terms below n = 50, then the
+    Euler-Maclaurin tail at n through g^(5), g(t) = log t / t^2."""
+    n = 50
+    head = sum(math.log(k) / (k * k) for k in range(2, n))
+    big_l = math.log(n)
+    tail = ((big_l + 1) / n + big_l / (2 * n * n)
+            - (1 - 2 * big_l) / (12 * n**3)        # B2 g'(n) / 2!
+            + (26 - 24 * big_l) / (720 * n**5)     # B4 g'''(n) / 4!
+            - (1044 - 720 * big_l) / (30240 * n**7))  # B6 g^(5)(n) / 6!
+    return -(head + tail)
+
+
+ZETA_PRIME_2 = _zeta_prime_2()
+
+# sum r0(n)^2 n^-s = zeta(s)^2 L(s, chi_4)^2 / ((1 + 2^-s) zeta(2s)) has a
+# double pole at s = 1 whose residue against x^s / s is x log x / 4 + H x,
+# H = (2 gamma - 1 + 2 L'/L(1, chi_4) + (log 2)/3 - 2 zeta'/zeta(2)) / 4.
+# With L'/L(1, chi_4) = gamma + 2 log 2 + 3 log pi - 4 log Gamma(1/4),
+# zeta(2) = pi^2 / 6 and Euler's gamma = 0.5772156649015329, that is
+R0_SECOND_H = (0.5772156649015329 - 0.25 + 13 / 12 * math.log(2)
+               + 1.5 * math.log(math.pi) - 2 * math.lgamma(0.25)
+               - 3 * ZETA_PRIME_2 / math.pi**2)
 
 
 # ---------------------------------------------------------------------------
 # Predicted main terms
 # ---------------------------------------------------------------------------
 
-def predicted_main(stat, x, constants=None, cutoff=DEFAULT_LANDAU_CUTOFF):
+def predicted_main(stat, x):
     """Closed-form main term for a statistic at cutoff x.
 
     The floor on x is per formula: 1 for the linear main term, 2 once a
@@ -99,9 +127,7 @@ def predicted_main(stat, x, constants=None, cutoff=DEFAULT_LANDAU_CUTOFF):
     if sid == "r0_first":
         return math.pi / 4 * x
     if sid == "r0_second":
-        if not constants or "H" not in constants:
-            raise ValueError("r0_second needs the calibrated constant H")
-        return x * logx / 4 + constants["H"] * x
+        return x * logx / 4 + R0_SECOND_H * x
     if sid == "r1_first":
         return math.pi / 2 * x / logx
     if sid == "r2_first":
@@ -111,7 +137,7 @@ def predicted_main(stat, x, constants=None, cutoff=DEFAULT_LANDAU_CUTOFF):
     if sid == "r1_second":
         return (math.pi / 2 + 9.0 / 4.0) * x / logx
     if sid == "M0":
-        return _landau_value(cutoff) * x / math.sqrt(logx)
+        return _landau_value() * x / math.sqrt(logx)
     if sid == "M2":
         return math.pi / 2 * x / logx**2
     if sid == "M0star":
@@ -119,14 +145,14 @@ def predicted_main(stat, x, constants=None, cutoff=DEFAULT_LANDAU_CUTOFF):
         # Dirichlet-series square zeta * L * (1 - 2^-s) * prod(1 - p^-2s),
         # so the squared residue at s = 1 is (pi/4) * (1/2) * prod, and the
         # Tauberian main term is (3/4) sqrt(prod/2) x / sqrt(log x).
-        return 0.75 * math.sqrt(_three_mod4_square_product(cutoff) / 2.0) \
+        return 0.75 * math.sqrt(_three_mod4_square_product() / 2.0) \
             * x / math.sqrt(logx)
     if sid == "rR_first":
-        c = math.pi / 4 * math.sqrt(2.0) * _landau_value(cutoff)
+        c = math.pi / 4 * math.sqrt(2.0) * _landau_value()
         return c * x / math.sqrt(logx)
     if sid == "rRprime_first":
         # (pi/4) * sqrt(2) * (M0* constant): same transform as rR_first
-        c = 3 * math.pi / 16 * math.sqrt(_three_mod4_square_product(cutoff))
+        c = 3 * math.pi / 16 * math.sqrt(_three_mod4_square_product())
         return c * x / math.sqrt(logx)
     if sid in ("gss_shape", "rR_shape"):
         big_l = math.log(logx)
@@ -168,9 +194,8 @@ def empirical_grid(stat, xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                                 segment_size, workers)
 
 
-def ratio_report(stat, xs, table, constants=None,
-                 cutoff=DEFAULT_LANDAU_CUTOFF,
-                 segment_size=moments.DEFAULT_SEGMENT_SIZE, workers=1):
+def ratio_report(stat, xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
+                 workers=1):
     """Empirical vs predicted rows for each x (ascending)."""
     xs = sorted(int(x) for x in xs)
     sid = _parts(stat)[0]
@@ -178,26 +203,11 @@ def ratio_report(stat, xs, table, constants=None,
                             workers=workers)
     rows = []
     for x, emp in zip(xs, values):
-        pred = predicted_main(stat, x, constants=constants, cutoff=cutoff)
+        pred = predicted_main(stat, x)
         ratio = emp / pred if pred != 0 else math.inf
         rows.append(RatioReport(sid, x, float(emp), pred, ratio,
                                 float(emp) - pred))
     return rows
-
-
-def fit_secondary_constant(xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
-                           workers=1):
-    """Per-point estimates of the r0 second-moment constant H, plus spread."""
-    xs = sorted(int(x) for x in xs)
-    if len(xs) < 1:
-        raise ValueError("need at least one grid point")
-    m2 = moments.power_moment_grid(RepFamily.R0, xs, 2, table,
-                                   segment_size=segment_size, workers=workers)
-    # each estimate is (m2 - the r0_second main term with H = 0) / x
-    ests = [(v - predicted_main("r0_second", x, constants={"H": 0.0})) / x
-            for x, v in zip(xs, m2)]
-    tail = ests[len(ests) // 2:]
-    return ests, max(tail) - min(tail)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +325,7 @@ def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,
 # ---------------------------------------------------------------------------
 
 # what calibrate() writes and the calibrated suite reads
-CONSTANT_KEYS = ("C", "gamma1", "gamma2", "H", "gss_bound", "landau_K")
+CONSTANT_KEYS = ("C", "gamma1", "gamma2", "gss_bound")
 
 
 def write_constants(path, values, provenance):
@@ -329,10 +339,13 @@ def write_constants(path, values, provenance):
 
 
 def read_constants(path):
-    """The constants file at `path` as a dict, key -> float.
+    """The CONSTANT_KEYS of the constants file at `path`, key -> float.
 
     Raises ValueError naming the file and the line when a line is not
-    "key = number", or naming the CONSTANT_KEYS the file lacks.
+    "key = number" with a finite number (a nan or inf makes every replay
+    test "ratio > stored" false) and a key no earlier line sets, or naming
+    the CONSTANT_KEYS the file lacks.  Other keys are dropped, so files that
+    an older calibrate() wrote with H and the Landau value still replay.
     """
     out = {}
     with open(path) as fh:
@@ -343,16 +356,18 @@ def read_constants(path):
             key, eq, value = line.partition("=")
             key = key.strip()
             try:
-                if not eq or not key:
-                    raise ValueError
-                out[key] = float(value)
+                number = float(value) if eq and key else math.nan
             except ValueError:
-                raise ValueError(f"{path}:{num}: expected 'key = number', "
-                                 f"got {raw.strip()!r}") from None
+                number = math.nan
+            if not math.isfinite(number) or key in out:
+                raise ValueError(f"{path}:{num}: expected 'key = number' with "
+                                 "a finite number and a new key, got "
+                                 f"{raw.strip()!r}")
+            out[key] = number
     missing = [k for k in CONSTANT_KEYS if k not in out]
     if missing:
         raise ValueError(f"{path}: missing constant(s) {', '.join(missing)}")
-    return out
+    return {k: out[k] for k in CONSTANT_KEYS}
 
 
 def coprime_gap(x, table):
@@ -402,14 +417,12 @@ def gss_shape_max(xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
 
 
 def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
-              workers=1, cutoff=DEFAULT_LANDAU_CUTOFF):
-    """Compute the fitted constants (C, gamma1, gamma2, H, gss_bound).
+              workers=1):
+    """Compute the fitted constants (C, gamma1, gamma2, gss_bound).
 
     C, gamma1 and gss_bound are the max of coprime_gap_ratios,
     rho_bound_ratios and gss_shape_max over deterministic grids, which the
-    calibrated suite replays against the stored values.  The truncated
-    Landau product at `cutoff` is recorded alongside, with its tail bound
-    in the provenance comment.
+    calibrated suite replays against the stored values.
     """
     if grid_max < 10**4:
         raise ValueError("grid_max must be >= 10000, the first x of the "
@@ -417,8 +430,6 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     if grid_max > moments.MAX_X:
         raise CapacityError(f"grid_max = {grid_max} exceeds engine budget "
                             f"MAX_X = {moments.MAX_X}")
-    # a bad cutoff fails here, before any sweep
-    k_val, k_tail = landau_ramanujan(cutoff)
 
     def decades(lo):
         xs, x = [], lo
@@ -447,13 +458,6 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                                             workers=workers).values())
     notes["gamma1"] = f"max of rho_kN / bound core over x in {xs_rho}, k <= 8"
 
-    xs_h = [x for x in range(2 * 10**5, 10**6 + 1, 2 * 10**5)]
-    ests, _ = fit_secondary_constant(xs_h, table, segment_size=segment_size,
-                                     workers=workers)
-    tail = ests[len(ests) // 2:]
-    values["H"] = sum(tail) / len(tail)
-    notes["H"] = f"mean of (m2 - x log x / 4)/x over the last half of {xs_h}"
-
     xs_gss = decades(10**4)
     values["gss_bound"] = gss_shape_max(xs_gss, table,
                                         segment_size=segment_size,
@@ -461,7 +465,4 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
     notes["gss_bound"] = ("max shape ratio over families r1/rrstar/"
                           f"rrprimestar, x in {xs_gss}, ell in (1, 2), k <= 8")
 
-    values["landau_K"] = k_val
-    notes["landau_K"] = (f"truncated product over p = 3 mod 4 up to {cutoff}; "
-                         f"|log(true/partial)| <= {k_tail:.3g}")
     return values, notes

@@ -90,8 +90,6 @@ def _add_flags(p, *flags):
         "--segment-size": dict(type=int, default=moments.DEFAULT_SEGMENT_SIZE),
         "--workers": dict(type=int, default=_default_workers()),
         "--constants": dict(default=DEFAULT_CONSTANTS),
-        "--cutoff": dict(type=int, default=asymp.DEFAULT_LANDAU_CUTOFF,
-                         help="prime cutoff for truncated products"),
     }
     p.add_argument("--out", help="write CSV here instead of stdout")
     for flag in flags:
@@ -148,8 +146,7 @@ def _build_parser():
 
     p = sub.add_parser("calibrate", help="fit and store the tuned constants")
     p.add_argument("--grid-max", type=int, default=10**7)
-    _add_flags(p, "--segment-size", "--workers", "--constants",
-               "--cutoff")
+    _add_flags(p, "--segment-size", "--workers", "--constants")
     return top
 
 
@@ -270,7 +267,7 @@ def _cmd_calibrate(args):
     table = _table(args.grid_max, moments.MAX_X)
     values, notes = asymp.calibrate(table, grid_max=args.grid_max,
                                     segment_size=args.segment_size,
-                                    workers=args.workers, cutoff=args.cutoff)
+                                    workers=args.workers)
     asymp.write_constants(args.constants, values, notes)
     _emit(["key", "value"], [[k, values[k]] for k in sorted(values)],
           args.out)

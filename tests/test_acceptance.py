@@ -8,6 +8,7 @@ clause of the r1 binomial check); they are asserted as stated and are
 expected to stay red -- the printed detail carries the measured values.
 """
 
+import ast
 import tracemalloc
 from fractions import Fraction
 
@@ -180,8 +181,30 @@ def test_sieve_admissibility_catches_a_lowered_mu_plus(monkeypatch):
     assert row.detail.startswith(f"checked in rationals, failures: [{first}")
 
 
-def test_calibrated_replay(table, constants):
-    _report(acceptance.check_calibrated(table, constants, workers=2))
+def test_calibrated_replay(table, constants, tmp_path):
+    rows = acceptance.check_calibrated(table, constants, workers=2)
+    # a file from an older calibrate(), with H and landau_K beside the
+    # four keys, loads without them and replays to the same rows
+    path = str(tmp_path / "six-keys.txt")
+    asymp.write_constants(path, {**constants, "H": 0.5038056250989483,
+                                 "landau_K": 0.7642236406476686}, {})
+    older = asymp.read_constants(path)
+    assert older == constants
+    assert acceptance.check_calibrated(table, older, workers=2) == rows
+    _report(rows)
+
+
+def test_every_stored_constant_is_read():
+    """acceptance.py reads each of CONSTANT_KEYS as constants["key"], and no
+    other key, so calibrate() stores nothing that no check replays."""
+    with open(acceptance.__file__) as fh:
+        tree = ast.parse(fh.read())
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "constants"
+            and isinstance(node.slice, ast.Constant)}
+    assert read == set(asymp.CONSTANT_KEYS)
 
 
 def test_r1_binomial_second_moment(table):

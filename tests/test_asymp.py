@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from repnum import arith, asymp, moments, repfun
@@ -37,10 +38,8 @@ def test_predicted_main():
     got = asymp.predicted_main("M0", 10**7)
     assert got == pytest.approx(0.76422 * 10**7 / math.sqrt(math.log(10**7)),
                                 rel=1e-4)
-    assert asymp.predicted_main("r0_second", 100, constants={"H": 0.5}) \
-        == pytest.approx(100 * math.log(100) / 4 + 50)
-    with pytest.raises(ValueError):
-        asymp.predicted_main("r0_second", 100)
+    assert asymp.predicted_main("r0_second", 100) == pytest.approx(
+        100 * math.log(100) / 4 + 100 * asymp.R0_SECOND_H)
     with pytest.raises(ValueError):
         asymp.predicted_main("nope", 100)
     with pytest.raises(ValueError):
@@ -86,13 +85,28 @@ def test_empirical_grid_matches_histogram(stat, table):
         for h in hists]
 
 
-def test_fit_secondary_constant(table):
-    ests, spread = asymp.fit_secondary_constant([10], table)
-    assert ests[0] == pytest.approx((13 - 10 * math.log(10) / 4) / 10)
-    assert spread == 0.0
-    ests, spread = asymp.fit_secondary_constant(
-        [10**4, 2 * 10**4, 5 * 10**4, 10**5], table)
-    assert spread >= 0 and len(ests) == 4
+def test_r0_second_constant_matches_mpmath():
+    """zeta'(2) and H against mpmath; L'/L(1, chi_4) here is the derivative
+    of mpmath's Dirichlet L-series, not the log Gamma(1/4) closed form."""
+    with mpmath.workdps(30):
+        zp2 = mpmath.zeta(2, derivative=1)
+        chi4 = [0, 1, 0, -1]
+        l_log_deriv = (mpmath.dirichlet(1, chi4, derivative=1)
+                       / mpmath.dirichlet(1, chi4))
+        h = (2 * mpmath.euler - 1 + 2 * l_log_deriv + mpmath.log(2) / 3
+             - 2 * zp2 / mpmath.zeta(2)) / 4
+    assert abs(asymp.ZETA_PRIME_2 - float(zp2)) < 1e-12
+    assert abs(asymp.R0_SECOND_H - float(h)) < 1e-12
+
+
+def test_r0_second_moment_within_sqrt_x(table):
+    """|sum r0(n)^2 - x log x / 4 - H x| <= sqrt(x); the residual over
+    sqrt(x) reads +0.27, +0.61, -0.22 and -0.13 at these x, so an H off by
+    1e-3 fails at 1e7."""
+    xs = [10**4, 10**5, 10**6, 10**7]
+    m2 = moments.power_moment_grid(RepFamily.R0, xs, 2, table, workers=2)
+    for x, v in zip(xs, m2):
+        assert abs(v - asymp.predicted_main("r0_second", x)) <= math.sqrt(x), x
 
 
 def test_mertens_ap_constant(table):
@@ -237,9 +251,8 @@ def test_constants_file_roundtrip(tmp_path):
     # values that 12 significant digits would not give back exactly
     path = str(tmp_path / "constants.txt")
     values = {"C": 0.8563351730546764, "gamma1": 0.1 + 0.2,
-              "gamma2": -0.2775406929822688, "H": -0.25, "gss_bound": 2.0,
-              "landau_K": 0.764}
-    asymp.write_constants(path, values, {"C": "gap fit", "H": "moment fit"})
+              "gamma2": -0.2775406929822688, "gss_bound": 2.0}
+    asymp.write_constants(path, values, {"C": "gap fit"})
     with open(path) as fh:
         text = fh.read()
     assert "C = 0.8563351730546764 # gap fit" in text
@@ -252,6 +265,9 @@ def test_constants_file_roundtrip(tmp_path):
     ("C = 1.0\n= 2.0 # no key\n", 2),
     ("C = one\n", 1),
     ("C =\n", 1),
+    ("C = nan\n", 1),                    # every replay test would pass
+    ("C = 1.0\ngamma1 = inf # bad\n", 2),
+    ("C = 1.0\ngamma1 = 2.0\nC = 0.5\n", 3),  # a repeated key
 ])
 def test_read_constants_names_bad_line(tmp_path, body, line):
     path = tmp_path / "constants.txt"
@@ -263,29 +279,19 @@ def test_read_constants_names_bad_line(tmp_path, body, line):
 
 def test_read_constants_names_missing_keys(tmp_path):
     path = str(tmp_path / "constants.txt")
-    values = {k: 1.5 for k in asymp.CONSTANT_KEYS if k not in ("H", "C")}
+    values = {k: 1.5 for k in asymp.CONSTANT_KEYS
+              if k not in ("C", "gss_bound")}
     asymp.write_constants(path, values, {})
     with pytest.raises(ValueError) as exc:
         asymp.read_constants(path)
-    assert str(exc.value) == f"{path}: missing constant(s) C, H"
-
-
-@pytest.mark.parametrize("cutoff, error", [(2, ValueError),
-                                           (3 * 10**9, CapacityError)])
-def test_calibrate_checks_cutoff_before_any_sweep(table, monkeypatch, cutoff,
-                                                  error):
-    def no_sweep(*args, **kw):
-        raise AssertionError("the sweep ran")
-    monkeypatch.setattr(moments, "_hist_sweep", no_sweep)
-    with pytest.raises(error):
-        asymp.calibrate(table, cutoff=cutoff)
+    assert str(exc.value) == f"{path}: missing constant(s) C, gss_bound"
 
 
 def test_calibrate_small_grid(table):
     v1, notes = asymp.calibrate(table, grid_max=10**5)
     v2, _ = asymp.calibrate(table, grid_max=10**5)
     assert v1 == v2
-    assert set(v1) == {"C", "gamma1", "gamma2", "H", "gss_bound", "landau_K"}
+    assert set(v1) == {"C", "gamma1", "gamma2", "gss_bound"}
     assert set(notes) == set(v1)
     assert v1["C"] > 0 and v1["gamma1"] > 0 and v1["gss_bound"] > 0
     # each fitted constant is the max of the statistic the replay reads

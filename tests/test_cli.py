@@ -125,8 +125,8 @@ def test_bad_constants_file_exits_2(tmp_path, capsys, verb):
     path = tmp_path / "constants.txt"
     full = "".join(f"{k} = 1.0\n" for k in asymp.CONSTANT_KEYS)
     cases = [(full.replace("gamma1 = 1.0", "gamma1"), f"{path}:2:"),
-             (full.replace("landau_K = 1.0\n", ""), "missing constant(s) "
-              "landau_K")]
+             (full.replace("gss_bound = 1.0\n", ""), "missing constant(s) "
+              "gss_bound")]
     for body, needle in cases:
         path.write_text(body)
         code, out, err = run(capsys, *verb, "--constants", str(path))
@@ -161,11 +161,11 @@ def test_calibrate_and_constants(tmp_path, capsys):
     assert code == 0
     assert os.path.exists(path)
     stored = asymp.read_constants(path)
-    assert set(stored) == {"C", "gamma1", "gamma2", "H", "gss_bound", "landau_K"}
+    assert set(stored) == {"C", "gamma1", "gamma2", "gss_bound"}
     code, out, _ = run(capsys, "constants", "--constants", path)
     assert code == 0
     assert out.splitlines()[0] == "key,value"
-    assert len(out.splitlines()) == 7
+    assert len(out.splitlines()) == 5
 
 
 def test_table_command(capsys):
@@ -272,6 +272,7 @@ def test_segment_size_below_one_is_a_usage_error(capsys, flag, value, name):
     ("eval", "--family", "r0", "--n", "25", "--workers", "2"),
     ("verify", "--suite", "argmax", "--segment-size", "4096"),
     ("sieve-demo", "--cutoff", "5"),
+    ("calibrate", "--cutoff", "5"),
 ], ids=lambda argv: argv[0])
 def test_verbs_reject_flags_they_do_not_read(capsys, argv):
     code, out, err = run(capsys, *argv)
