@@ -13,13 +13,9 @@ import numpy as np
 
 from .errors import CapacityError
 
-# Hard cap on sieve size: a table beyond this would need >2.5 GB for the
-# spf array alone.  Raise CapacityError instead of thrashing.
+# Hard cap on sieve size: a table beyond this would need > 2 GB for the
+# boolean sieve alone.  Raise CapacityError instead of thrashing.
 LIMIT_CAP = 2_000_000_000
-
-# Default cap on the smallest-prime-factor table (entries, i.e. max n).
-# Beyond it, factor() falls back to trial division by tabulated primes.
-SPF_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -32,10 +28,11 @@ class Factorization:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit, plus a smallest-prime-factor array.
+    """All primes <= limit, plus a smallest-prime-factor array on request.
 
     spf[k] is the smallest prime factor of k for 2 <= k <= spf_limit
-    (spf[0] = 0, spf[1] = 1).  spf_limit = min(limit, spf_cap).
+    (spf[0] = 0, spf[1] = 1).  spf_limit = min(limit, spf_cap), 0 unless
+    prime_table was given an spf_cap.
     """
 
     limit: int
@@ -91,20 +88,25 @@ def _spf_sieve(n):
     return spf
 
 
-def prime_table(limit, spf_cap=SPF_CAP):
-    """Sieve all primes <= limit and the spf array up to min(limit, spf_cap)."""
+def prime_table(limit, spf_cap=0):
+    """Sieve all primes <= limit and the spf array up to min(limit, spf_cap).
+
+    The spf array is built only on request: beyond spf_limit, factor() and
+    is_prime() fall back to the tabulated primes.
+    """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if limit > LIMIT_CAP:
         raise CapacityError(
             f"limit {limit} exceeds prime table cap LIMIT_CAP = {LIMIT_CAP}")
     spf_limit = min(limit, spf_cap)
-    spf = _spf_sieve(spf_limit)
     if spf_limit == limit:
+        spf = _spf_sieve(limit)
         primes = np.nonzero(spf[2:] == np.arange(2, limit + 1, dtype=np.uint32))[0] + 2
         primes = primes.astype(np.int64)
     else:
         primes = np.nonzero(_bool_sieve(limit))[0].astype(np.int64)
+        spf = _spf_sieve(spf_limit)
     return PrimeTable(limit=limit, primes=primes, spf=spf, spf_limit=spf_limit)
 
 
@@ -198,7 +200,7 @@ def pi_count(x, residue_filter=None, table=None):
     if x < 2:
         return 0
     if table is None:
-        table = prime_table(x, spf_cap=0)
+        table = prime_table(x)
     return int(len(_filtered_primes(x, residue_filter, table)))
 
 
@@ -207,7 +209,7 @@ def prime_recip_sum(x, residue_filter=None, table=None):
     if x < 2:
         raise ValueError("x must be >= 2")
     if table is None:
-        table = prime_table(x, spf_cap=0)
+        table = prime_table(x)
     primes = _filtered_primes(x, residue_filter, table)
     # ascending accumulation keeps the float error well under 1e-12 relative
     return float(np.add.reduce(1.0 / primes.astype(np.float64)))

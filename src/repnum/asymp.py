@@ -1,15 +1,18 @@
 """Reference constants, predicted main terms, and empirical-vs-predicted reports.
 
 Every statistic the moment engine can measure has exactly one predicted main
-term here, a function of the statistic and x alone.  Infinite products over
-primes = 3 (mod 4) are truncated at LANDAU_CUTOFF with an explicit tail
-bound (sum of p^-2 beyond the cutoff is below 1/(cutoff-1)), and the r0
-second-moment constant H is in closed form, so no constant is ever
-invented.  The bounds that calibrate() takes as maxima over deterministic
-grids are stored in a text constants file that verification replays.
+term here, a function of the statistic and x alone: one _STATISTICS entry
+per statistic id, and shape_main for the shape ratios, keyed by family and
+(ell, k).  Infinite products over primes = 3 (mod 4) are truncated at
+LANDAU_CUTOFF with an explicit tail bound (sum of p^-2 beyond the cutoff is
+below 1/(cutoff-1)), and the r0 second-moment constant H is in closed
+form, so no constant is ever invented.  The bounds that calibrate() takes
+as maxima over deterministic grids are stored in a text constants file
+that verification replays.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,24 +27,6 @@ from .repfun import RepFamily
 LANDAU_CUTOFF = 10**6
 
 GSS_FAMILIES = (RepFamily.R1, RepFamily.RBIG_STAR, RepFamily.RPRIME_STAR)
-
-
-@dataclass(frozen=True)
-class Statistic:
-    """One named statistic with optional shape parameters (ell, k)."""
-
-    id: str
-    ell: int = None
-    k: int = None
-
-
-def _parts(stat):
-    """(id, ell, k) of a Statistic or a bare id; shape ids need ell and k."""
-    stat = stat if isinstance(stat, Statistic) else Statistic(stat)
-    if stat.id in ("gss_shape", "rR_shape") and None in (stat.ell, stat.k):
-        raise ValueError(f"shape statistic {stat.id!r} needs "
-                         "Statistic(id, ell, k)")
-    return stat.id, stat.ell, stat.k
 
 
 @dataclass(frozen=True)
@@ -67,7 +52,7 @@ def landau_ramanujan(cutoff):
     """
     if cutoff < 3:
         raise ValueError("cutoff must be >= 3")
-    primes = prime_table(cutoff, spf_cap=0).primes
+    primes = prime_table(cutoff).primes
     p3 = primes[primes % 4 == 3].astype(np.float64)
     log_prod = float(np.log1p(-1.0 / (p3 * p3)).sum())
     value = math.exp(-0.5 * (math.log(2.0) + log_prod))
@@ -113,99 +98,79 @@ R0_SECOND_H = (0.5772156649015329 - 0.25 + 13 / 12 * math.log(2)
 # Predicted main terms
 # ---------------------------------------------------------------------------
 
-def predicted_main(stat, x):
-    """Closed-form main term for a statistic at cutoff x.
-
-    The floor on x is per formula: 1 for the linear main term, 2 once a
-    log x appears downstairs, 3 once log log x does.
-    """
-    sid, ell, k = _parts(stat)
-    floor = 1 if sid == "r0_first" else 3 if sid in ("gss_shape", "rR_shape") else 2
-    if x < floor:
-        raise ValueError(f"statistic {sid!r} needs x >= {floor}, got {x}")
-    logx = math.log(x)
-    if sid == "r0_first":
-        return math.pi / 4 * x
-    if sid == "r0_second":
-        return x * logx / 4 + R0_SECOND_H * x
-    if sid == "r1_first":
-        return math.pi / 2 * x / logx
-    if sid == "r2_first":
-        return math.pi * x / logx**2
-    if sid == "r1_binom2":
-        return 9.0 / 8.0 * x / logx
-    if sid == "r1_second":
-        return (math.pi / 2 + 9.0 / 4.0) * x / logx
-    if sid == "M0":
-        return _landau_value() * x / math.sqrt(logx)
-    if sid == "M2":
-        return math.pi / 2 * x / logx**2
-    if sid == "M0star":
-        # The counting function of the multiplicative set behind M0* has
-        # Dirichlet-series square zeta * L * (1 - 2^-s) * prod(1 - p^-2s),
-        # so the squared residue at s = 1 is (pi/4) * (1/2) * prod, and the
-        # Tauberian main term is (3/4) sqrt(prod/2) x / sqrt(log x).
-        return 0.75 * math.sqrt(_three_mod4_square_product() / 2.0) \
-            * x / math.sqrt(logx)
-    if sid == "rR_first":
-        c = math.pi / 4 * math.sqrt(2.0) * _landau_value()
-        return c * x / math.sqrt(logx)
-    if sid == "rRprime_first":
-        # (pi/4) * sqrt(2) * (M0* constant): same transform as rR_first
-        c = 3 * math.pi / 16 * math.sqrt(_three_mod4_square_product())
-        return c * x / math.sqrt(logx)
-    if sid in ("gss_shape", "rR_shape"):
-        big_l = math.log(logx)
-        denom = logx if sid == "gss_shape" else math.sqrt(logx)
-        return x * (2 ** (ell - 1) * big_l) ** k \
-            / (math.factorial(k) * denom ** (ell + 1))
-    raise ValueError(f"unknown statistic {sid!r}")
-
-
-_EMPIRICAL = {
-    # id -> (family, mode, index)
-    "r0_first": (RepFamily.R0, "power", 1),
-    "r0_second": (RepFamily.R0, "power", 2),
-    "r1_first": (RepFamily.R1, "power", 1),
-    "r2_first": (RepFamily.R2, "power", 1),
-    "r1_binom2": (RepFamily.R1, "binomial", 2),
-    "r1_second": (RepFamily.R1, "power", 2),
-    "M0": (RepFamily.R0, "zeroth", None),
-    "M2": (RepFamily.R2, "zeroth", None),
-    "M0star": (RepFamily.R0_STAR, "zeroth", None),
-    "rR_first": (RepFamily.RBIG, "power", 1),
-    "rRprime_first": (RepFamily.RPRIME, "power", 1),
+# statistic id -> (family, moment mode, index, least x, main term of x and
+# log x); the least x is 1 for the linear main term and 2 wherever a log x
+# appears
+_STATISTICS = {
+    "r0_first": (RepFamily.R0, "power", 1, 1,
+                 lambda x, lx: math.pi / 4 * x),
+    "r0_second": (RepFamily.R0, "power", 2, 2,
+                  lambda x, lx: x * lx / 4 + R0_SECOND_H * x),
+    "r1_first": (RepFamily.R1, "power", 1, 2,
+                 lambda x, lx: math.pi / 2 * x / lx),
+    "r2_first": (RepFamily.R2, "power", 1, 2,
+                 lambda x, lx: math.pi * x / lx**2),
+    "r1_binom2": (RepFamily.R1, "binomial", 2, 2,
+                  lambda x, lx: 9.0 / 8.0 * x / lx),
+    "r1_second": (RepFamily.R1, "power", 2, 2,
+                  lambda x, lx: (math.pi / 2 + 9.0 / 4.0) * x / lx),
+    "M0": (RepFamily.R0, "zeroth", None, 2,
+           lambda x, lx: _landau_value() * x / math.sqrt(lx)),
+    "M2": (RepFamily.R2, "zeroth", None, 2,
+           lambda x, lx: math.pi / 2 * x / lx**2),
+    # The counting function of the multiplicative set behind M0* has
+    # Dirichlet-series square zeta * L * (1 - 2^-s) * prod(1 - p^-2s), so
+    # the squared residue at s = 1 is (pi/4) * (1/2) * prod, and the
+    # Tauberian main term is (3/4) sqrt(prod/2) x / sqrt(log x).
+    "M0star": (RepFamily.R0_STAR, "zeroth", None, 2,
+               lambda x, lx: 0.75 * math.sqrt(_three_mod4_square_product()
+                                              / 2.0) * x / math.sqrt(lx)),
+    "rR_first": (RepFamily.RBIG, "power", 1, 2,
+                 lambda x, lx: math.pi / 4 * math.sqrt(2.0) * _landau_value()
+                 * x / math.sqrt(lx)),
+    # (pi/4) * sqrt(2) * (M0* constant): same transform as rR_first
+    "rRprime_first": (RepFamily.RPRIME, "power", 1, 2,
+                      lambda x, lx: 3 * math.pi / 16
+                      * math.sqrt(_three_mod4_square_product())
+                      * x / math.sqrt(lx)),
 }
+
+
+def _statistic(stat):
+    """The _STATISTICS entry of a statistic id; ValueError if it has none."""
+    if stat not in _STATISTICS:
+        raise ValueError(f"unknown statistic {stat!r}")
+    return _STATISTICS[stat]
+
+
+def predicted_main(stat, x):
+    """Closed-form main term for a statistic at cutoff x."""
+    *_, least, main = _statistic(stat)
+    if x < least:
+        raise ValueError(f"statistic {stat!r} needs x >= {least}, got {x}")
+    return main(x, math.log(x))
 
 
 def empirical_grid(stat, xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                    workers=1):
     """Exact empirical values of a statistic at each x, one engine sweep."""
-    sid, ell, j = _parts(stat)
-    if sid in ("gss_shape", "rR_shape"):
-        family = RepFamily.R1 if sid == "gss_shape" else RepFamily.RBIG_STAR
-        mode, k, omega_filter = "binomial", ell, ("omega_star", j)
-    elif sid in _EMPIRICAL:
-        family, mode, k = _EMPIRICAL[sid]
-        omega_filter = None
-    else:
-        raise ValueError(f"unknown statistic {sid!r}")
-    return moments._moment_grid(family, xs, mode, k, table, omega_filter,
-                                segment_size, workers)
+    family, mode, k, _, _ = _statistic(stat)
+    hists = moments.histogram_grid(family, xs, table,
+                                   segment_size=segment_size, workers=workers)
+    return [moments.moment_from_histogram(h, mode, k) for h in hists]
 
 
 def ratio_report(stat, xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                  workers=1):
     """Empirical vs predicted rows for each x (ascending)."""
     xs = sorted(int(x) for x in xs)
-    sid = _parts(stat)[0]
     values = empirical_grid(stat, xs, table, segment_size=segment_size,
                             workers=workers)
     rows = []
     for x, emp in zip(xs, values):
         pred = predicted_main(stat, x)
         ratio = emp / pred if pred != 0 else math.inf
-        rows.append(RatioReport(sid, x, float(emp), pred, ratio,
+        rows.append(RatioReport(stat, x, float(emp), pred, ratio,
                                 float(emp) - pred))
     return rows
 
@@ -287,36 +252,53 @@ def smooth_squarefull_rstar_sum(x, m, table,
         raise ValueError("x must be >= 16")
     if m < 1:
         raise ValueError("m must be >= 1")
-    state = moments._lattice_state(RepFamily.R0_STAR.traits, math.isqrt(x),
-                                   table)
-    state.update(segment=_smooth_squarefull_segment, primes=table.primes,
-                 z=math.floor(x ** (1.0 / math.log(math.log(x)))))
-    (hist,) = moments._hist_sweep(state, [x], segment_size, workers)
+    z = math.floor(x ** (1.0 / math.log(math.log(x))))
+    (hist,) = moments._hist_sweep(RepFamily.R0_STAR, [x], table,
+                                  _smooth_squarefull_segment, segment_size,
+                                  workers, z=z)
     return moments.moment_from_histogram(hist, "power", m)
 
 
-def gss_shape_ratios_grid(family, xs, table, ells=(1, 2), kmax=8,
+# the shape ratios' binomial indices ell and their largest omega_star = k
+SHAPE_ELLS = (1, 2)
+SHAPE_KMAX = 8
+
+
+def shape_main(family, ell, k, x):
+    """Main term of a GSS family's omega_star = k binomial-ell moment.
+
+    x (2^(ell-1) L)^k / (k! D^(ell+1)) with L = log log x, where D is
+    log x for r1 and sqrt(log x) for rrstar and rrprimestar.
+    """
+    if family not in GSS_FAMILIES:
+        raise ValueError("family must be one of r1, rrstar, rrprimestar")
+    if x < 3:
+        raise ValueError(f"shape main terms need x >= 3, got {x}")
+    logx = math.log(x)
+    denom = logx if family is RepFamily.R1 else math.sqrt(logx)
+    return x * (2 ** (ell - 1) * math.log(logx)) ** k \
+        / (math.factorial(k) * denom ** (ell + 1))
+
+
+def gss_shape_ratios_grid(family, xs, table,
                           segment_size=moments.DEFAULT_SEGMENT_SIZE,
                           workers=1):
     """All shape ratios for one family over a grid, one engine sweep.
 
-    Returns {(x, ell, k): ratio}, the omega_star = k filtered binomial
-    moment over predicted_main's "gss_shape" (r1) or "rR_shape" term.
+    Returns {(x, ell, k): ratio} for ell in SHAPE_ELLS and k <= SHAPE_KMAX,
+    the omega_star = k filtered binomial moment over shape_main.
     """
     if family not in GSS_FAMILIES:
         raise ValueError("family must be one of r1, rrstar, rrprimestar")
-    if min(ells) < 1:
-        raise ValueError(f"need ell >= 1, got ells {tuple(ells)}")
-    sid = "gss_shape" if family is RepFamily.R1 else "rR_shape"
     hists = moments.histogram_grid(family, xs, table, omega_kind="omega_star",
                                    segment_size=segment_size, workers=workers)
     out = {}
     for x, hist in zip(xs, hists):
-        for ell in ells:
-            for k in range(kmax + 1):
+        for ell in SHAPE_ELLS:
+            for k in range(SHAPE_KMAX + 1):
                 b = moments.moment_from_histogram(hist, "binomial", ell,
                                                   ("omega_star", k))
-                out[(x, ell, k)] = b / predicted_main(Statistic(sid, ell, k), x)
+                out[(x, ell, k)] = b / shape_main(family, ell, k, x)
     return out
 
 
@@ -341,12 +323,16 @@ def write_constants(path, values, provenance):
 def read_constants(path):
     """The CONSTANT_KEYS of the constants file at `path`, key -> float.
 
-    Raises ValueError naming the file and the line when a line is not
-    "key = number" with a finite number (a nan or inf makes every replay
-    test "ratio > stored" false) and a key no earlier line sets, or naming
-    the CONSTANT_KEYS the file lacks.  Other keys are dropped, so files that
-    an older calibrate() wrote with H and the Landau value still replay.
+    Raises ValueError naming the file when it does not exist, naming the
+    file and the line when a line is not "key = number" with a finite
+    number (a nan or inf makes every replay test "ratio > stored" false)
+    and a key no earlier line sets, or naming the CONSTANT_KEYS the file
+    lacks.  Other keys are dropped, so files that an older calibrate()
+    wrote with H and the Landau value still replay.
     """
+    if not os.path.exists(path):
+        raise ValueError(f"constants file {path!r} not found; run "
+                         "`repnum calibrate` first")
     out = {}
     with open(path) as fh:
         for num, raw in enumerate(fh, 1):
@@ -409,7 +395,8 @@ def rho_bound_ratios(xs, gamma2, table,
 
 def gss_shape_max(xs, table, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                   workers=1):
-    """Max shape ratio over GSS_FAMILIES, x in xs, ell in (1, 2), k <= 8."""
+    """Max shape ratio over GSS_FAMILIES, x in xs, ell in SHAPE_ELLS and
+    k <= SHAPE_KMAX."""
     return max(max(gss_shape_ratios_grid(family, xs, table,
                                          segment_size=segment_size,
                                          workers=workers).values())
@@ -463,6 +450,7 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                                         segment_size=segment_size,
                                         workers=workers)
     notes["gss_bound"] = ("max shape ratio over families r1/rrstar/"
-                          f"rrprimestar, x in {xs_gss}, ell in (1, 2), k <= 8")
+                          f"rrprimestar, x in {xs_gss}, ell in {SHAPE_ELLS}, "
+                          f"k <= {SHAPE_KMAX}")
 
     return values, notes

@@ -68,7 +68,7 @@ def _xs_from(args):
 
 
 def _table(x, cap=None):
-    """Primes to isqrt(x) + 1, at least 10^4; spf to that or SPF_CAP.
+    """Primes to isqrt(x) + 1, at least 10^4, and no spf array.
 
     CapacityError first, with no sieve, when x exceeds `cap`.
     """
@@ -164,7 +164,8 @@ def _cmd_eval(args):
 
 
 def _cmd_table(args):
-    table = arith.prime_table(args.limit)
+    # the spf array this verb has always built and reported, to at most 1e8
+    table = arith.prime_table(args.limit, spf_cap=10**8)
     _emit(["limit", "primes", "spf_limit"],
           [[table.limit, len(table.primes), table.spf_limit]], args.out)
     return 0
@@ -218,11 +219,6 @@ def _cmd_verify(args):
     suites = acceptance.SUITES if args.suite == "all" else (args.suite,)
     constants = None
     if "calibrated" in suites:
-        if not os.path.exists(args.constants):
-            sys.stderr.write(
-                f"constants file {args.constants!r} not found; run "
-                f"`repnum calibrate` first\n")
-            return 2
         constants = asymp.read_constants(args.constants)
     caps = [acceptance.X_CAPS[s] for s in suites if s in acceptance.X_CAPS]
     table = _table((args.x or 0) if caps else 0, min(caps, default=None))
@@ -253,10 +249,6 @@ def _cmd_sieve_demo(args):
 
 
 def _cmd_constants(args):
-    if not os.path.exists(args.constants):
-        sys.stderr.write(f"constants file {args.constants!r} not found; run "
-                         f"`repnum calibrate` first\n")
-        return 2
     values = asymp.read_constants(args.constants)
     _emit(["key", "value"], [[k, v] for k, v in sorted(values.items())],
           args.out)

@@ -594,19 +594,24 @@ def _cutoffs(xs):
     return cps
 
 
-def _hist_sweep(state, xs, segment_size, workers):
+def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
+                **params):
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
 
-    state["segment"](lo, hi, state) gives a segment's histogram, or any
-    int64 array that adds up over segments; with workers > 1 the function
-    and the state are pickled to the pool.  The
-    state's _lattice_state, built to isqrt(max(xs)), has checked the table.
+    The sweep's state is the family's _lattice_state to isqrt(max(xs)),
+    which checks the table, plus segment, the table's primes and params;
+    segment(lo, hi, state) gives a segment's histogram, or any int64 array
+    that adds up over segments.  With workers > 1 the state, segment
+    included, is pickled to the pool.  The cutoffs, workers and
+    segment_size are checked before the lattice is built.
     """
     cps = _cutoffs(xs)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
+    state = _lattice_state(family.traits, math.isqrt(cps[-1]), table)
+    state.update(segment=segment, primes=table.primes, **params)
     want = {c + 1 for c in cps}  # the segments end at each cutoff
     bounds = sorted(want.union(range(1, cps[-1] + 1, segment_size)))
     segments = list(zip(bounds[:-1], bounds[1:]))
@@ -639,11 +644,8 @@ def histogram_grid(family, xs, table, omega_kind=None,
     """
     if omega_kind not in (None, "omega", "omega_star"):
         raise ValueError(f"bad omega kind {omega_kind!r}")
-    root = math.isqrt(_cutoffs(xs)[-1])
-    state = _lattice_state(family.traits, root, table)
-    state.update(segment=_family_segment, primes=table.primes,
-                 omega_kind=omega_kind)
-    return _hist_sweep(state, xs, segment_size, workers)
+    return _hist_sweep(family, xs, table, _family_segment, segment_size,
+                       workers, omega_kind=omega_kind)
 
 
 def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,

@@ -175,7 +175,7 @@ def rep_enumerate(family, n, table):
 
 def _primes_3mod4(limit):
     """The primes p = 3 (mod 4) up to limit, as Python ints."""
-    primes = prime_table(max(limit, 1), spf_cap=0).primes
+    primes = prime_table(max(limit, 1)).primes
     return [int(p) for p in primes[primes % 4 == 3]]
 
 

@@ -141,7 +141,7 @@ class SieveProblem:
 
 @lru_cache(maxsize=128)
 def _sifting_primes(problem):
-    table = prime_table(max(problem.z, 2), spf_cap=0)
+    table = prime_table(max(problem.z, 2))
     out = []
     for p in table.primes:
         p = int(p)
@@ -629,8 +629,9 @@ def coprime_representations(m):
     return out
 
 
-def random_problems(count, seed=0, box_max=2000, z_max=50, ell_max=3):
-    """Problems whose forms are genuine representations of the modulus m.
+def random_problems(count, seed=0, box_max=2000, z_max=50):
+    """Problems with one to three forms, each a genuine representation of
+    the modulus m.
 
     Keeping every form's u^2 + v^2 equal to m is what makes the closed-form
     weights an exact density model, hence what keeps every remainder small.
@@ -642,7 +643,7 @@ def random_problems(count, seed=0, box_max=2000, z_max=50, ell_max=3):
     problems = []
     while len(problems) < count:
         variant = rng.choice("ABC")
-        ell = rng.randint(1, ell_max)
+        ell = rng.randint(1, 3)
         m = rng.choice(moduli)
         reps = coprime_representations(m)
         if len(reps) < ell:

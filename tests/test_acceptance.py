@@ -194,6 +194,22 @@ def test_calibrated_replay(table, constants, tmp_path):
     _report(rows)
 
 
+@pytest.mark.parametrize("scale, passed", [(1.005, True), (0.98, False),
+                                           (1.02, False)])
+def test_gss_replay_window(table, monkeypatch, scale, passed):
+    """The gss_shape replay row passes iff the recomputed maximum lies
+    within 1% of the stored gss_bound, on either side."""
+    stored = 6.0
+    monkeypatch.setattr(asymp, "gss_shape_max", lambda *a, **kw: stored * scale)
+    monkeypatch.setattr(asymp, "smooth_squarefull_rstar_sum",
+                        lambda x, *a, **kw: x)
+    monkeypatch.setattr(asymp, "rho_bound_ratios", lambda *a, **kw: {})
+    constants = {"C": 1.0, "gamma1": 1.0, "gamma2": 0.0, "gss_bound": stored}
+    row = acceptance.check_calibrated(table, constants)[0]
+    assert row.name == "gss_shape_ratios_replay_within_1pct"
+    assert row.passed is passed
+
+
 def test_every_stored_constant_is_read():
     """acceptance.py reads each of CONSTANT_KEYS as constants["key"], and no
     other key, so calibrate() stores nothing that no check replays."""

@@ -4,7 +4,6 @@ import mpmath
 import pytest
 
 from repnum import arith, asymp, moments, repfun
-from repnum.asymp import Statistic
 from repnum.errors import CapacityError
 from repnum.repfun import RepFamily
 
@@ -44,13 +43,48 @@ def test_predicted_main():
         asymp.predicted_main("nope", 100)
     with pytest.raises(ValueError):
         asymp.predicted_main("r1_first", 1)
-    shape = asymp.predicted_main(Statistic("gss_shape", ell=1, k=2), 10**4)
+    # the shape terms are keyed by family, not by statistic id
+    for stat in ("gss_shape", "rR_shape"):
+        with pytest.raises(ValueError, match="unknown statistic"):
+            asymp.predicted_main(stat, 10**4)
+    shape = asymp.shape_main(RepFamily.R1, 1, 2, 10**4)
     big_l = math.log(math.log(10**4))
     assert shape == pytest.approx(10**4 * big_l**2 / 2 / math.log(10**4) ** 2)
-    # a bare shape id carries no (ell, k)
-    for stat in ("gss_shape", "rR_shape", Statistic("rR_shape", ell=1)):
-        with pytest.raises(ValueError, match=r"needs Statistic\(id, ell, k\)"):
-            asymp.predicted_main(stat, 10**4)
+    shape = asymp.shape_main(RepFamily.RPRIME_STAR, 2, 3, 10**4)
+    assert shape == pytest.approx(10**4 * (2 * big_l) ** 3 / 6
+                                  / math.log(10**4) ** 1.5)
+    assert asymp.shape_main(RepFamily.RBIG_STAR, 2, 3, 10**4) == shape
+    with pytest.raises(ValueError, match="family must be one of"):
+        asymp.shape_main(RepFamily.R0, 1, 2, 10**4)
+    with pytest.raises(ValueError, match="x >= 3"):
+        asymp.shape_main(RepFamily.R1, 1, 2, 2)
+
+
+def test_main_terms_pinned():
+    """Every _STATISTICS main term against its closed form written out here,
+    at the least x that every entry takes and at 1e6 and 1e9.  No suite row
+    reads r1_second or M2, so only this test sees a slip in those."""
+    k = asymp.landau_ramanujan(asymp.LANDAU_CUTOFF)[0]
+    prod = 1 / (2 * k * k)  # prod over p = 3 mod 4 of (1 - p^-2)
+    forms = {
+        "r0_first": lambda x, lx: math.pi * x / 4,
+        "r0_second": lambda x, lx: x * lx / 4 + 0.5041553864333529 * x,
+        "r1_first": lambda x, lx: math.pi * x / (2 * lx),
+        "r2_first": lambda x, lx: math.pi * x / lx**2,
+        "r1_binom2": lambda x, lx: 9 * x / (8 * lx),
+        "r1_second": lambda x, lx: (math.pi / 2 + 9 / 4) * x / lx,
+        "M0": lambda x, lx: k * x / lx**0.5,
+        "M2": lambda x, lx: math.pi * x / (2 * lx**2),
+        "M0star": lambda x, lx: 3 / 4 * (prod / 2) ** 0.5 * x / lx**0.5,
+        "rR_first": lambda x, lx: math.pi * 2**0.5 * k * x / (4 * lx**0.5),
+        "rRprime_first": lambda x, lx: 3 * math.pi * prod**0.5 * x
+                                       / (16 * lx**0.5),
+    }
+    assert set(forms) == set(asymp._STATISTICS)
+    for stat, form in forms.items():
+        for x in (2, 10**6, 10**9):
+            assert asymp.predicted_main(stat, x) == pytest.approx(
+                form(x, math.log(x)), rel=1e-14), (stat, x)
 
 
 def test_ratio_report_examples(table):
@@ -67,22 +101,27 @@ def test_ratio_report_examples(table):
         assert r.ratio == pytest.approx(r.empirical / r.predicted)
 
 
-@pytest.mark.parametrize("stat", list(asymp._EMPIRICAL) + [
-    Statistic("gss_shape", ell=2, k=1), Statistic("rR_shape", ell=1, k=2)],
-    ids=lambda s: getattr(s, "id", s))
+@pytest.mark.parametrize("stat", list(asymp._STATISTICS))
 def test_empirical_grid_matches_histogram(stat, table):
     xs = [30, 500, 2000]
-    if isinstance(stat, Statistic):
-        family = RepFamily.R1 if stat.id == "gss_shape" else RepFamily.RBIG_STAR
-        mode, k, kind = "binomial", stat.ell, "omega_star"
-        omega_filter = (kind, stat.k)
-    else:
-        family, mode, k = asymp._EMPIRICAL[stat]
-        kind = omega_filter = None
-    hists = moments.histogram_grid(family, xs, table, omega_kind=kind)
+    family, mode, k, _, _ = asymp._STATISTICS[stat]
+    hists = moments.histogram_grid(family, xs, table)
     assert asymp.empirical_grid(stat, xs, table) == [
-        moments.moment_from_histogram(h, mode, k, omega_filter)
-        for h in hists]
+        moments.moment_from_histogram(h, mode, k) for h in hists]
+
+
+@pytest.mark.parametrize("family", asymp.GSS_FAMILIES, ids=lambda f: f.value)
+def test_shape_ratios_match_histogram(family, table):
+    """Each shape ratio is its family's omega_star-filtered binomial moment
+    over shape_main, for every ell in SHAPE_ELLS and k <= SHAPE_KMAX."""
+    xs = [30, 500, 2000]
+    hists = moments.histogram_grid(family, xs, table, omega_kind="omega_star")
+    want = {(x, ell, k): moments.moment_from_histogram(
+                h, "binomial", ell, ("omega_star", k))
+            / asymp.shape_main(family, ell, k, x)
+            for x, h in zip(xs, hists) for ell in asymp.SHAPE_ELLS
+            for k in range(asymp.SHAPE_KMAX + 1)}
+    assert asymp.gss_shape_ratios_grid(family, xs, table) == want
 
 
 def test_r0_second_constant_matches_mpmath():
@@ -225,25 +264,23 @@ def test_coprime_gap_matches_engine(table):
 
 
 def test_gss_shape_ratio(table):
-    grid = asymp.gss_shape_ratios_grid(RepFamily.R1, [10], table, kmax=5)
+    grid = asymp.gss_shape_ratios_grid(RepFamily.R1, [10], table)
     assert grid[(10, 1, 1)] == pytest.approx(
         3 * math.log(10) ** 2 / (10 * math.log(math.log(10))), rel=1e-12)
     assert grid[(10, 1, 5)] == 0.0
     assert grid[(10, 2, 1)] == 0.0
     with pytest.raises(ValueError, match="family must be one of"):
         asymp.gss_shape_ratios_grid(RepFamily.R0, [10], table)
-    with pytest.raises(ValueError, match="ell >= 1"):
-        asymp.gss_shape_ratios_grid(RepFamily.R1, [10], table, ells=(0, 1))
 
 
 def test_gss_grid_matches_single(table):
     grid = asymp.gss_shape_ratios_grid(RepFamily.RPRIME_STAR, [100, 1000],
-                                       table, ells=(1, 2), kmax=3)
-    assert len(grid) == 2 * 2 * 4
+                                       table)
+    assert len(grid) == 2 * 2 * 9
     for (x, ell, k), v in grid.items():
         b = moments.binomial_moment(RepFamily.RPRIME_STAR, x, ell, table,
                                     omega_filter=("omega_star", k))
-        single = b / asymp.predicted_main(Statistic("rR_shape", ell, k), x)
+        single = b / asymp.shape_main(RepFamily.RPRIME_STAR, ell, k, x)
         assert v == pytest.approx(single, rel=1e-12), (x, ell, k)
 
 

@@ -121,6 +121,16 @@ def test_verify_calibrated_requires_constants(tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", [("verify", "--suite", "calibrated"),
                                   ("constants",)], ids=lambda v: v[0])
+def test_missing_constants_file_exits_2(tmp_path, capsys, verb):
+    missing = str(tmp_path / "nope.txt")
+    code, out, err = run(capsys, *verb, "--constants", missing)
+    assert (code, out) == (2, "")
+    assert err == (f"error: constants file {missing!r} not found; run "
+                   "`repnum calibrate` first\n")
+
+
+@pytest.mark.parametrize("verb", [("verify", "--suite", "calibrated"),
+                                  ("constants",)], ids=lambda v: v[0])
 def test_bad_constants_file_exits_2(tmp_path, capsys, verb):
     path = tmp_path / "constants.txt"
     full = "".join(f"{k} = 1.0\n" for k in asymp.CONSTANT_KEYS)
@@ -178,7 +188,7 @@ def test_table_command(capsys):
 
 @pytest.mark.parametrize("argv, sieves", [
     pytest.param(("eval", "--family", "r0", "--n", str(10**18)),
-                 [arith.SPF_CAP], id="eval"),
+                 [10**9 + 1], id="eval"),
     pytest.param(("verify", "--suite", "identities", "--x", str(10**18)), [],
                  id="verify"),
     pytest.param(("verify", "--suite", "oracle", "--x", str(10**18)), [],
@@ -192,9 +202,9 @@ def test_table_command(capsys):
 ])
 def test_verb_tables_honour_spf_cap(monkeypatch, tmp_path, capsys, argv,
                                     sieves):
-    """A verb at x = 1e18 needs primes to 1e9 but spf only to SPF_CAP.
-    eval may build that table; a verb whose x is past its cap exits 3
-    before any sieve runs."""
+    """A verb at x = 1e18 needs primes to 1e9 and no spf array.  eval may
+    build that table, with the boolean sieve alone; a verb whose x is past
+    its cap exits 3 before any sieve runs."""
     class Recorded(Exception):
         pass
 
@@ -318,7 +328,7 @@ def test_verify_table_covers_x(capsys, monkeypatch, x):
     assert code == 0
     (table,) = seen
     assert table.limit >= max(math.isqrt(x or 0), 10**4 - 1)
-    assert table.spf_limit == table.limit
+    assert table.spf_limit == 0
 
 
 def test_no_scipy_import():

@@ -182,7 +182,8 @@ def test_cutoffs_checked_before_any_work(table, monkeypatch):
         lambda xs: moments.histogram_grid(RepFamily.R0, xs, table),
         lambda xs: moments.rho_kN_grid(xs, table),
         lambda xs: moments.nn_omega_histograms(xs, table),
-        lambda xs: moments._hist_sweep({}, xs, 1 << 20, 1),
+        lambda xs: moments._hist_sweep(RepFamily.R0, xs, table,
+                                       moments._family_segment, 1 << 20, 1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="empty grid"):
