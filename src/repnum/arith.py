@@ -132,8 +132,20 @@ def factor(n, table):
         raise CapacityError(
             f"factor({n}) beyond guarantee limit**2 = {table.limit**2}; "
             f"build a larger table")
-    m = n
-    for p in table.primes:
+    out, m = trial_divide(n, table.primes)
+    if m > 1:
+        out.append((m, 1))
+    return Factorization(n, tuple(out))
+
+
+def trial_divide(n, primes):
+    """Divide n by the ascending primes until p^2 exceeds what is left.
+
+    Returns the prime powers (p, e) found, as a list, and the cofactor
+    left: 1, a prime, or a number with no prime factor among `primes`.
+    """
+    out, m = [], n
+    for p in primes:
         p = int(p)
         if p * p > m:
             break
@@ -143,9 +155,7 @@ def factor(n, table):
                 m //= p
                 e += 1
             out.append((p, e))
-    if m > 1:
-        out.append((m, 1))
-    return Factorization(n, tuple(out))
+    return out, m
 
 
 # ---------------------------------------------------------------------------

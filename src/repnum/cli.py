@@ -150,15 +150,28 @@ def _build_parser():
     return top
 
 
+def _factor(n):
+    """arith.factor(n), by the primes to 10^4 and then, only when the
+    cofactor they leave may be composite, by a table to its isqrt."""
+    small = _table(0)
+    if n <= small.limit ** 2:
+        return arith.factor(n, small)
+    found, rest = arith.trial_divide(n, small.primes)
+    if rest > small.limit ** 2:
+        found += arith.factor(rest, _table(rest)).factors
+    elif rest > 1:
+        found.append((rest, 1))
+    return arith.Factorization(n, tuple(found))
+
+
 def _cmd_eval(args):
     fam = RepFamily.from_name(args.family)
-    table = _table(args.n)
     if fam is RepFamily.R0:
-        value = repfun.r0_formula(arith.factor(args.n, table))
+        value = repfun.r0_formula(_factor(args.n))
     elif fam is RepFamily.R0_STAR:
-        value = repfun.r0_star(arith.factor(args.n, table))
+        value = repfun.r0_star(_factor(args.n))
     else:
-        value = repfun.rep_enumerate(fam, args.n, table)
+        value = repfun.rep_enumerate(fam, args.n, _table(args.n))
     _emit(["family", "n", "value"], [[fam.value, args.n, value]], args.out)
     return 0
 

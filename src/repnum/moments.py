@@ -5,7 +5,10 @@ generates lattice pairs (a, b) with lo <= a^2 + b^2 < hi and counts them
 per n from their sorted offsets, and a factorization pass that sieves
 omega-style statistics over the same window.  Segments reduce to exact
 integer histograms, independent of segment size and worker schedule by
-construction (integer addition is associative and commutative).
+construction (integer addition is associative and commutative).  r0 and
+r0* ignore the power of 2 in n, so their sweeps walk only the pairs with
+a + b odd (the odd n) and fold each cutoff's histogram from those of the
+odd n up to x >> k (_fold_even).
 """
 
 import contextlib
@@ -62,36 +65,42 @@ def _prime_columns(bvals, primes):
     return rows[order], p_rep[order]
 
 
-def _lattice_state(traits, root, table):
+def _lattice_state(traits, root, table, odd=False):
     """What the bucket pass needs for base values b <= root; once per sweep.
 
     bvals: the base set; bprimes (coprime families only): the distinct
     primes of every b, as _prime_columns' (row, prime) arrays; aprimes: the
-    int32 primes <= root that prime first coordinates walk.
+    int32 primes <= root that prime first coordinates walk.  odd: the pass
+    walks only the pairs with a + b odd, so the n it counts are the odd n
+    of each window (for families whose first coordinate is any integer);
+    a is then odd wherever b is even, so bprimes drops the prime 2.
     """
     bvals = repfun.base_values(traits.base, root, table)
     cut = int(np.searchsorted(table.primes, root, side="right"))
-    state = {"traits": traits, "bvals": bvals, "bprimes": None,
+    state = {"traits": traits, "odd": odd, "bvals": bvals, "bprimes": None,
              "aprimes": table.primes[:cut].astype(np.int32)}
     if traits.coprime:
-        state["bprimes"] = _prime_columns(bvals, table.primes)
+        rows, ps = _prime_columns(bvals, table.primes)
+        keep = ps != 2 if odd else slice(None)
+        state["bprimes"] = rows[keep], ps[keep]
     return state
 
 
-def _scratch(state, name, n, dtype, iota=False):
+def _scratch(state, name, n, dtype, iota=0):
     """A length-n view of the state's grow-only buffer `name`.
 
     A sweep's state is one per process (_init_worker), dropped when the
     sweep ends, so its segments reuse these pages, not fresh ones.  A
     buffer too short is replaced by one an eighth longer than n, which
-    the next segments fit.  An iota buffer holds 0, 1, 2, ..., read only.
+    the next segments fit.  An iota buffer (iota = step >= 1) holds 0,
+    step, 2 step, ..., read only.
     """
     bufs = state.setdefault("scratch", {})
     buf = bufs.get(name)
     if buf is None or len(buf) < n:
         size = n + n // 8
-        buf = bufs[name] = (np.arange(size, dtype=dtype) if iota
-                            else np.empty(size, dtype=dtype))
+        buf = bufs[name] = (np.arange(0, iota * size, iota, dtype=dtype)
+                            if iota else np.empty(size, dtype=dtype))
     return buf[:n]
 
 
@@ -113,16 +122,17 @@ def _symmetric(traits):
     return traits.base == ("prime" if traits.first_prime else "any")
 
 
-def _unmirrored_offsets(lo, hi, traits, aprimes):
+def _unmirrored_offsets(lo, hi, traits, aprimes, odd):
     """n - lo, int32, of the pairs with no mirror for a symmetric family:
     the diagonal (a, a) at n = 2a^2 (none for r2*) and, when a may be 0,
     the axis (0, b) at n = b^2.  A coprime family keeps only a = 1 and
     b = 1, since gcd(a, a) = a and gcd(0, b) = b.  2a^2 = b^2 has no
-    solution, so the offsets are distinct.
+    solution, so the offsets are distinct.  An odd walk keeps the axis at
+    odd b and no diagonal, as 2a^2 is even.
     """
     top = 1 if traits.coprime else hi
     diag = np.arange(0)
-    if not traits.distinct:
+    if not (traits.distinct or odd):
         a_lo = math.isqrt((lo + 1) // 2 - 1) + 1  # least a >= 1, 2a^2 >= lo
         a_hi = min(math.isqrt((hi - 1) // 2), top)
         if traits.first_prime:
@@ -133,8 +143,9 @@ def _unmirrored_offsets(lo, hi, traits, aprimes):
     diag = diag.astype(np.int64)
     off = [2 * diag * diag - lo]
     if not traits.first_prime:
-        axis = np.arange(math.isqrt(lo - 1) + 1,
-                         min(math.isqrt(hi - 1), top) + 1, dtype=np.int64)
+        axis = np.arange((math.isqrt(lo - 1) + 1) | odd,
+                         min(math.isqrt(hi - 1), top) + 1, 1 + odd,
+                         dtype=np.int64)
         off.append(axis * axis - lo)
     return np.concatenate(off).astype(np.int32)
 
@@ -154,11 +165,14 @@ def _pair_offsets(lo, hi, lattice):
     every walked pair.  Blocks of at most _BLOCK_PAIRS pairs (bounding
     their temporaries) write a^2 + b^2 - lo in place into the scratch; a
     coprime family marks the pairs with gcd(a, b) > 1 past the window
-    (_strike) and cuts them off after the sort.  The int32 offsets need
+    (_strike) and cuts them off after the sort.  An odd lattice state
+    walks in each row only the a of the other parity than b, stepping a
+    by 2, so every walked n is odd.  The int32 offsets need
     hi - 1 <= _INT32_MAX.
     """
     traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
                               lattice["aprimes"])
+    step = 2 if lattice["odd"] else 1
     b0 = int(np.searchsorted(
         bvals, math.isqrt((lo - 1) // 2) if _symmetric(traits) else 0))
     b = bvals[b0:np.searchsorted(bvals, math.isqrt(hi - 1), side="right")]
@@ -174,7 +188,11 @@ def _pair_offsets(lo, hi, lattice):
         stop = np.searchsorted(aprimes, a_hi, side="right")
     else:
         start, stop = a_lo, a_hi + 1
+        if step == 2:
+            start = a_lo + ((a_lo + b + 1) & 1)  # a + b odd
     n = np.maximum(stop - start, 0)  # every b keeps its row, maybe empty
+    if step == 2:
+        n = (n + 1) // 2
     sq = (bb - lo).astype(np.int32)
     ends = np.cumsum(n)
     off = _scratch(lattice, "offsets", int(n.sum()), np.int32)
@@ -183,9 +201,12 @@ def _pair_offsets(lo, hi, lattice):
         base = int(ends[r0 - 1]) if r0 else 0
         blk = off[base:int(ends[r1 - 1])]
         first = ends[r0:r1] - nr - base  # each row's place in the block
-        np.add(_scratch(lattice, "iota", len(blk), np.int32, iota=True),
-               np.repeat((start[r0:r1] - first).astype(np.int32), nr),
-               out=blk)
+        lead = start[r0:r1] - first  # a = lead + step * place
+        if step == 2:
+            lead -= first
+        np.add(_scratch(lattice, f"iota{step}", len(blk), np.int32,
+                        iota=step),
+               np.repeat(lead.astype(np.int32), nr), out=blk)
         if traits.first_prime:
             blk[:] = aprimes[blk]
         np.square(blk, out=blk)
@@ -206,21 +227,26 @@ def _strike(blk, mark, i0, i1, start, nr, first, lattice):
     coordinates are consecutive integers, so row i holds a = start[i],
     start[i] + 1, ... from place first[i] of the block on, and each prime
     p of its b hits every p-th pair of the row, from (-start[i]) mod p on;
-    a = 0 is hit by every prime of b, so it stays only for b = 1.  The
-    places are built in int32 (p times an index may wrap; the places fit)
-    and copied to intp scratch, so the scatter converts no index array.
+    a = 0 is hit by every prime of b, so it stays only for b = 1.  An odd
+    state's row holds a = start[i] + 2j, so an odd p hits it first at
+    j = -start[i] (p + 1) / 2 mod p, the inverse of 2 mod p, and p = 2
+    never (the state lists no 2).  The places are built in int32 (p times
+    an index may wrap; the places fit) and copied to intp scratch, so the
+    scatter converts no index array.
     """
     prow, p = lattice["bprimes"]
     g0, g1 = np.searchsorted(prow, (i0, i1))
     ri, p = prow[g0:g1] - i0, p[g0:g1]
     o = -start[ri] % p
+    if lattice["odd"]:
+        o = o * ((p + 1) // 2) % p
     hits = (nr[ri] - o + p - 1) // p  # >= 0, as o < p
     # hit list entry m, of (row, prime) g, is at first + o + p (m - cs[g])
     cs = np.cumsum(hits) - hits
     total = int(hits.sum())
     at = _scratch(lattice, "strike32", total, np.int32)
     np.multiply(np.repeat(p.astype(np.int32), hits),
-                _scratch(lattice, "iota", total, np.int32, iota=True), out=at)
+                _scratch(lattice, "iota1", total, np.int32, iota=1), out=at)
     at += np.repeat((first[ri] + o - p * cs).astype(np.int32), hits)
     place = _scratch(lattice, "strike", total, np.intp)
     place[:] = at
@@ -245,7 +271,7 @@ def _offset_runs(lo, hi, state):
     """
     traits = state["traits"]
     off = _pair_offsets(lo, hi, state)
-    u = (_unmirrored_offsets(lo, hi, traits, state["aprimes"])
+    u = (_unmirrored_offsets(lo, hi, traits, state["aprimes"], state["odd"])
          if _mirrored(traits) else off[:0])
     new = _scratch(state, "new", len(off) + 1, bool)  # run starts, the end
     new[0] = new[-1] = True
@@ -327,6 +353,7 @@ _FIELD_DTYPES = {"omega": np.uint8, "omega_star": np.uint8,
 _UINT32_MAX = 2**32 - 1  # the walk's n is uint32
 _WALK_MAX = 2**16 - 1    # walked primes: lg(p) is exact and lpf is uint16
 _CHUNK = 1 << 15  # entries per step of a chunked pass; bounds its temporaries
+_ZERO_CHUNK = 1 << 18  # n per step of the zero column's per-row counts
 _PRESIEVE = (2, 3, 5, 7, 11, 13)
 _TILE = 4 * 3 * 5 * 7 * 11 * 13  # 60060: n mod 4 and a first power of each
 _LG_SCALE = 128  # lg(p) = floor(128 log2 p), so lg(2) = 128
@@ -547,27 +574,35 @@ def _family_segment(lo, hi, state):
     for v >= 1 is one bincount of the run lengths and H[0] the rest of
     the window.  With an omega kind, H[j, v] for v >= 1 is one bincount
     keyed by kind(n) * width + v over the runs' n, and the zero column is
-    the rest of each omega row: #{n : kind(n) = j} minus the row's sum.
-    H has max kind(n) + 1 rows and max count + 1 columns.
+    the rest of each omega row: #{n : kind(n) = j} minus the row's sum,
+    from the counts #{n : kind(n) >= j}, one count_nonzero per row and per
+    _ZERO_CHUNK n.  H has max kind(n) + 1 rows and max count + 1 columns.
+    On an odd lattice state the histogram is that of the window's odd n:
+    the runs hold only odd n, and the zero column counts the odd n alone
+    (the rows still reach the largest kind(n) of the whole window).
     """
     d, runs = _offset_runs(lo, hi, state)
     if runs.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
-    kind = state["omega_kind"]
+    kind, odd = state["omega_kind"], state["odd"]
     if kind is None:
         out = np.bincount(runs, minlength=1)
-        out[0] = hi - lo - len(runs)
+        out[0] = (hi // 2 - lo // 2 if odd else hi - lo) - len(runs)
         return out
     om = _segment_omega(lo, hi, state["primes"], kind)
     rows = int(om.max()) + 1
     width = int(runs.max(initial=0)) + 1
     out = np.bincount(om[d].astype(np.int64) * width + runs,
                       minlength=rows * width).reshape(rows, width)
-    # column 0 is 0 here, as every run counts >= 1; chunks bound the scratch
-    for i in range(0, len(om), _CHUNK):
-        part = om[i:i + _CHUNK]
-        out[:, 0] += [np.count_nonzero(part == j) for j in range(rows)]
-    out[:, 0] -= out[:, 1:].sum(axis=1)
+    # column 0 is 0 here, as every run counts >= 1
+    part = om[(lo + 1) % 2::2] if odd else om
+    at_least = np.zeros(rows + 1, dtype=np.int64)
+    at_least[0] = len(part)
+    for i in range(0, len(part), _ZERO_CHUNK):
+        chunk = part[i:i + _ZERO_CHUNK]
+        for j in range(1, rows):
+            at_least[j] += np.count_nonzero(chunk >= j)
+    out[:, 0] = at_least[:-1] - at_least[1:] - out[:, 1:].sum(axis=1)
     return out
 
 
@@ -595,22 +630,23 @@ def _cutoffs(xs):
 
 
 def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
-                **params):
+                odd=False, **params):
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
 
     The sweep's state is the family's _lattice_state to isqrt(max(xs)),
-    which checks the table, plus segment, the table's primes and params;
-    segment(lo, hi, state) gives a segment's histogram, or any int64 array
-    that adds up over segments.  With workers > 1 the state, segment
-    included, is pickled to the pool.  The cutoffs, workers and
-    segment_size are checked before the lattice is built.
+    which checks the table and holds the odd flag, plus segment, the
+    table's primes and params; segment(lo, hi, state) gives a segment's
+    histogram, or any int64 array that adds up over segments.  With
+    workers > 1 the state, segment included, is pickled to the pool.  The
+    cutoffs, workers and segment_size are checked before the lattice is
+    built.
     """
     cps = _cutoffs(xs)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    state = _lattice_state(family.traits, math.isqrt(cps[-1]), table)
+    state = _lattice_state(family.traits, math.isqrt(cps[-1]), table, odd)
     state.update(segment=segment, primes=table.primes, **params)
     want = {c + 1 for c in cps}  # the segments end at each cutoff
     bounds = sorted(want.union(range(1, cps[-1] + 1, segment_size)))
@@ -635,17 +671,56 @@ def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
     return [snapshots[int(x)] for x in xs]
 
 
+# r0(2^k m) = r0(m) and r0*(2m) = r0*(m), r0*(4m) = 0 for odd m: the fold
+# depth K of each family whose even n take the counts of odd n
+_EVEN_FOLD = {repfun.RepFamily.R0: math.inf, repfun.RepFamily.R0_STAR: 1}
+
+
+def _fold_even(odd_hists, x, depth, shift):
+    """H_x of a 2-invariant family from the histograms O(y) of its odd n <= y.
+
+    n = 2^k m with m odd <= x >> k, so H_x[:, v] = sum over k <= depth of
+    O(x >> k)[:, v] for v >= 1, each k >= 1 moved `shift` rows down (1 for
+    omega, as omega(2^k m) = omega(m) + 1).  Column 0 is every n <= x in
+    the row, the row sums of all the O(x >> k) moved alike, less the
+    row's v >= 1.  Rows and columns that came out zero past the last
+    nonzero one are cut, so H_x has the shape of a sweep over every n.
+    """
+    terms = [(k, np.atleast_2d(odd_hists[x >> k]))
+             for k in range(x.bit_length())]
+    rows = max(len(h) + shift * (k > 0) for k, h in terms)
+    out = np.zeros((rows, max(h.shape[1] for _, h in terms)), dtype=np.int64)
+    for k, h in terms:
+        place = out[shift * (k > 0):][:len(h)]
+        place[:, 0] += h.sum(axis=1)
+        if k <= depth:
+            place[:, 1:h.shape[1]] += h[:, 1:]
+    out[:, 0] -= out[:, 1:].sum(axis=1)
+    out = out[:np.flatnonzero(out.any(axis=1))[-1] + 1]
+    out = out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
+    return out if odd_hists[x].ndim == 2 else out[0]
+
+
 def histogram_grid(family, xs, table, omega_kind=None,
                    segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
     """Cumulative count-histograms at each cutoff in xs.
 
     Returns one array per x: H[v] = #{n <= x : family(n) = v}, or with an
-    omega kind, H[j, v] = #{n <= x : kind(n) = j, family(n) = v}.
+    omega kind, H[j, v] = #{n <= x : kind(n) = j, family(n) = v}.  r0 and
+    r0* sweep only the odd n, to every x >> k, and fold the even n in
+    (_fold_even).
     """
     if omega_kind not in (None, "omega", "omega_star"):
         raise ValueError(f"bad omega kind {omega_kind!r}")
-    return _hist_sweep(family, xs, table, _family_segment, segment_size,
-                       workers, omega_kind=omega_kind)
+    if family not in _EVEN_FOLD:
+        return _hist_sweep(family, xs, table, _family_segment, segment_size,
+                           workers, omega_kind=omega_kind)
+    ys = sorted({x >> k for x in _cutoffs(xs) for k in range(x.bit_length())})
+    odd_hists = dict(zip(ys, _hist_sweep(
+        family, ys, table, _family_segment, segment_size, workers, odd=True,
+        omega_kind=omega_kind)))
+    return [_fold_even(odd_hists, int(x), _EVEN_FOLD[family],
+                       int(omega_kind == "omega")) for x in xs]
 
 
 def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,

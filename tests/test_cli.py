@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repnum import acceptance, arith, asymp, cli, moments
+from repnum import acceptance, arith, asymp, cli, moments, repfun
 from repnum.errors import CapacityError
 
 
@@ -27,6 +27,65 @@ def test_eval_enumerated_families(capsys):
     assert code == 0 and out.splitlines()[1] == "r2,338,3"
     code, out, _ = run(capsys, "eval", "--family", "rrprime", "--n", "25")
     assert code == 0 and out.splitlines()[1] == "rrprime,25,1"
+
+
+def record_tables(monkeypatch, build_to=10**4):
+    """The limits every prime_table call asks for, and the exception
+    raised, with nothing built, for a limit past build_to up to the cap
+    (past the cap, prime_table raises CapacityError before any sieve)."""
+    class Recorded(Exception):
+        pass
+
+    limits = []
+    real = arith.prime_table
+
+    def recorded(limit, spf_cap=0):
+        limits.append(limit)
+        if build_to < limit <= arith.LIMIT_CAP:
+            raise Recorded
+        return real(limit, spf_cap)
+
+    monkeypatch.setattr(arith, "prime_table", recorded)
+    return limits, Recorded
+
+
+@pytest.mark.parametrize("family", ["r0", "r0star"])
+def test_eval_factors_with_small_primes_first(monkeypatch, capsys, family):
+    """10^16 + 1 = 353 449 641 1409 69857: the primes to 10^4 leave the
+    cofactor 69857 < 10^8, a prime, so eval builds no larger table."""
+    limits, _ = record_tables(monkeypatch)
+    n = 10**16 + 1
+    assert 353 * 449 * 641 * 1409 * 69857 == n
+    code, out, _ = run(capsys, "eval", "--family", family, "--n", str(n))
+    assert (code, out) == (0, f"family,n,value\n{family},{n},32\n")
+    assert limits == [10**4]
+
+
+def test_eval_semiprime_near_the_table_cap(monkeypatch, capsys):
+    """A semiprime with no factor below 10^4 needs the table to isqrt(n) +
+    1, as before: built below the cap (1999999958 here, recorded, not
+    built), a capacity error past it; a semiprime near 10^12 prints what
+    the table to isqrt(n) + 1 gives."""
+    limits, recorded = record_tables(monkeypatch)
+    near = 1999999943 * 1999999973
+    with pytest.raises(recorded):
+        cli.main(["eval", "--family", "r0", "--n", str(near)])
+    assert limits == [10**4, math.isqrt(near) + 1]
+    past = 2000000011 * 2000000033
+    limits.clear()
+    code, out, err = run(capsys, "eval", "--family", "r0", "--n", str(past))
+    assert (code, out) == (3, "")
+    assert limits == [10**4, math.isqrt(past) + 1]
+    assert err == (f"capacity: limit {math.isqrt(past) + 1} exceeds prime "
+                   f"table cap LIMIT_CAP = {arith.LIMIT_CAP}\n")
+    n = 1000033 * 1000037
+    monkeypatch.undo()
+    old = arith.factor(n, cli._table(n))
+    for family, value in (("r0", repfun.r0_formula(old)),
+                          ("r0star", repfun.r0_star(old))):
+        code, out, _ = run(capsys, "eval", "--family", family, "--n", str(n))
+        assert (code, out) == (0, f"family,n,value\n{family},{n},{value}\n")
+        assert value == 4
 
 
 def test_moments_and_zeroth(capsys):
@@ -187,7 +246,7 @@ def test_table_command(capsys):
 
 
 @pytest.mark.parametrize("argv, sieves", [
-    pytest.param(("eval", "--family", "r0", "--n", str(10**18)),
+    pytest.param(("eval", "--family", "r1", "--n", str(10**18)),
                  [10**9 + 1], id="eval"),
     pytest.param(("verify", "--suite", "identities", "--x", str(10**18)), [],
                  id="verify"),

@@ -145,19 +145,31 @@ def lattices(int32_table):
             for f in RepFamily}
 
 
-def check_against_reference(lattices, lo, hi):
+@pytest.fixture(scope="module")
+def odd_lattices(int32_table):
+    """The odd-n lattice states of r0 and r0*, which the sweeps fold."""
+    return {f: moments._lattice_state(f.traits, math.isqrt(INT32_TOP),
+                                      int32_table, odd=True)
+            for f in (RepFamily.R0, RepFamily.R0_STAR)}
+
+
+def check_against_reference(lattices, odd_lattices, lo, hi):
     """The runs of sorted pair offsets, scattered over the window, and the
     unfiltered segment histogram built from them, against the reference's
-    counts."""
-    for fam, lattice in lattices.items():
+    counts; an odd state's against the reference's counts at odd n."""
+    for lattice in (*lattices.values(), *odd_lattices.values()):
+        fam = (lattice["traits"], lattice["odd"])
         want = _segment_counts_reference(lo, hi, lattice)
+        if lattice["odd"]:
+            want[lo % 2::2] = 0  # the even n of the window
         d, runs = moments._offset_runs(lo, hi, lattice)
         assert len(np.unique(d)) == len(d), (fam, lo, hi)
         got = np.zeros(hi - lo, dtype=np.int64)
         got[d] = runs
         assert np.array_equal(got, want), (fam, lo, hi)
         hist = moments._family_segment(lo, hi, dict(lattice, omega_kind=None))
-        want = np.bincount(want)
+        want = np.bincount(want[(lo + 1) % 2::2] if lattice["odd"] else want,
+                           minlength=1)
         assert hist.dtype == want.dtype, fam
         assert hist.shape == want.shape, (fam, lo, hi)
         assert np.array_equal(hist, want), (fam, lo, hi)
@@ -165,24 +177,26 @@ def check_against_reference(lattices, lo, hi):
 
 @settings(max_examples=100, deadline=None)
 @given(lo=st.integers(1, TOP), width=st.integers(1, MAX_DIFF_WIDTH))
-def test_counts_match_reference_high(lattices, lo, width):
-    check_against_reference(lattices, lo, lo + width)
+def test_counts_match_reference_high(lattices, odd_lattices, lo, width):
+    check_against_reference(lattices, odd_lattices, lo, lo + width)
 
 
 @settings(max_examples=25, deadline=None)
 @given(lo=st.integers(TOP, INT32_TOP - MAX_DIFF_WIDTH + 1),
        width=st.integers(1, MAX_DIFF_WIDTH))
-def test_counts_match_reference_to_int32_top(lattices, lo, width):
-    check_against_reference(lattices, lo, lo + width)
+def test_counts_match_reference_to_int32_top(lattices, odd_lattices, lo,
+                                             width):
+    check_against_reference(lattices, odd_lattices, lo, lo + width)
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 4097), (10**7, 10**7 + 4096),
                                     (INT32_TOP - 4095, INT32_TOP + 1)])
-def test_tiny_pair_blocks_match_reference(lattices, monkeypatch, lo, hi):
+def test_tiny_pair_blocks_match_reference(lattices, odd_lattices,
+                                          monkeypatch, lo, hi):
     """Blocks of 7 pairs: most rows of a coprime family's strike then span
     several blocks' worth of calls, and a single row fills a block."""
     monkeypatch.setattr(moments, "_BLOCK_PAIRS", 7)
-    check_against_reference(lattices, lo, hi)
+    check_against_reference(lattices, odd_lattices, lo, hi)
 
 
 SCRATCH_FAMILIES = (RepFamily.R0, RepFamily.R0_STAR, RepFamily.R1)
@@ -212,19 +226,23 @@ def test_segment_results_do_not_alias_scratch(lattices, int32_table,
 
 @pytest.mark.parametrize("lo", [10**8 - 2**20, INT32_TOP - 2**20 + 1])
 @pytest.mark.parametrize("family", SCRATCH_FAMILIES, ids=lambda f: f.value)
-def test_segment_scratch_peak(lattices, family, lo):
+def test_segment_scratch_peak(lattices, odd_lattices, family, lo):
     """A warmed unfiltered segment of a 2^20 window allocates at most
-    4 MiB of numpy memory: the pair offsets, their run starts and the
-    strike's places live in the state's scratch, filled in place."""
-    state = dict(lattices[family], omega_kind=None)
-    moments._family_segment(lo, lo + 2**20, state)
-    tracemalloc.start()
-    try:
+    4 MiB of numpy memory, on the full and the odd state: the pair
+    offsets, their run starts and the strike's places live in the state's
+    scratch, filled in place."""
+    for lattice in (lattices[family], odd_lattices.get(family)):
+        if lattice is None:
+            continue
+        state = dict(lattice, omega_kind=None)
         moments._family_segment(lo, lo + 2**20, state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
+        tracemalloc.start()
+        try:
+            moments._family_segment(lo, lo + 2**20, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, lattice["odd"]
 
 
 def _edge_windows():
@@ -250,8 +268,21 @@ def _edge_windows():
 
 
 @pytest.mark.parametrize("lo, hi", _edge_windows())
-def test_counts_match_reference_at_edges(lattices, lo, hi):
-    check_against_reference(lattices, lo, hi)
+def test_counts_match_reference_at_edges(lattices, odd_lattices, lo, hi):
+    check_against_reference(lattices, odd_lattices, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [w for w in _edge_windows()
+                                    if w[1] - w[0] <= 64])
+def test_odd_runs_match_oracle_at_edges(odd_lattices, int32_table, lo, hi):
+    """An odd state's runs hold every odd n of the window with its
+    rep_enumerate count, and no even n."""
+    for fam, lattice in odd_lattices.items():
+        d, runs = moments._offset_runs(lo, hi, lattice)
+        got = dict(zip((d.astype(np.int64) + lo).tolist(), runs.tolist()))
+        want = {n: repfun.rep_enumerate(fam, n, int32_table)
+                for n in range(lo | 1, hi, 2)}
+        assert got == {n: c for n, c in want.items() if c}, (fam, lo, hi)
 
 
 @pytest.mark.parametrize("family, omega_kind", [
@@ -268,6 +299,27 @@ def test_histogram_grid_segment_size_independent(table, family, omega_kind):
                                      segment_size=size)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b), size
+
+
+FOLD_XS = [1, 2, 3, 4, 7, 8, 9, 2**20 - 1, 2**20 + 1, 10**6, 12345677]
+
+
+@pytest.mark.parametrize("omega_kind", [None, "omega", "omega_star"])
+def test_folded_grid_matches_unfolded_sweep(table, omega_kind):
+    """r0 and r0* histograms folded from odd-n sweeps are == (values and
+    shape) the sweep over every n, with 2^20 segments on 1 worker, 1000
+    on 2 workers (to 2^20 + 1) and 7 (to 9)."""
+    for fam in (RepFamily.R0, RepFamily.R0_STAR):
+        ref = moments._hist_sweep(fam, FOLD_XS, table, moments._family_segment,
+                                  1 << 20, 1, omega_kind=omega_kind)
+        for size, workers, top in ((1 << 20, 1, 12345677),
+                                   (1000, 2, 2**20 + 1), (7, 1, 9)):
+            xs = [x for x in FOLD_XS if x <= top]
+            got = moments.histogram_grid(fam, xs, table, omega_kind=omega_kind,
+                                         segment_size=size, workers=workers)
+            for x, a, b in zip(xs, got, ref):
+                assert a.shape == b.shape, (fam, size, x)
+                assert np.array_equal(a, b), (fam, size, x)
 
 
 def test_rho_kN_grid_segment_size_independent(table):
@@ -692,27 +744,30 @@ def test_omega_walk_scratch_peak(u32_primes):
 
 def _family_segment_reference(lo, hi, state):
     """H[j, v] = #{n : kind(n) = j, count(n) = v} from one bincount of
-    kind(n) * width + count(n) over every n of [lo, hi)."""
+    kind(n) * width + count(n) over every n of [lo, hi), or over its odd
+    n for an odd state; the rows reach the largest kind(n) of the window."""
     counts = _segment_counts_reference(lo, hi, state)
     om = moments._segment_omega(lo, hi, state["primes"], state["omega_kind"])
+    rows = int(om.max()) + 1
+    if state["odd"]:
+        counts, om = counts[(lo + 1) % 2::2], om[(lo + 1) % 2::2]
     width = int(counts.max(initial=0)) + 1
-    flat = np.bincount(om.astype(np.int64) * width + counts)
-    rows = (len(flat) + width - 1) // width
-    out = np.zeros(rows * width, dtype=np.int64)
-    out[: len(flat)] = flat
-    return out.reshape(rows, width)
+    flat = np.bincount(om.astype(np.int64) * width + counts,
+                       minlength=rows * width)
+    return flat.reshape(rows, width)
 
 
-def check_filtered_histograms(lattices, primes, lo, hi):
-    """Every family and both kinds.  The walk is checked against its own
-    reference above; here each kind's omega values are walked once per
-    window and handed to all 11 families."""
+def check_filtered_histograms(lattices, odd_lattices, primes, lo, hi):
+    """Every family, full and odd states, and both kinds.  The walk is
+    checked against its own reference above; here each kind's omega
+    values are walked once per window and handed to all 13 states."""
     for kind in ("omega", "omega_star"):
         om = moments._segment_omega(lo, hi, primes, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(moments, "_segment_omega",
                        lambda *args: om.copy())
-            for fam, lattice in lattices.items():
+            for lattice in (*lattices.values(), *odd_lattices.values()):
+                fam = (lattice["traits"], lattice["odd"])
                 state = dict(lattice, primes=primes, omega_kind=kind)
                 got = moments._family_segment(lo, hi, state)
                 want = _family_segment_reference(lo, hi, state)
@@ -723,14 +778,16 @@ def check_filtered_histograms(lattices, primes, lo, hi):
 
 @settings(max_examples=25, deadline=None)
 @given(lo=st.integers(1, TOP), width=st.integers(1, MAX_DIFF_WIDTH))
-def test_filtered_histogram_matches_dense_high(lattices, int32_table, lo,
-                                               width):
-    check_filtered_histograms(lattices, int32_table.primes, lo, lo + width)
+def test_filtered_histogram_matches_dense_high(lattices, odd_lattices,
+                                               int32_table, lo, width):
+    check_filtered_histograms(lattices, odd_lattices, int32_table.primes, lo,
+                              lo + width)
 
 
 @pytest.mark.parametrize("lo, hi", _edge_windows() + [
     (1, 1 << 12), (10**8, 10**8 + (1 << 16)),
     (TOP - (1 << 16) + 1, TOP + 1)])
-def test_filtered_histogram_matches_dense_at_edges(lattices, int32_table, lo,
-                                                   hi):
-    check_filtered_histograms(lattices, int32_table.primes, lo, hi)
+def test_filtered_histogram_matches_dense_at_edges(lattices, odd_lattices,
+                                                   int32_table, lo, hi):
+    check_filtered_histograms(lattices, odd_lattices, int32_table.primes, lo,
+                              hi)

@@ -122,6 +122,42 @@ def test_rho_examples(table):
             assert moments.rho_kN(x, k, table) == brute, (x, k)
 
 
+def test_fold_rule_against_closed_forms(table):
+    """For n = 2^k m <= 10^4, m odd: r0(n) = r0(m), r0*(n) = r0*(m) for
+    k <= 1 and 0 beyond, omega(n) = omega(m) + [k >= 1] and omega*(n) =
+    omega*(m).  The r0 and r0* histograms folded from odd n then equal,
+    value and shape, those of r0_formula and r0_star over every n, at
+    each x <= 300, at 2^j +- 1 and at 10^4, unfiltered and by omega row."""
+    top = 10**4
+    facts = [None] + [arith.factor(n, table) for n in range(1, top + 1)]
+    for n in range(1, top + 1):
+        k = (n & -n).bit_length() - 1
+        m = facts[n >> k]
+        assert repfun.r0_formula(facts[n]) == repfun.r0_formula(m)
+        assert repfun.r0_star(facts[n]) == (repfun.r0_star(m) if k <= 1
+                                            else 0)
+        assert arith.omega(facts[n]) == arith.omega(m) + (k >= 1)
+        assert arith.omega_star(facts[n]) == arith.omega_star(m)
+    xs = [*range(1, 301), *(2**j + d for j in range(9, 14) for d in (-1, 1)),
+          top]
+    kinds = {None: None, "omega": arith.omega, "omega_star": arith.omega_star}
+    for fam, value in ((RepFamily.R0, repfun.r0_formula),
+                       (RepFamily.R0_STAR, repfun.r0_star)):
+        vals = np.array([value(f) for f in facts[1:]])
+        for kind, fn in kinds.items():
+            rows = np.array([fn(f) if fn else 0 for f in facts[1:]])
+            got = moments.histogram_grid(fam, xs, table, omega_kind=kind)
+            for x, h in zip(xs, got):
+                width = int(vals[:x].max()) + 1
+                size = (int(rows[:x].max()) + 1) * width
+                want = np.bincount(rows[:x] * width + vals[:x],
+                                   minlength=size).reshape(-1, width)
+                if kind is None:
+                    want = want[0]
+                assert h.shape == want.shape, (fam, kind, x)
+                assert np.array_equal(h, want), (fam, kind, x)
+
+
 def test_segment_size_and_worker_independence(table):
     x = 3 * 10**4
     baseline = moments.power_moment(RepFamily.R1, x, 2, table)
