@@ -5,10 +5,19 @@ generates lattice pairs (a, b) with lo <= a^2 + b^2 < hi and counts them
 per n from their sorted offsets, and a factorization pass that sieves
 omega-style statistics over the same window.  Segments reduce to exact
 integer histograms, independent of segment size and worker schedule by
-construction (integer addition is associative and commutative).  r0 and
-r0* ignore the power of 2 in n, so their sweeps walk only the pairs with
-a + b odd (the odd n) and fold each cutoff's histogram from those of the
-odd n up to x >> k (_fold_even).
+construction (integer addition is associative and commutative).
+
+Every sweep filtered by omega or omega* runs over windows of odd m, and
+takes n = 2^k m from them: omega*(2^k m) = omega*(m) and omega(2^k m) =
+omega(m) + [k >= 1], so one walk over the odd m (the walk's odd mode)
+keys every n.  The counts at n = 2^k m come from at most four lattice
+passes per window: the pairs with a + b odd (k = 0) and with a and b odd
+(k = 1) of the family's lattice L, and the same two of L/2, the halved
+pairs (a/2, b/2) of L's even pairs, since F(4n) is L/2's count at n
+(_VALUATIONS).  Each cutoff's histogram is folded from those of the odd m
+up to x >> k (_fold_valuations).  Unfiltered, r0 and r0* ignore the power
+of 2 in n, so their sweeps walk only the pairs with a + b odd (the odd n)
+and fold alike; the other unfiltered sweeps run over windows of n.
 """
 
 import contextlib
@@ -65,23 +74,48 @@ def _prime_columns(bvals, primes):
     return rows[order], p_rep[order]
 
 
-def _lattice_state(traits, root, table, odd=False):
+def _lattice_state(traits, root, table, parity=None, halved=False):
     """What the bucket pass needs for base values b <= root; once per sweep.
 
     bvals: the base set; bprimes (coprime families only): the distinct
     primes of every b, as _prime_columns' (row, prime) arrays; aprimes: the
-    int32 primes <= root that prime first coordinates walk.  odd: the pass
-    walks only the pairs with a + b odd, so the n it counts are the odd n
-    of each window (for families whose first coordinate is any integer);
-    a is then odd wherever b is even, so bprimes drops the prime 2.
+    int32 primes <= root that prime first coordinates walk.
+
+    parity "odd": the pass walks only the pairs with a + b odd, so the n it
+    counts are the odd n of each window; "both_odd": only the pairs with a
+    and b odd, whose n are 2 mod 4, so bvals keeps only the odd b.  With a
+    parity, aprimes lists the odd first coordinates, ascending, then the
+    even ones ("odd" only), and asplit counts the odd ones; bprimes drops
+    the prime 2, as no walked pair has a and b both even.
+
+    halved: the lattice L/2 of (a/2, b/2) over the family's pairs (a, b)
+    with a and b even, whose counts at n are the family's at 4n.  Its b
+    are the halves of the even base values <= 2 root, and its prime first
+    coordinates the halves of the even primes (a = 1, from 2); rules a != b
+    and a < b hold for the halves alike.  A coprime family has no such
+    pair (gcd(a, b) >= 2), so its L/2 has no b.
     """
-    bvals = repfun.base_values(traits.base, root, table)
-    cut = int(np.searchsorted(table.primes, root, side="right"))
-    state = {"traits": traits, "odd": odd, "bvals": bvals, "bprimes": None,
-             "aprimes": table.primes[:cut].astype(np.int32)}
+    primes = table.primes
+    top = 2 * root if halved else root
+    bvals = repfun.base_values(traits.base, top, table)
+    avals = primes[:int(np.searchsorted(primes, top, side="right"))]
+    if halved:
+        bvals = bvals[:0] if traits.coprime else bvals[bvals % 2 == 0] // 2
+        avals = avals[avals % 2 == 0] // 2
+    if parity == "both_odd":
+        bvals = bvals[bvals % 2 == 1]
+    asplit = None
+    if parity:
+        odd_a = avals % 2 == 1
+        asplit = int(np.count_nonzero(odd_a))
+        even = avals[~odd_a] if parity == "odd" else avals[:0]
+        avals = np.concatenate([avals[odd_a], even])
+    state = {"traits": traits, "parity": parity, "bvals": bvals,
+             "bprimes": None, "aprimes": avals.astype(np.int32),
+             "asplit": asplit}
     if traits.coprime:
-        rows, ps = _prime_columns(bvals, table.primes)
-        keep = ps != 2 if odd else slice(None)
+        rows, ps = _prime_columns(bvals, primes)
+        keep = ps != 2 if parity else slice(None)
         state["bprimes"] = rows[keep], ps[keep]
     return state
 
@@ -122,27 +156,35 @@ def _symmetric(traits):
     return traits.base == ("prime" if traits.first_prime else "any")
 
 
-def _unmirrored_offsets(lo, hi, traits, aprimes, odd):
+def _unmirrored_offsets(lo, hi, lattice):
     """n - lo, int32, of the pairs with no mirror for a symmetric family:
     the diagonal (a, a) at n = 2a^2 (none for r2*) and, when a may be 0,
     the axis (0, b) at n = b^2.  A coprime family keeps only a = 1 and
     b = 1, since gcd(a, a) = a and gcd(0, b) = b.  2a^2 = b^2 has no
     solution, so the offsets are distinct.  An odd walk keeps the axis at
-    odd b and no diagonal, as 2a^2 is even.
+    odd b and no diagonal, as 2a^2 is even; a both-odd walk keeps the
+    diagonal at odd a and no axis, as a = 0 is even.  A state with no b (a
+    coprime family's L/2) has neither.
     """
+    traits, parity = lattice["traits"], lattice["parity"]
+    both = parity == "both_odd"
     top = 1 if traits.coprime else hi
+    if not len(lattice["bvals"]):
+        top = 0
     diag = np.arange(0)
-    if not (traits.distinct or odd):
+    if not (traits.distinct or parity == "odd"):
         a_lo = math.isqrt((lo + 1) // 2 - 1) + 1  # least a >= 1, 2a^2 >= lo
         a_hi = min(math.isqrt((hi - 1) // 2), top)
         if traits.first_prime:
+            aprimes = lattice["aprimes"][:lattice["asplit"]]
             diag = aprimes[np.searchsorted(aprimes, a_lo):
                            np.searchsorted(aprimes, a_hi, side="right")]
         else:
-            diag = np.arange(a_lo, a_hi + 1)
+            diag = np.arange(a_lo | both, a_hi + 1, 1 + both)
     diag = diag.astype(np.int64)
     off = [2 * diag * diag - lo]
-    if not traits.first_prime:
+    if not (traits.first_prime or both):
+        odd = parity == "odd"
         axis = np.arange((math.isqrt(lo - 1) + 1) | odd,
                          min(math.isqrt(hi - 1), top) + 1, 1 + odd,
                          dtype=np.int64)
@@ -166,13 +208,16 @@ def _pair_offsets(lo, hi, lattice):
     their temporaries) write a^2 + b^2 - lo in place into the scratch; a
     coprime family marks the pairs with gcd(a, b) > 1 past the window
     (_strike) and cuts them off after the sort.  An odd lattice state
-    walks in each row only the a of the other parity than b, stepping a
-    by 2, so every walked n is odd.  The int32 offsets need
+    walks in each row only the a of the other parity than b, and a
+    both-odd one only the odd a (its b are odd): integer a step by 2, and
+    prime ones are looked up in the odd or the even part of aprimes.  So
+    every walked n is odd, or 2 mod 4.  The int32 offsets need
     hi - 1 <= _INT32_MAX.
     """
     traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
                               lattice["aprimes"])
-    step = 2 if lattice["odd"] else 1
+    parity = lattice["parity"]
+    step = 2 if parity and not traits.first_prime else 1
     b0 = int(np.searchsorted(
         bvals, math.isqrt((lo - 1) // 2) if _symmetric(traits) else 0))
     b = bvals[b0:np.searchsorted(bvals, math.isqrt(hi - 1), side="right")]
@@ -183,13 +228,21 @@ def _pair_offsets(lo, hi, lattice):
     if _symmetric(traits):
         a_hi = np.minimum(a_hi, b - 1)
         a_lo = np.maximum(a_lo, 1)
-    if traits.first_prime:
+    if traits.first_prime and parity:
+        split = lattice["asplit"]
+        odd_a = (b % 2 == 0) | (parity == "both_odd")
+        odds, evens = aprimes[:split], aprimes[split:]
+        start = np.where(odd_a, np.searchsorted(odds, a_lo),
+                         split + np.searchsorted(evens, a_lo))
+        stop = np.where(odd_a, np.searchsorted(odds, a_hi, side="right"),
+                        split + np.searchsorted(evens, a_hi, side="right"))
+    elif traits.first_prime:
         start = np.searchsorted(aprimes, a_lo, side="left")
         stop = np.searchsorted(aprimes, a_hi, side="right")
     else:
         start, stop = a_lo, a_hi + 1
-        if step == 2:
-            start = a_lo + ((a_lo + b + 1) & 1)  # a + b odd
+        if step == 2:  # a + b odd, or a odd
+            start = a_lo + ((a_lo + b + (parity == "odd")) & 1)
     n = np.maximum(stop - start, 0)  # every b keeps its row, maybe empty
     if step == 2:
         n = (n + 1) // 2
@@ -227,18 +280,18 @@ def _strike(blk, mark, i0, i1, start, nr, first, lattice):
     coordinates are consecutive integers, so row i holds a = start[i],
     start[i] + 1, ... from place first[i] of the block on, and each prime
     p of its b hits every p-th pair of the row, from (-start[i]) mod p on;
-    a = 0 is hit by every prime of b, so it stays only for b = 1.  An odd
-    state's row holds a = start[i] + 2j, so an odd p hits it first at
-    j = -start[i] (p + 1) / 2 mod p, the inverse of 2 mod p, and p = 2
-    never (the state lists no 2).  The places are built in int32 (p times
-    an index may wrap; the places fit) and copied to intp scratch, so the
-    scatter converts no index array.
+    a = 0 is hit by every prime of b, so it stays only for b = 1.  A row of
+    an odd or a both-odd state holds a = start[i] + 2j, so an odd p hits it
+    first at j = -start[i] (p + 1) / 2 mod p, the inverse of 2 mod p, and
+    p = 2 never (the state lists no 2).  The places are built in int32 (p
+    times an index may wrap; the places fit) and copied to intp scratch, so
+    the scatter converts no index array.
     """
     prow, p = lattice["bprimes"]
     g0, g1 = np.searchsorted(prow, (i0, i1))
     ri, p = prow[g0:g1] - i0, p[g0:g1]
     o = -start[ri] % p
-    if lattice["odd"]:
+    if lattice["parity"]:
         o = o * ((p + 1) // 2) % p
     hits = (nr[ri] - o + p - 1) // p  # >= 0, as o < p
     # hit list entry m, of (row, prime) g, is at first + o + p (m - cs[g])
@@ -271,8 +324,8 @@ def _offset_runs(lo, hi, state):
     """
     traits = state["traits"]
     off = _pair_offsets(lo, hi, state)
-    u = (_unmirrored_offsets(lo, hi, traits, state["aprimes"], state["odd"])
-         if _mirrored(traits) else off[:0])
+    u = (_unmirrored_offsets(lo, hi, state) if _mirrored(traits)
+         else off[:0])
     new = _scratch(state, "new", len(off) + 1, bool)  # run starts, the end
     new[0] = new[-1] = True
     np.not_equal(off[1:], off[:-1], out=new[1:-1])
@@ -356,6 +409,9 @@ _CHUNK = 1 << 15  # entries per step of a chunked pass; bounds its temporaries
 _ZERO_CHUNK = 1 << 18  # n per step of the zero column's per-row counts
 _PRESIEVE = (2, 3, 5, 7, 11, 13)
 _TILE = 4 * 3 * 5 * 7 * 11 * 13  # 60060: n mod 4 and a first power of each
+_ODD_TILE = 3 * 5 * 7 * 11 * 13  # 15015: the odd walk's period, in entries
+_STRIDED_HITS = 64  # a power with this many multiples in the window or more
+                    # is a strided add; the rest go in one np.add.at
 _LG_SCALE = 128  # lg(p) = floor(128 log2 p), so lg(2) = 128
 _COUNT_BITS = 4  # the walk's word is (W << 4) | count, count <= 9 < 16
 _LEFT_GAP = 47   # n in [2^j, 2^(j+1)) has a leftover prime iff W < 128 j - 47
@@ -374,19 +430,23 @@ def _lg(p):
     return np.floor(logs).astype(np.int64)
 
 
-@lru_cache(maxsize=1)
-def _presieve_tile():
-    """The share of the primes p <= 13 in the walk's arrays, for
-    n = 0, ..., 2 * _TILE - 1, read-only, from the first power of each
-    such p that divides n: lpf is the largest of these primes (0 if none)
-    and lpf_sq False.  "word" is _factor_walk's uint16
-    word over these first powers and 2^2: (sum of their lg(p)) << 4 plus
-    the count of odd ones; the walk reads omega, omega_star and leftover
-    off it, so the tile holds no array of theirs.  The arrays have period
-    _TILE; two periods hold every run of up to _TILE consecutive n,
-    starting at n mod _TILE.
+@lru_cache(maxsize=2)
+def _presieve_tile(odd=False):
+    """The share of the primes p <= 13 in the walk's arrays, read-only, for
+    two periods of entries: n = 0, ..., 2 * _TILE - 1, or in odd mode the
+    odd n = 2t + 1 for t = 0, ..., 2 * _ODD_TILE - 1.  Each entry takes
+    the first power of each such p that divides its n: lpf is the largest
+    of these primes (0 if none) and lpf_sq False.  "word" is _factor_walk's
+    uint16 word over these first powers and 2^2: (sum of their lg(p)) << 4
+    plus the count of odd ones; the walk reads omega, omega_star and
+    leftover off it, so the tile holds no array of theirs.  The arrays have
+    period _TILE (odd mode: _ODD_TILE, as 2 is a unit mod 15015); two
+    periods hold every run of up to one period of entries.
     """
-    r = np.arange(2 * _TILE)
+    period = _ODD_TILE if odd else _TILE
+    r = np.arange(2 * period)
+    if odd:
+        r = 2 * r + 1
     tile = {f: np.zeros(len(r), dtype=dt) for f, dt in _FIELD_DTYPES.items()
             if f not in _WORD_FIELDS}
     tile["word"] = np.zeros(len(r), dtype=np.uint16)
@@ -400,52 +460,79 @@ def _presieve_tile():
     return tile
 
 
-def _add_powers(word, lo, hi, ps, lgs):
-    """Add lg(p) << 4 to word at the multiples in [lo, hi) of every power
-    p^k <= hi - 1, k >= 2, of the primes ps (lgs their lg).  A power below
-    the window size is a strided add; every other power hits the window at
-    most once, so all of those go in one np.add.at.
+def _first_hits(first, q, odd):
+    """The first entry of the walk at a multiple of each q, entry i standing
+    for n = first + i, or n = first + 2i for odd q in odd mode, where
+    i = (-first) (q + 1) / 2 mod q, (q + 1) / 2 being the inverse of 2."""
+    at = -first % q
+    return at * ((q + 1) // 2) % q if odd else at
+
+
+def _add_powers(word, first, hi, ps, lgs, odd):
+    """Add lg(p) << 4 to word at the multiples of every power p^k <= hi - 1,
+    k >= 2, of the primes ps (lgs their lg), 2^2 left to the tile; word[i]
+    stands for n = first + i, or first + 2i in odd mode (ps then odd).
+
+    Every power is listed at once: the largest k of each p comes from a
+    float log and one integer fix-up each way.  A power with at least
+    _STRIDED_HITS multiples in the window is a strided add; all the others
+    go in one np.add.at.
     """
-    size = len(word)
-    q = ps * ps  # < 2^48: p < 2^16 and every q kept is <= hi - 1 < 2^32
-    q[ps == 2] = 8  # the tile holds the 2^2
-    at, add = [np.arange(0)], [np.arange(0)]
-    while len(q):
-        keep = q <= hi - 1
-        ps, lgs, q = ps[keep], lgs[keep], q[keep]
-        many = q < size
-        for qk, lg in zip(q[many].tolist(), lgs[many].tolist()):
-            word[-lo % qk::qk] += lg << _COUNT_BITS
-        off = -lo % q[~many]
-        hit = off < size
-        at.append(off[hit])
-        add.append(lgs[~many][hit])
-        q = q * ps
-    np.add.at(word, np.concatenate(at),
-              (np.concatenate(add) << _COUNT_BITS).astype(np.uint16))
+    size, top = len(word), hi - 1
+    has_square = ps * ps <= top
+    ps, lgs = ps[has_square], lgs[has_square]
+    k = (np.log(top) / np.log(ps)).astype(np.int64)  # floor, as logs > 0
+    k -= ps**k > top  # < 2^48: p < 2^16 and p^(k - 1) <= top < 2^32
+    k += ps ** (k + 1) <= top
+    lowest = 2 + (ps == 2)
+    reps = k + 1 - lowest  # >= 0, as p^2 <= top
+    ends = np.cumsum(reps)
+    exps = np.repeat(lowest - ends + reps, reps) + np.arange(reps.sum())
+    q = np.repeat(ps, reps) ** exps
+    at = _first_hits(first, q, odd)
+    inc = (np.repeat(lgs, reps) << _COUNT_BITS).astype(np.uint16)
+    many = q * _STRIDED_HITS <= size
+    for s, qk, v in zip(at[many].tolist(), q[many].tolist(), inc[many]):
+        view = word[s::qk]
+        np.add(view, v, out=view)
+    few = ~many
+    q, at, inc = q[few], at[few], inc[few]
+    hits = (size - at + q - 1) // q  # >= 0, as at < q
+    total = int(hits.sum())
+    place = (np.repeat(at - q * (np.cumsum(hits) - hits), hits)
+             + np.repeat(q, hits) * np.arange(total))
+    np.add.at(word, place, np.repeat(inc, hits))
 
 
-def _leftover_flag(word, a, b):
-    """n in [a, b) with a prime factor the walk did not take, from the
-    walk's words of those n: one compare per dyadic piece [2^j, 2^(j+1))."""
-    left = np.zeros(b - a, dtype=bool)
-    for j in range(max(a.bit_length() - 1, 1), (b - 1).bit_length()):
-        s = slice(max(a, 1 << j) - a, min(b, 2 << j) - a)
+def _leftover_flag(word, a, step):
+    """The entries whose n has a prime factor the walk did not take, from
+    the walk's words of n = a, a + step, ...: one compare per dyadic piece
+    [2^j, 2^(j+1))."""
+    left = np.zeros(len(word), dtype=bool)
+    last = a + step * (len(word) - 1)
+    for j in range(max(a.bit_length() - 1, 1), last.bit_length()):
+        s = slice(max(-((a - (1 << j)) // step), 0), -((a - (2 << j)) // step))
         np.less(word[s], (_LG_SCALE * j - _LEFT_GAP) << _COUNT_BITS,
                 out=left[s])
     return left
 
 
-def _factor_walk(lo, hi, primes, fields, bound=0):
+def _factor_walk(lo, hi, primes, fields, bound=0, odd=False):
     """SegmentProfile of [lo, hi) with only `fields` computed, the rest None.
 
+    In odd mode entry i stands for n = first + 2i, first = lo | 1: the walk
+    visits only the odd n of [lo, hi), and the profile's lo and hi are
+    still the window's.  The full mode visits every n.
+
     The walk bound is B = max(isqrt(hi - 1), bound, 13).  The primes
-    p <= 13 come from the _presieve_tile, read from lo on and repeated
-    over the window: the word and each asked lpf or lpf_sq start as the
-    tile's.  One walk over the sieving primes 13 < p <= B marks the
-    multiples of each p in those fields; lpf takes p, so it ends as the
-    largest walked prime, and lpf_sq is set at the multiples of p^2, all
-    in prime order.
+    p <= 13 come from the _presieve_tile of the mode (period 15015 in odd
+    mode), read from the first entry's place on and repeated over the
+    window: the word and each asked lpf or lpf_sq start as the tile's.  One
+    walk over the sieving primes 13 < p <= B marks the multiples of each p
+    in those fields, from their first entry on (_first_hits; an odd p hits
+    every p-th entry in both modes); lpf takes p, so it ends as the largest
+    walked prime, and lpf_sq is set at the multiples of p^2, all in prime
+    order.  The odd mode walks no 2 and no power of 2.
 
     What the walk did not take is the leftover prime L of n: the single
     prime > B dividing n, or none, as B >= isqrt(hi - 1).  It is found
@@ -453,20 +540,23 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
     counts the walked odd primes of n (<= 9 for n < 2^32) and W is the sum
     of lg(p) = floor(128 log2 p) over the walked prime powers p^k || n.  The
     tile starts the word; each sieving prime adds (lg(p) << 4) | 1 at its
-    multiples and each power p^k, k >= 2, adds lg(p) << 4 at its own
-    (_add_powers).  For n in [2^j, 2^(j+1)), n has a leftover prime iff
-    W < 128 j - 47.  Proof: lg(2) = 128 exactly, and each odd prime factor
-    of n, counted with multiplicity, falls short of its share 128 log2 p
-    by less than 1; there are Omega_odd(n) <= 20 of them (3^21 > 2^32).
-    With no leftover, W > 128 log2 n - 20 >= 128 j - 20.  With a leftover
-    L >= 3, W <= 128 (log2 n - log2 3) < 128 (j + 1) - 202 = 128 j - 74.
-    W <= 128 log2 n < 4096 fits in 12 bits.
+    multiples, as one uint16 add into a strided view, and each power p^k,
+    k >= 2, adds lg(p) << 4 at its own (_add_powers).  For n in
+    [2^j, 2^(j+1)), n has a leftover prime iff W < 128 j - 47.  Proof:
+    lg(2) = 128 exactly, and each odd prime factor of n, counted with
+    multiplicity, falls short of its share 128 log2 p by less than 1; there
+    are Omega_odd(n) <= 20 of them (3^21 > 2^32).  With no leftover,
+    W > 128 log2 n - 20 >= 128 j - 20.  With a leftover L >= 3,
+    W <= 128 (log2 n - log2 3) < 128 (j + 1) - 202 = 128 j - 74.
+    W <= 128 log2 n < 4096 fits in 12 bits.  The proof is per n, so it
+    holds on the odd n alone.
 
     The flag is the leftover field.  c plus the flag is omega_star, written
     over the front half of the words' buffer, and omega is omega_star plus
-    1 at even n.  lpf_sq reads only the flag, and lpf is P(n) where it is
-    off.  The leftover pass steps through the window _CHUNK n at a time,
-    so no window-sized temporary exists.
+    1 at even n (so omega = omega_star in odd mode).  lpf_sq reads only the
+    flag, and lpf is P(n) where it is off.  The leftover pass steps through
+    the window _CHUNK entries at a time, so no window-sized temporary
+    exists.
     """
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
@@ -478,10 +568,14 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
         raise CapacityError(
             f"walk bound {bound} exceeds the factorization walk's cap "
             f"{_WALK_MAX}")
-    size = hi - lo
+    first, step = (lo | 1, 2) if odd else (lo, 1)
+    size = (hi - first + step - 1) // step
     walk_primes = _window_primes(primes, lo, hi, bound)
-    tile = _presieve_tile()
-    head = slice(lo % _TILE, lo % _TILE + min(size, _TILE))
+    if odd:
+        walk_primes = walk_primes[1:]  # 2 divides no odd n
+    tile = _presieve_tile(odd)
+    at = first // 2 % _ODD_TILE if odd else lo % _TILE
+    head = slice(at, at + min(size, _ODD_TILE if odd else _TILE))
 
     def start(name):
         return np.resize(tile[name][head], size)
@@ -503,34 +597,37 @@ def _factor_walk(lo, hi, primes, fields, bound=0):
     ps = np.array(walk_primes, dtype=np.int64)
     lgs = _lg(ps)
     big = ps > _PRESIEVE[-1]
-    for p, inc in zip(ps[big].tolist(),
-                      ((lgs[big] << _COUNT_BITS) | 1).tolist()):
-        word[-lo % p::p] += inc
-    _add_powers(word, lo, hi, ps, lgs)
+    incs = ((lgs[big] << _COUNT_BITS) | 1).astype(np.uint16)
+    for s, p, inc in zip(_first_hits(first, ps[big], odd).tolist(),
+                         ps[big].tolist(), incs):
+        view = word[s::p]
+        np.add(view, inc, out=view)
+    _add_powers(word, first, hi, ps, lgs, odd)
     marked = lpf is not None or lpf_sq is not None
     for p in walk_primes if marked else ():  # the fields, in prime order
         small = p <= _PRESIEVE[-1]
         if not small:
-            sl = slice(-lo % p, None, p)
+            sl = slice(_first_hits(first, p, odd), None, p)
             if lpf is not None:
                 lpf[sl] = p
             if lpf_sq is not None:
                 lpf_sq[sl] = False
         if lpf_sq is not None and p * p <= hi - 1:
-            sq = slice(-lo % (p * p), None, p * p)
+            sq = slice(_first_hits(first, p * p, odd), None, p * p)
             lpf_sq[sq] = small_lpf[sq] == p if small else True
     for i in range(0, size, _CHUNK):
         c = slice(i, i + _CHUNK)
-        a, b = lo + i, min(lo + i + _CHUNK, hi)
-        left = _leftover_flag(word[c], a, b)  # L is odd: 2 is always walked
+        a = first + step * i
+        left = _leftover_flag(word[c], a, step)  # L is odd: 2 is walked
         if counts:
             # the count's bytes [i, i + chunk) overlay the words
             # [i / 2, (i + chunk) / 2), all read by now
-            first = out[counts[0]][c]
-            first[:] = word[c] & ((1 << _COUNT_BITS) - 1)
-            first += left  # omega_star
-            if omega is not None:
-                omega[c] = first
+            count = out[counts[0]][c]
+            count[:] = word[c] & ((1 << _COUNT_BITS) - 1)
+            count += left  # omega_star
+            if len(counts) == 2:
+                omega[c] = count
+            if omega is not None and not odd:
                 omega[c][a % 2::2] += 1
         if lpf_sq is not None:
             lpf_sq[c] &= ~left
@@ -576,15 +673,16 @@ def _family_segment(lo, hi, state):
     keyed by kind(n) * width + v over the runs' n, and the zero column is
     the rest of each omega row: #{n : kind(n) = j} minus the row's sum,
     from the counts #{n : kind(n) >= j}, one count_nonzero per row and per
-    _ZERO_CHUNK n.  H has max kind(n) + 1 rows and max count + 1 columns.
-    On an odd lattice state the histogram is that of the window's odd n:
-    the runs hold only odd n, and the zero column counts the odd n alone
-    (the rows still reach the largest kind(n) of the whole window).
+    _ZERO_CHUNK n (_row_counts).  H has max kind(n) + 1 rows and max
+    count + 1 columns.  On an odd lattice state the histogram is that of
+    the window's odd n: the runs hold only odd n, and the zero column
+    counts the odd n alone (the rows still reach the largest kind(n) of
+    the whole window).
     """
     d, runs = _offset_runs(lo, hi, state)
     if runs.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
-    kind, odd = state["omega_kind"], state["odd"]
+    kind, odd = state["omega_kind"], state["parity"] == "odd"
     if kind is None:
         out = np.bincount(runs, minlength=1)
         out[0] = (hi // 2 - lo // 2 if odd else hi - lo) - len(runs)
@@ -596,13 +694,63 @@ def _family_segment(lo, hi, state):
                       minlength=rows * width).reshape(rows, width)
     # column 0 is 0 here, as every run counts >= 1
     part = om[(lo + 1) % 2::2] if odd else om
+    out[:, 0] = _row_counts(part, rows) - out[:, 1:].sum(axis=1)
+    return out
+
+
+def _row_counts(om, rows):
+    """#{i : om[i] = j} for j < rows, int64, from the counts
+    #{i : om[i] >= j}: one count_nonzero per row and per _ZERO_CHUNK
+    entries, as a bincount would copy the uint8 values to intp."""
     at_least = np.zeros(rows + 1, dtype=np.int64)
-    at_least[0] = len(part)
-    for i in range(0, len(part), _ZERO_CHUNK):
-        chunk = part[i:i + _ZERO_CHUNK]
+    at_least[0] = len(om)
+    for i in range(0, len(om), _ZERO_CHUNK):
+        chunk = om[i:i + _ZERO_CHUNK]
         for j in range(1, rows):
             at_least[j] += np.count_nonzero(chunk >= j)
-    out[:, 0] = at_least[:-1] - at_least[1:] - out[:, 1:].sum(axis=1)
+    return at_least[:-1] - at_least[1:]
+
+
+def _odd_part_segment(lo, hi, state):
+    """Histograms of n = 2^i m over the odd m of [lo, hi), lo odd, one per
+    pass i of state["passes"] (_pass_lattices), stacked.
+
+    out[i][j, v], v >= 1, counts the odd m with omega(m) = j and
+    F(2^i m) = v, for m <= top >> i (top: the sweep's largest cutoff);
+    out[0][j, 0] is the rest of row j, so out[0]'s row sums count the odd
+    m by omega(m), and out[i][:, 0] is 0 for i >= 1.  One odd walk
+    (_factor_walk's odd mode, where omega = omega_star) keys every pass.
+    At even i the pass takes the runs of an odd state on [lo, end), whose
+    offsets m - lo give walk entry (m - lo) >> 1; at odd i those of a
+    both-odd state on [2 lo, 2 end - 1), whose offsets 2 (m - lo) give
+    entry (m - lo) >> 1 as well.  end = min(hi, (top >> i) + 1) clips each
+    pass at n <= top, so no pass needs primes or int32 offsets beyond the
+    sweep's.
+    """
+    top = state["top"]
+    hi = min(hi, top + 1)
+    om = _factor_walk(lo, hi, state["primes"], ("omega",), odd=True).omega
+    rows = int(om.max()) + 1
+    hists = []
+    for i, lattice in enumerate(state["passes"]):
+        end = min(hi, (top >> i) + 1)
+        if end <= lo:
+            break
+        both = i % 2
+        d, runs = _offset_runs(lo << both, (end << both) - both, lattice)
+        if runs.max(initial=0) > _COUNTER_MAX:
+            raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
+        width = int(runs.max(initial=0)) + 1
+        d >>= 1 + both  # the walk's entries; d is scratch, read once
+        keyed = om[d].astype(np.int64)
+        keyed *= width
+        keyed += runs
+        hists.append(np.bincount(keyed, minlength=rows * width))
+    out = np.zeros((len(hists), rows, max(len(h) for h in hists) // rows),
+                   dtype=np.int64)
+    for o, h in zip(out, hists):
+        o[:, :len(h) // rows] = h.reshape(rows, -1)
+    out[0, :, 0] = _row_counts(om, rows) - out[0, :, 1:].sum(axis=1)
     return out
 
 
@@ -630,28 +778,42 @@ def _cutoffs(xs):
 
 
 def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
-                odd=False, **params):
+                odd=False, odd_part=False, **params):
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
 
     The sweep's state is the family's _lattice_state to isqrt(max(xs)),
-    which checks the table and holds the odd flag, plus segment, the
-    table's primes and params; segment(lo, hi, state) gives a segment's
-    histogram, or any int64 array that adds up over segments.  With
-    workers > 1 the state, segment included, is pickled to the pool.  The
-    cutoffs, workers and segment_size are checked before the lattice is
-    built.
+    which checks the table and holds its parity ("odd" if odd), plus
+    segment, the table's primes and params; segment(lo, hi, state) gives a
+    segment's histogram, or any int64 array that adds up over segments.
+    odd_part: the windows are of odd m instead of n, each holding
+    segment_size odd m over a span of 2 segment_size, and they end where a
+    cutoff's odd m do, at (x + 1) | 1; the state then holds the family's
+    pass lattices (_pass_lattices) in place of one lattice, and top, the
+    largest cutoff; these run top down, and each cutoff's histogram is
+    the total less the sum above it.  With workers > 1 the state, segment
+    included, is pickled to the pool.  The cutoffs, workers and segment_size are
+    checked before any lattice is built.
     """
     cps = _cutoffs(xs)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    state = _lattice_state(family.traits, math.isqrt(cps[-1]), table, odd)
+    if odd_part:
+        state = {"passes": _pass_lattices(family, cps[-1], table),
+                 "top": cps[-1]}
+    else:
+        state = _lattice_state(family.traits, math.isqrt(cps[-1]), table,
+                               "odd" if odd else None)
     state.update(segment=segment, primes=table.primes, **params)
-    want = {c + 1 for c in cps}  # the segments end at each cutoff
-    bounds = sorted(want.union(range(1, cps[-1] + 1, segment_size)))
+    # the segments end at each cutoff: past n = x, or past the odd m <= x
+    ends = {c: (c + 1) | odd_part for c in cps}
+    bounds = sorted(set(ends.values()).union(
+        range(1, cps[-1] + 1, segment_size * (1 + odd_part))))
     segments = list(zip(bounds[:-1], bounds[1:]))
-    snapshots = {}
+    if odd_part:  # top down, so a process first sizes its buffers on a full
+        segments.reverse()  # window, not on the growing ones below 2^21
+    snapshots = dict.fromkeys(ends.values())
     acc = None
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -665,40 +827,84 @@ def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
             stack.callback(_WORKER.clear)  # drops the scratch
             results = map(_run_segment, segments)
         for (lo, hi), h in zip(segments, results):
+            if odd_part and hi in snapshots:
+                snapshots[hi] = acc  # the sum above hi; _pad_add copies
             acc = _pad_add(acc, h)
-            if hi in want:
-                snapshots[hi - 1] = acc.copy()
-    return [snapshots[int(x)] for x in xs]
+            if not odd_part and hi in snapshots:
+                snapshots[hi] = acc.copy()
+    if odd_part:  # the total less the sum above each end
+        snapshots = {hi: acc if above is None else _pad_add(acc, -above)
+                     for hi, above in snapshots.items()}
+    return [snapshots[ends[int(x)]] for x in xs]
 
 
-# r0(2^k m) = r0(m) and r0*(2m) = r0*(m), r0*(4m) = 0 for odd m: the fold
-# depth K of each family whose even n take the counts of odd n
-_EVEN_FOLD = {repfun.RepFamily.R0: math.inf, repfun.RepFamily.R0_STAR: 1}
+# n = 2^k m with m odd: F(n) = F(2^i m) for the pass i listed at k, or 0
+# where none is, as (the passes of k = 0, 1, ..., whether they repeat past
+# the list).  Pass i walks L, the family's lattice, at i = 0, 1, and L/2
+# at i = 2, 3, since F(4n) is L/2's count at n (_lattice_state's halved).
+# L/2 is empty for the coprime families, r2* and r2unordered, and empties
+# in one more halving for r1, r2 and rr'; rr has L/2 = L.  r0 and r0*
+# also have F(2m) = F(m), so they walk pass 0 alone.
+_VALUATIONS = {f: ((0, 1), False) for f in repfun.RepFamily}
+_VALUATIONS.update({
+    repfun.RepFamily.R0: ((0,), True),
+    repfun.RepFamily.R0_STAR: ((0, 0), False),
+    repfun.RepFamily.RBIG: ((0, 1), True),
+    **dict.fromkeys((repfun.RepFamily.R1, repfun.RepFamily.R2,
+                     repfun.RepFamily.RPRIME), ((0, 1, 2, 3), False))})
 
 
-def _fold_even(odd_hists, x, depth, shift):
-    """H_x of a 2-invariant family from the histograms O(y) of its odd n <= y.
+def _pass_of(family, k):
+    """The pass whose counts F(2^i m) are the family's at n = 2^k m (m
+    odd), or None where those are 0."""
+    seq, repeat = _VALUATIONS[family]
+    if k < len(seq) or repeat:
+        return seq[k % len(seq)]
+    return None
 
-    n = 2^k m with m odd <= x >> k, so H_x[:, v] = sum over k <= depth of
-    O(x >> k)[:, v] for v >= 1, each k >= 1 moved `shift` rows down (1 for
-    omega, as omega(2^k m) = omega(m) + 1).  Column 0 is every n <= x in
-    the row, the row sums of all the O(x >> k) moved alike, less the
-    row's v >= 1.  Rows and columns that came out zero past the last
-    nonzero one are cut, so H_x has the shape of a sweep over every n.
+
+def _pass_lattices(family, top, table):
+    """The lattice state of each pass i the family walks: L's odd state at
+    i = 0 and its both-odd state at i = 1, then L/2's at i = 2, 3, each to
+    the root of the n it walks (n <= top; n / 4 <= top >> 2 on L/2).  The
+    states share one scratch, as a segment runs its passes in turn."""
+    scratch = {}
+    out = []
+    for i in range(max(_VALUATIONS[family][0]) + 1):
+        out.append(_lattice_state(
+            family.traits, math.isqrt(top >> (i & 2)), table,
+            ("odd", "both_odd")[i % 2], halved=i >= 2))
+        out[-1]["scratch"] = scratch
+    return out
+
+
+def _fold_valuations(hists, x, family, shift):
+    """H_x from the histograms A(y) of the odd m <= y, at every y = x >> k.
+
+    n <= x is 2^k m with m odd <= x >> k.  A(y) stacks one histogram per
+    pass (_odd_part_segment), or is the one histogram of the odd n that an
+    unfiltered r0 or r0* sweep gives (its pass 0).  H_x[:, v] for v >= 1
+    sums pass _pass_of(family, k) of A(x >> k) over k, each k >= 1 moved
+    `shift` rows down (1 for omega, as omega(2^k m) = omega(m) + 1).
+    Column 0 is every n <= x in the row: the row sums of pass 0 of every
+    A(x >> k), moved alike, less the row's v >= 1.  Rows and columns that
+    came out zero past the last nonzero one are cut, so H_x has the shape
+    of a sweep over every n.
     """
-    terms = [(k, np.atleast_2d(odd_hists[x >> k]))
-             for k in range(x.bit_length())]
-    rows = max(len(h) + shift * (k > 0) for k, h in terms)
-    out = np.zeros((rows, max(h.shape[1] for _, h in terms)), dtype=np.int64)
-    for k, h in terms:
-        place = out[shift * (k > 0):][:len(h)]
-        place[:, 0] += h.sum(axis=1)
-        if k <= depth:
-            place[:, 1:h.shape[1]] += h[:, 1:]
+    terms = [(k, hists[x >> k]) for k in range(x.bit_length())]
+    terms = [(k, a if a.ndim == 3 else a.reshape(1, 1, -1)) for k, a in terms]
+    rows = max(a.shape[1] + shift * (k > 0) for k, a in terms)
+    out = np.zeros((rows, max(a.shape[2] for _, a in terms)), dtype=np.int64)
+    for k, a in terms:
+        place = out[shift * (k > 0):][:a.shape[1]]
+        place[:, 0] += a[0].sum(axis=1)
+        i = _pass_of(family, k)
+        if i is not None:
+            place[:, 1:a.shape[2]] += a[i][:, 1:]
     out[:, 0] -= out[:, 1:].sum(axis=1)
     out = out[:np.flatnonzero(out.any(axis=1))[-1] + 1]
     out = out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
-    return out if odd_hists[x].ndim == 2 else out[0]
+    return out if hists[x].ndim == 3 else out[0]
 
 
 def histogram_grid(family, xs, table, omega_kind=None,
@@ -706,21 +912,28 @@ def histogram_grid(family, xs, table, omega_kind=None,
     """Cumulative count-histograms at each cutoff in xs.
 
     Returns one array per x: H[v] = #{n <= x : family(n) = v}, or with an
-    omega kind, H[j, v] = #{n <= x : kind(n) = j, family(n) = v}.  r0 and
-    r0* sweep only the odd n, to every x >> k, and fold the even n in
-    (_fold_even).
+    omega kind, H[j, v] = #{n <= x : kind(n) = j, family(n) = v}.  With an
+    omega kind, every family sweeps windows of odd m to every x >> k
+    (_odd_part_segment) and folds each H_x from the histograms of
+    n = 2^k m (_fold_valuations).  Unfiltered, r0 and r0* sweep the odd n
+    alike and fold the even n in; the other families sweep every n.
     """
     if omega_kind not in (None, "omega", "omega_star"):
         raise ValueError(f"bad omega kind {omega_kind!r}")
-    if family not in _EVEN_FOLD:
+    odd_n = family in (repfun.RepFamily.R0, repfun.RepFamily.R0_STAR)
+    if omega_kind is None and not odd_n:
         return _hist_sweep(family, xs, table, _family_segment, segment_size,
-                           workers, omega_kind=omega_kind)
+                           workers, omega_kind=None)
     ys = sorted({x >> k for x in _cutoffs(xs) for k in range(x.bit_length())})
-    odd_hists = dict(zip(ys, _hist_sweep(
-        family, ys, table, _family_segment, segment_size, workers, odd=True,
-        omega_kind=omega_kind)))
-    return [_fold_even(odd_hists, int(x), _EVEN_FOLD[family],
-                       int(omega_kind == "omega")) for x in xs]
+    if omega_kind is None:
+        hists = _hist_sweep(family, ys, table, _family_segment, segment_size,
+                            workers, odd=True, omega_kind=None)
+    else:
+        hists = _hist_sweep(family, ys, table, _odd_part_segment,
+                            segment_size, workers, odd_part=True)
+    hists = dict(zip(ys, hists))
+    return [_fold_valuations(hists, int(x), family, int(omega_kind == "omega"))
+            for x in xs]
 
 
 def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,

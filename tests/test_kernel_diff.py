@@ -149,7 +149,7 @@ def lattices(int32_table):
 def odd_lattices(int32_table):
     """The odd-n lattice states of r0 and r0*, which the sweeps fold."""
     return {f: moments._lattice_state(f.traits, math.isqrt(INT32_TOP),
-                                      int32_table, odd=True)
+                                      int32_table, "odd")
             for f in (RepFamily.R0, RepFamily.R0_STAR)}
 
 
@@ -158,9 +158,9 @@ def check_against_reference(lattices, odd_lattices, lo, hi):
     unfiltered segment histogram built from them, against the reference's
     counts; an odd state's against the reference's counts at odd n."""
     for lattice in (*lattices.values(), *odd_lattices.values()):
-        fam = (lattice["traits"], lattice["odd"])
+        fam = (lattice["traits"], (lattice["parity"] == "odd"))
         want = _segment_counts_reference(lo, hi, lattice)
-        if lattice["odd"]:
+        if (lattice["parity"] == "odd"):
             want[lo % 2::2] = 0  # the even n of the window
         d, runs = moments._offset_runs(lo, hi, lattice)
         assert len(np.unique(d)) == len(d), (fam, lo, hi)
@@ -168,7 +168,7 @@ def check_against_reference(lattices, odd_lattices, lo, hi):
         got[d] = runs
         assert np.array_equal(got, want), (fam, lo, hi)
         hist = moments._family_segment(lo, hi, dict(lattice, omega_kind=None))
-        want = np.bincount(want[(lo + 1) % 2::2] if lattice["odd"] else want,
+        want = np.bincount(want[(lo + 1) % 2::2] if (lattice["parity"] == "odd") else want,
                            minlength=1)
         assert hist.dtype == want.dtype, fam
         assert hist.shape == want.shape, (fam, lo, hi)
@@ -242,7 +242,7 @@ def test_segment_scratch_peak(lattices, odd_lattices, family, lo):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20, lattice["odd"]
+        assert peak <= 4 * 2**20, (lattice["parity"] == "odd")
 
 
 def _edge_windows():
@@ -285,6 +285,60 @@ def test_odd_runs_match_oracle_at_edges(odd_lattices, int32_table, lo, hi):
         assert got == {n: c for n, c in want.items() if c}, (fam, lo, hi)
 
 
+@pytest.fixture(scope="module")
+def parity_lattices(int32_table):
+    """(family, parity, halved) -> the odd or both-odd state of every
+    family's lattice L to the int32 top, or of its L/2 to a quarter of it."""
+    return {(f, parity, halved): moments._lattice_state(
+                f.traits, math.isqrt(INT32_TOP >> 2 * halved), int32_table,
+                parity, halved=halved)
+            for f in RepFamily for parity in ("odd", "both_odd")
+            for halved in (False, True)}
+
+
+def check_parity_runs(parity_lattices, lo, hi, count):
+    """Each state's runs, as {n: count} over [lo, hi), == count(family, n)
+    at the n it walks, and hold no other n: an odd state walks the odd n
+    and a both-odd state the n = 2 mod 4; a state of L/2 walks n' of its
+    own parity and stands for n = 4n', so it is read at the n' with
+    lo <= 4n' < hi."""
+    for (fam, parity, halved), lattice in parity_lattices.items():
+        scale = 4 if halved else 1
+        a, b = -(-lo // scale), -(-hi // scale)
+        if a == b:
+            continue
+        d, runs = moments._offset_runs(a, b, lattice)
+        got = dict(zip((scale * (d.astype(np.int64) + a)).tolist(),
+                       runs.tolist()))
+        walked = [scale * m for m in range(a, b)
+                  if m % (2 if parity == "odd" else 4) == 1 + (parity != "odd")]
+        want = {n: count(fam, n) for n in walked}
+        assert got == {n: c for n, c in want.items() if c}, (
+            fam.value, parity, halved, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", _edge_windows())
+def test_parity_runs_match_reference_at_edges(parity_lattices, lattices, lo,
+                                              hi):
+    """The odd, both-odd and halved states of every family against the
+    full-lattice reference's counts."""
+    ref = {f: _segment_counts_reference(lo, hi, lattices[f])
+           for f in RepFamily}
+    check_parity_runs(parity_lattices, lo, hi,
+                      lambda fam, n: int(ref[fam][n - lo]))
+
+
+@pytest.mark.parametrize("lo, hi", [w for w in _edge_windows()
+                                    if w[1] - w[0] <= 8])
+def test_parity_runs_match_oracle_at_edges(parity_lattices, int32_table, lo,
+                                           hi):
+    """The same states against rep_enumerate, on the narrow edge windows:
+    every n = 2 mod 4 from the both-odd states, every n with 4 | n and n / 4
+    odd or 2 mod 4 from those of L/2, and every odd n."""
+    check_parity_runs(parity_lattices, lo, hi,
+                      lambda fam, n: repfun.rep_enumerate(fam, n, int32_table))
+
+
 @pytest.mark.parametrize("family, omega_kind", [
     pytest.param(RepFamily.R0_STAR, None, id="r0star"),
     pytest.param(RepFamily.R2_UNORDERED, None, id="r2unordered"),
@@ -306,10 +360,13 @@ FOLD_XS = [1, 2, 3, 4, 7, 8, 9, 2**20 - 1, 2**20 + 1, 10**6, 12345677]
 
 @pytest.mark.parametrize("omega_kind", [None, "omega", "omega_star"])
 def test_folded_grid_matches_unfolded_sweep(table, omega_kind):
-    """r0 and r0* histograms folded from odd-n sweeps are == (values and
-    shape) the sweep over every n, with 2^20 segments on 1 worker, 1000
-    on 2 workers (to 2^20 + 1) and 7 (to 9)."""
-    for fam in (RepFamily.R0, RepFamily.R0_STAR):
+    """Histograms folded from sweeps of odd n (r0 and r0*, unfiltered) or
+    of odd m (every family, by omega and omega*) are == (values and shape)
+    the sweep over every n, with 2^20 segments on 1 worker, 1000 on 2
+    workers (to 2^20 + 1) and 7 (to 9)."""
+    families = (list(RepFamily) if omega_kind
+                else [RepFamily.R0, RepFamily.R0_STAR])
+    for fam in families:
         ref = moments._hist_sweep(fam, FOLD_XS, table, moments._family_segment,
                                   1 << 20, 1, omega_kind=omega_kind)
         for size, workers, top in ((1 << 20, 1, 12345677),
@@ -565,16 +622,16 @@ def u32_primes():
     return arith.prime_table(1 << 16, spf_cap=0).primes
 
 
-def assert_walk_equal(got, want, fields, where, skip=0):
-    """got's asked fields == want's from entry `skip` on, dtypes included;
-    the rest None.  want may hold more fields: the reference fills each
-    field by itself."""
+def assert_walk_equal(got, want, fields, where, skip=0, step=1):
+    """got's asked fields == want's entries skip, skip + step, ..., dtypes
+    included; the rest None.  want may hold more fields: the reference
+    fills each field by itself."""
     for name in ALL_FIELDS:
         g = getattr(got, name)
         if name not in fields:
             assert g is None, (where, name)
             continue
-        w = getattr(want, name)[skip:]
+        w = getattr(want, name)[skip::step]
         assert g.dtype == w.dtype, (where, name)
         assert np.array_equal(g, w), (where, name)
 
@@ -612,6 +669,44 @@ def test_walk_matches_reference_every_low_window(u32_primes):
             assert_walk_equal(got, want, fields, (lo, hi, fields), lo - 1)
             count += 1
     assert count == 200 * 200
+
+
+def assert_odd_walk(lo, hi, primes, fields, full, skip):
+    """The odd walk of [lo, hi) == the full walk `full` of [lo - skip, hi),
+    every field computed, at the odd n: fields asked, dtypes, values."""
+    got = moments._factor_walk(lo, hi, primes, fields, odd=True)
+    assert (got.lo, got.hi) == (lo, hi)
+    assert_walk_equal(got, full, fields, (lo, hi, fields),
+                      skip + (lo | 1) - lo, 2)
+
+
+def test_odd_walk_matches_full_walk_every_low_window(u32_primes):
+    """The odd walk of every window [lo, lo + w) with lo, w <= 200, each
+    with one of the engine's field sets in turn, == the full walk of
+    [1, hi) at the window's odd n; a walk's values of n depend only on n
+    and isqrt(hi - 1)."""
+    field_sets = list(WALK_FIELDS.values())
+    count = 0
+    for hi in range(2, 401):
+        full = moments._factor_walk(1, hi, u32_primes, ALL_FIELDS)
+        for lo in range(max(1, hi - 200), min(hi - 1, 200) + 1):
+            fields = field_sets[count % len(field_sets)]
+            assert_odd_walk(lo, hi, u32_primes, fields, full, lo - 1)
+            count += 1
+    assert count == 200 * 200
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (10**7 - 100, 10**7 + 101), (10**7 - 2**16, 10**7 + 1), (10**7, 10**7 + 1),
+    (10**9 - 4095, 10**9 + 1), (10**9 - 2**18, 10**9), (10**9 + 1, 10**9 + 8),
+    (U32_TOP - 4095, U32_TOP + 1), (U32_TOP - 2**16, U32_TOP),
+    (U32_TOP, U32_TOP + 1), (U32_TOP - 1, U32_TOP)])
+def test_odd_walk_matches_full_walk_high(u32_primes, lo, hi):
+    """Windows near 1e7, 1e9 and 2^32 - 1, both parities of lo and hi, with
+    every field set the engine asks for and the sweep's omega alone."""
+    full = moments._factor_walk(lo, hi, u32_primes, ALL_FIELDS)
+    for fields in (*WALK_FIELDS.values(), ("omega", "omega_star")):
+        assert_odd_walk(lo, hi, u32_primes, fields, full, 0)
 
 
 @settings(max_examples=20, deadline=None,
@@ -749,7 +844,7 @@ def _family_segment_reference(lo, hi, state):
     counts = _segment_counts_reference(lo, hi, state)
     om = moments._segment_omega(lo, hi, state["primes"], state["omega_kind"])
     rows = int(om.max()) + 1
-    if state["odd"]:
+    if (state["parity"] == "odd"):
         counts, om = counts[(lo + 1) % 2::2], om[(lo + 1) % 2::2]
     width = int(counts.max(initial=0)) + 1
     flat = np.bincount(om.astype(np.int64) * width + counts,
@@ -767,7 +862,7 @@ def check_filtered_histograms(lattices, odd_lattices, primes, lo, hi):
             mp.setattr(moments, "_segment_omega",
                        lambda *args: om.copy())
             for lattice in (*lattices.values(), *odd_lattices.values()):
-                fam = (lattice["traits"], lattice["odd"])
+                fam = (lattice["traits"], (lattice["parity"] == "odd"))
                 state = dict(lattice, primes=primes, omega_kind=kind)
                 got = moments._family_segment(lo, hi, state)
                 want = _family_segment_reference(lo, hi, state)

@@ -158,6 +158,24 @@ def test_fold_rule_against_closed_forms(table):
                 assert np.array_equal(h, want), (fam, kind, x)
 
 
+def test_valuation_rule_table(table):
+    """For n = 2^k m <= 10^4, m odd, and every family F, by rep_enumerate:
+    F(n) = F(2^i m) for the pass i that moments._pass_of lists at k, and
+    F(n) = 0 where it lists none.  So the coprime families, r2* and
+    r2unordered vanish at 4 | n, r0 and rr have F(4n) = F(n), and r1, r2
+    and rr' vanish at 16 | n; no family walks more than four passes."""
+    top = 10**4
+    for fam in RepFamily:
+        vals = [0] + [repfun.rep_enumerate(fam, n, table)
+                      for n in range(1, top + 1)]
+        for n in range(1, top + 1):
+            k = (n & -n).bit_length() - 1
+            i = moments._pass_of(fam, k)
+            assert vals[n] == (0 if i is None else vals[(n >> k) << i]), (
+                fam, n)
+        assert len(moments._pass_lattices(fam, top, table)) <= 4
+
+
 def test_segment_size_and_worker_independence(table):
     x = 3 * 10**4
     baseline = moments.power_moment(RepFamily.R1, x, 2, table)
