@@ -214,6 +214,41 @@ def _pair_offsets(lo, hi, lattice):
     every walked n is odd, or 2 mod 4.  The int32 offsets need
     hi - 1 <= _INT32_MAX.
     """
+    traits = lattice["traits"]
+    b0, bb, start, n, step = _pair_rows(lo, hi, lattice)
+    sq = (bb - lo).astype(np.int32)
+    ends = np.cumsum(n)
+    off = _scratch(lattice, "offsets", int(n.sum()), np.int32)
+    for r0, r1 in _pair_blocks(ends, _BLOCK_PAIRS):
+        nr = n[r0:r1]
+        base = int(ends[r0 - 1]) if r0 else 0
+        blk = off[base:int(ends[r1 - 1])]
+        first = ends[r0:r1] - nr - base  # each row's place in the block
+        lead = start[r0:r1] - first  # a = lead + step * place
+        if step == 2:
+            lead -= first
+        np.add(_scratch(lattice, f"iota{step}", len(blk), np.int32,
+                        iota=step),
+               np.repeat(lead.astype(np.int32), nr), out=blk)
+        if traits.first_prime:
+            blk[:] = lattice["aprimes"][blk]
+        np.square(blk, out=blk)
+        blk += np.repeat(sq[r0:r1], nr)
+        if traits.coprime:
+            _strike(blk, hi - lo, b0 + r0, b0 + r1, start[r0:r1], nr, first,
+                    lattice)
+    off.sort()
+    if traits.coprime:
+        off = off[:int(np.searchsorted(off, np.int32(hi - lo)))]
+    return off
+
+
+def _pair_rows(lo, hi, lattice):
+    """The rows _pair_offsets walks over [lo, hi): the index b0 in bvals
+    of their first b, b^2 of each, each row's first a (or its place in
+    aprimes), its pair count n, and the step of a along a row (2 for
+    integer a on an odd or a both-odd state).  A coprime family's n still
+    counts the pairs with gcd(a, b) > 1."""
     traits, bvals, aprimes = (lattice["traits"], lattice["bvals"],
                               lattice["aprimes"])
     parity = lattice["parity"]
@@ -246,31 +281,7 @@ def _pair_offsets(lo, hi, lattice):
     n = np.maximum(stop - start, 0)  # every b keeps its row, maybe empty
     if step == 2:
         n = (n + 1) // 2
-    sq = (bb - lo).astype(np.int32)
-    ends = np.cumsum(n)
-    off = _scratch(lattice, "offsets", int(n.sum()), np.int32)
-    for r0, r1 in _pair_blocks(ends, _BLOCK_PAIRS):
-        nr = n[r0:r1]
-        base = int(ends[r0 - 1]) if r0 else 0
-        blk = off[base:int(ends[r1 - 1])]
-        first = ends[r0:r1] - nr - base  # each row's place in the block
-        lead = start[r0:r1] - first  # a = lead + step * place
-        if step == 2:
-            lead -= first
-        np.add(_scratch(lattice, f"iota{step}", len(blk), np.int32,
-                        iota=step),
-               np.repeat(lead.astype(np.int32), nr), out=blk)
-        if traits.first_prime:
-            blk[:] = aprimes[blk]
-        np.square(blk, out=blk)
-        blk += np.repeat(sq[r0:r1], nr)
-        if traits.coprime:
-            _strike(blk, hi - lo, b0 + r0, b0 + r1, start[r0:r1], nr, first,
-                    lattice)
-    off.sort()
-    if traits.coprime:
-        off = off[:int(np.searchsorted(off, np.int32(hi - lo)))]
-    return off
+    return b0, bb, start, n, step
 
 
 def _strike(blk, mark, i0, i1, start, nr, first, lattice):
@@ -352,6 +363,20 @@ def _offset_runs(lo, hi, state):
         starts[nruns:nruns + len(miss)] = 1
         nruns += len(miss)
     return d[:nruns], starts[:nruns]
+
+
+def _reserve_runs(lattice, pairs):
+    """Grow the scratch of _offset_runs on `lattice` now, for windows of up
+    to `pairs` walked pairs: the offsets and their runs, about one entry
+    per pair each, and a coprime family's strike places, of one block of
+    pairs at most.  np.empty maps these pages; a window faults in only
+    those it writes."""
+    for name, dtype in (("offsets", np.int32), ("new", bool),
+                        ("runs", np.intp), ("distinct", np.int32)):
+        _scratch(lattice, name, pairs, dtype)
+    if lattice["traits"].coprime:
+        for name, dtype in (("strike32", np.int32), ("strike", np.intp)):
+            _scratch(lattice, name, min(pairs, _BLOCK_PAIRS), dtype)
 
 
 def _next_prime(n):
@@ -517,12 +542,26 @@ def _leftover_flag(word, a, step):
     return left
 
 
-def _factor_walk(lo, hi, primes, fields, bound=0, odd=False):
+def _repeat_into(out, part):
+    """Fill out with part repeated, as np.resize(part, len(out)) would, by
+    doubling copies within out."""
+    n = min(len(part), len(out))
+    out[:n] = part[:n]
+    while n < len(out):  # n is a multiple of len(part)
+        k = min(n, len(out) - n)
+        out[n:n + k] = out[:k]
+        n += k
+
+
+def _factor_walk(lo, hi, primes, fields, bound=0, odd=False, word=None):
     """SegmentProfile of [lo, hi) with only `fields` computed, the rest None.
 
     In odd mode entry i stands for n = first + 2i, first = lo | 1: the walk
     visits only the odd n of [lo, hi), and the profile's lo and hi are
-    still the window's.  The full mode visits every n.
+    still the window's.  The full mode visits every n.  word: a uint16
+    buffer of at least the walk's entries to build the words in (a sweep's
+    scratch, which the omega or omega_star field then overlays), or None
+    for a new one.
 
     The walk bound is B = max(isqrt(hi - 1), bound, 13).  The primes
     p <= 13 come from the _presieve_tile of the mode (period 15015 in odd
@@ -577,11 +616,14 @@ def _factor_walk(lo, hi, primes, fields, bound=0, odd=False):
     at = first // 2 % _ODD_TILE if odd else lo % _TILE
     head = slice(at, at + min(size, _ODD_TILE if odd else _TILE))
 
-    def start(name):
-        return np.resize(tile[name][head], size)
+    def start(name, out=None):
+        if out is None:
+            out = np.empty(size, dtype=tile[name].dtype)
+        _repeat_into(out, tile[name][head])
+        return out
 
     counts = [f for f in _WORD_COUNTS if f in fields]
-    word = start("word")
+    word = start("word", None if word is None else word[:size])
     out = {f: start(f) for f in fields if f not in _WORD_FIELDS}
     if counts:  # the first count overwrites the words' front half
         out[counts[0]] = word.view(np.uint8)[:size]
@@ -669,21 +711,20 @@ def _family_segment(lo, hi, state):
 
     From the runs of equal pair offsets (_offset_runs): unfiltered, H[v]
     for v >= 1 is one bincount of the run lengths and H[0] the rest of
-    the window.  With an omega kind, H[j, v] for v >= 1 is one bincount
-    keyed by kind(n) * width + v over the runs' n, and the zero column is
-    the rest of each omega row: #{n : kind(n) = j} minus the row's sum,
-    from the counts #{n : kind(n) >= j}, one count_nonzero per row and per
-    _ZERO_CHUNK n (_row_counts).  H has max kind(n) + 1 rows and max
-    count + 1 columns.  On an odd lattice state the histogram is that of
-    the window's odd n: the runs hold only odd n, and the zero column
-    counts the odd n alone (the rows still reach the largest kind(n) of
-    the whole window).
+    the window, or of its odd n on an odd lattice state, whose runs hold
+    only odd n.  With an omega kind (on a full state), H[j, v] for v >= 1
+    is one bincount keyed by kind(n) * width + v over the runs' n, and the
+    zero column is the rest of each omega row: #{n : kind(n) = j} minus
+    the row's sum, from the counts #{n : kind(n) >= j}, one count_nonzero
+    per row and per _ZERO_CHUNK n (_row_counts).  H has max kind(n) + 1
+    rows and max count + 1 columns.
     """
     d, runs = _offset_runs(lo, hi, state)
     if runs.max(initial=0) > _COUNTER_MAX:
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
-    kind, odd = state["omega_kind"], state["parity"] == "odd"
+    kind = state["omega_kind"]
     if kind is None:
+        odd = state["parity"] == "odd"
         out = np.bincount(runs, minlength=1)
         out[0] = (hi // 2 - lo // 2 if odd else hi - lo) - len(runs)
         return out
@@ -693,8 +734,7 @@ def _family_segment(lo, hi, state):
     out = np.bincount(om[d].astype(np.int64) * width + runs,
                       minlength=rows * width).reshape(rows, width)
     # column 0 is 0 here, as every run counts >= 1
-    part = om[(lo + 1) % 2::2] if odd else om
-    out[:, 0] = _row_counts(part, rows) - out[:, 1:].sum(axis=1)
+    out[:, 0] = _row_counts(om, rows) - out[:, 1:].sum(axis=1)
     return out
 
 
@@ -713,45 +753,57 @@ def _row_counts(om, rows):
 
 def _odd_part_segment(lo, hi, state):
     """Histograms of n = 2^i m over the odd m of [lo, hi), lo odd, one per
-    pass i of state["passes"] (_pass_lattices), stacked.
+    pass i of state["passes"] (_odd_part_state), stacked.
 
     out[i][j, v], v >= 1, counts the odd m with omega(m) = j and
     F(2^i m) = v, for m <= top >> i (top: the sweep's largest cutoff);
     out[0][j, 0] is the rest of row j, so out[0]'s row sums count the odd
     m by omega(m), and out[i][:, 0] is 0 for i >= 1.  One odd walk
     (_factor_walk's odd mode, where omega = omega_star) keys every pass.
-    At even i the pass takes the runs of an odd state on [lo, end), whose
-    offsets m - lo give walk entry (m - lo) >> 1; at odd i those of a
-    both-odd state on [2 lo, 2 end - 1), whose offsets 2 (m - lo) give
-    entry (m - lo) >> 1 as well.  end = min(hi, (top >> i) + 1) clips each
-    pass at n <= top, so no pass needs primes or int32 offsets beyond the
-    sweep's.
+    Pass i takes the runs of its state on _pass_range: the offsets m - lo
+    of an odd state, or 2 (m - lo) of a both-odd one, give walk entry
+    (m - lo) >> 1.  The walk's words and the passes' buffers are the
+    state's scratch, sized for a full window from the first segment on,
+    so the short segments that lead up to one do not grow them step by
+    step.
     """
     top = state["top"]
     hi = min(hi, top + 1)
-    om = _factor_walk(lo, hi, state["primes"], ("omega",), odd=True).omega
+    word = _scratch(state, "word", state["entries"], np.uint16)
+    _reserve_runs(state["passes"][0], state["pairs"])
+    om = _factor_walk(lo, hi, state["primes"], ("omega",), odd=True,
+                      word=word).omega
     rows = int(om.max()) + 1
     hists = []
     for i, lattice in enumerate(state["passes"]):
-        end = min(hi, (top >> i) + 1)
-        if end <= lo:
+        a, b = _pass_range(i, lo, hi, top)
+        if b <= a:
             break
-        both = i % 2
-        d, runs = _offset_runs(lo << both, (end << both) - both, lattice)
+        d, runs = _offset_runs(a, b, lattice)
         if runs.max(initial=0) > _COUNTER_MAX:
             raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
         width = int(runs.max(initial=0)) + 1
-        d >>= 1 + both  # the walk's entries; d is scratch, read once
-        keyed = om[d].astype(np.int64)
-        keyed *= width
-        keyed += runs
-        hists.append(np.bincount(keyed, minlength=rows * width))
-    out = np.zeros((len(hists), rows, max(len(h) for h in hists) // rows),
+        d >>= 1 + i % 2  # the walk's entries; d and runs are scratch,
+        runs *= rows     # read once, so runs take the key v rows + j
+        runs += om[d]
+        hists.append(np.bincount(runs, minlength=rows * width)
+                     .reshape(width, rows).T)
+    out = np.zeros((len(hists), rows, max(h.shape[1] for h in hists)),
                    dtype=np.int64)
     for o, h in zip(out, hists):
-        o[:, :len(h) // rows] = h.reshape(rows, -1)
+        o[:, :h.shape[1]] = h
     out[0, :, 0] = _row_counts(om, rows) - out[0, :, 1:].sum(axis=1)
     return out
+
+
+def _pass_range(i, lo, hi, top):
+    """The n that pass i walks for the odd m of [lo, hi) with m <= top >> i:
+    [lo, end) at even i, and [2 lo, 2 end - 1) at odd i (n = 2m), where
+    end = min(hi, (top >> i) + 1) keeps n <= top, so no pass needs primes
+    or int32 offsets beyond the sweep's.  Empty where end <= lo."""
+    end = min(hi, (top >> i) + 1)
+    both = i % 2
+    return lo << both, (end << both) - both
 
 
 def _pad_add(acc, h):
@@ -778,42 +830,39 @@ def _cutoffs(xs):
 
 
 def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
-                odd=False, odd_part=False, **params):
+                windows="n", **params):
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
 
-    The sweep's state is the family's _lattice_state to isqrt(max(xs)),
-    which checks the table and holds its parity ("odd" if odd), plus
-    segment, the table's primes and params; segment(lo, hi, state) gives a
-    segment's histogram, or any int64 array that adds up over segments.
-    odd_part: the windows are of odd m instead of n, each holding
-    segment_size odd m over a span of 2 segment_size, and they end where a
-    cutoff's odd m do, at (x + 1) | 1; the state then holds the family's
-    pass lattices (_pass_lattices) in place of one lattice, and top, the
-    largest cutoff; these run top down, and each cutoff's histogram is
-    the total less the sum above it.  With workers > 1 the state, segment
-    included, is pickled to the pool.  The cutoffs, workers and segment_size are
-    checked before any lattice is built.
+    windows "n": each segment holds segment_size n and the sweep's state
+    is the family's _lattice_state to isqrt(max(xs)), which checks the
+    table; "odd_n": the same on its odd state, so a segment counts its odd
+    n alone.  "odd_m": each segment holds segment_size odd m, over a span
+    of 2 segment_size, on the family's _odd_part_state to the largest
+    cutoff.  The segments end past each cutoff, or past its odd m at
+    (x + 1) | 1.  The state also holds segment, the table's primes and
+    params; segment(lo, hi, state) gives a segment's histogram, or any
+    int64 array that adds up over segments.
+    With workers > 1 the state, segment included, is pickled to the pool.
+    The cutoffs, workers and segment_size are checked before any lattice
+    is built.
     """
     cps = _cutoffs(xs)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    if odd_part:
-        state = {"passes": _pass_lattices(family, cps[-1], table),
-                 "top": cps[-1]}
+    odd_m = windows == "odd_m"
+    if odd_m:
+        state = _odd_part_state(family, cps[-1], table, segment_size)
     else:
         state = _lattice_state(family.traits, math.isqrt(cps[-1]), table,
-                               "odd" if odd else None)
+                               {"n": None, "odd_n": "odd"}[windows])
     state.update(segment=segment, primes=table.primes, **params)
-    # the segments end at each cutoff: past n = x, or past the odd m <= x
-    ends = {c: (c + 1) | odd_part for c in cps}
-    bounds = sorted(set(ends.values()).union(
-        range(1, cps[-1] + 1, segment_size * (1 + odd_part))))
+    ends = {c: (c + 1) | odd_m for c in cps}
+    want = set(ends.values())
+    bounds = sorted(want.union(range(1, cps[-1] + 1, segment_size << odd_m)))
     segments = list(zip(bounds[:-1], bounds[1:]))
-    if odd_part:  # top down, so a process first sizes its buffers on a full
-        segments.reverse()  # window, not on the growing ones below 2^21
-    snapshots = dict.fromkeys(ends.values())
+    snapshots = {}
     acc = None
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -827,14 +876,9 @@ def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
             stack.callback(_WORKER.clear)  # drops the scratch
             results = map(_run_segment, segments)
         for (lo, hi), h in zip(segments, results):
-            if odd_part and hi in snapshots:
-                snapshots[hi] = acc  # the sum above hi; _pad_add copies
             acc = _pad_add(acc, h)
-            if not odd_part and hi in snapshots:
+            if hi in want:
                 snapshots[hi] = acc.copy()
-    if odd_part:  # the total less the sum above each end
-        snapshots = {hi: acc if above is None else _pad_add(acc, -above)
-                     for hi, above in snapshots.items()}
     return [snapshots[ends[int(x)]] for x in xs]
 
 
@@ -863,19 +907,34 @@ def _pass_of(family, k):
     return None
 
 
-def _pass_lattices(family, top, table):
-    """The lattice state of each pass i the family walks: L's odd state at
-    i = 0 and its both-odd state at i = 1, then L/2's at i = 2, 3, each to
-    the root of the n it walks (n <= top; n / 4 <= top >> 2 on L/2).  The
-    states share one scratch, as a segment runs its passes in turn."""
+def _odd_part_state(family, top, table, entries):
+    """The state of a sweep of the odd m <= top in windows of `entries`
+    odd m (clipped at top).
+
+    passes: the lattice state of each pass i the family walks, L's odd
+    state at i = 0 and its both-odd state at i = 1, then L/2's at i = 2,
+    3, each to the root of the n it walks (n <= top; n / 4 <= top >> 2 on
+    L/2).  The passes share the state's scratch, as a segment runs them in
+    turn.  pairs: the most pairs a pass walks on the first full window
+    [1, 2 entries] (_pair_rows, before any strike), which the segments
+    size the shared buffers for, as a full window's pair count changes
+    little along a sweep.
+    """
+    entries = min(entries, (top + 1) // 2)
     scratch = {}
-    out = []
+    passes = []
     for i in range(max(_VALUATIONS[family][0]) + 1):
-        out.append(_lattice_state(
+        passes.append(_lattice_state(
             family.traits, math.isqrt(top >> (i & 2)), table,
             ("odd", "both_odd")[i % 2], halved=i >= 2))
-        out[-1]["scratch"] = scratch
-    return out
+        passes[-1]["scratch"] = scratch
+    pairs = 0
+    for i, lattice in enumerate(passes):
+        a, b = _pass_range(i, 1, 2 * entries + 1, top)
+        if a < b:
+            pairs = max(pairs, int(_pair_rows(a, b, lattice)[3].sum()))
+    return {"passes": passes, "top": top, "entries": entries,
+            "pairs": pairs, "scratch": scratch}
 
 
 def _fold_valuations(hists, x, family, shift):
@@ -927,10 +986,10 @@ def histogram_grid(family, xs, table, omega_kind=None,
     ys = sorted({x >> k for x in _cutoffs(xs) for k in range(x.bit_length())})
     if omega_kind is None:
         hists = _hist_sweep(family, ys, table, _family_segment, segment_size,
-                            workers, odd=True, omega_kind=None)
+                            workers, windows="odd_n", omega_kind=None)
     else:
         hists = _hist_sweep(family, ys, table, _odd_part_segment,
-                            segment_size, workers, odd_part=True)
+                            segment_size, workers, windows="odd_m")
     hists = dict(zip(ys, hists))
     return [_fold_valuations(hists, int(x), family, int(omega_kind == "omega"))
             for x in xs]

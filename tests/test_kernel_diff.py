@@ -158,9 +158,10 @@ def check_against_reference(lattices, odd_lattices, lo, hi):
     unfiltered segment histogram built from them, against the reference's
     counts; an odd state's against the reference's counts at odd n."""
     for lattice in (*lattices.values(), *odd_lattices.values()):
-        fam = (lattice["traits"], (lattice["parity"] == "odd"))
+        odd = lattice["parity"] == "odd"
+        fam = (lattice["traits"], odd)
         want = _segment_counts_reference(lo, hi, lattice)
-        if (lattice["parity"] == "odd"):
+        if odd:
             want[lo % 2::2] = 0  # the even n of the window
         d, runs = moments._offset_runs(lo, hi, lattice)
         assert len(np.unique(d)) == len(d), (fam, lo, hi)
@@ -168,7 +169,7 @@ def check_against_reference(lattices, odd_lattices, lo, hi):
         got[d] = runs
         assert np.array_equal(got, want), (fam, lo, hi)
         hist = moments._family_segment(lo, hi, dict(lattice, omega_kind=None))
-        want = np.bincount(want[(lo + 1) % 2::2] if (lattice["parity"] == "odd") else want,
+        want = np.bincount(want[(lo + 1) % 2::2] if odd else want,
                            minlength=1)
         assert hist.dtype == want.dtype, fam
         assert hist.shape == want.shape, (fam, lo, hi)
@@ -242,7 +243,44 @@ def test_segment_scratch_peak(lattices, odd_lattices, family, lo):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20, (lattice["parity"] == "odd")
+        assert peak <= 4 * 2**20, lattice["parity"]
+
+
+def test_odd_part_segment_reuses_sized_scratch(int32_table):
+    """An odd-part state's first segment, however short, sizes the walk's
+    words and the passes' buffers for a full window, so a full window
+    then reuses them: a 7-wide segment, a full window and the 7-wide one
+    again give the histograms of fresh states, the full window's result
+    is unchanged by the next segment, and a warmed full window allocates
+    at most 1 MiB of numpy memory."""
+    top, entries, lo = 10**8, 1 << 20, 6 * 10**7 + 1
+    names = ("word", "offsets", "new", "runs", "distinct")
+
+    def fresh():
+        return dict(moments._odd_part_state(fam, top, int32_table, entries),
+                    primes=int32_table.primes)
+
+    for fam in SCRATCH_FAMILIES:
+        windows = ((lo, lo + 7), (lo, lo + 2 * entries))
+        want = [moments._odd_part_segment(a, b, fresh()) for a, b in windows]
+        state = fresh()
+        small = moments._odd_part_segment(*windows[0], state)
+        bufs = {name: state["scratch"][name] for name in names}
+        assert len(bufs["word"]) >= entries, fam
+        full = moments._odd_part_segment(*windows[1], state)
+        assert all(state["scratch"][n] is b for n, b in bufs.items()), fam
+        kept = full.copy()
+        again = moments._odd_part_segment(*windows[0], state)
+        for got, w in ((small, want[0]), (full, want[1]), (again, want[0])):
+            assert np.array_equal(got, w), fam
+        assert np.array_equal(full, kept), fam
+        tracemalloc.start()
+        try:
+            moments._odd_part_segment(lo, lo + 2 * entries, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, fam
 
 
 def _edge_windows():
@@ -709,6 +747,24 @@ def test_odd_walk_matches_full_walk_high(u32_primes, lo, hi):
         assert_odd_walk(lo, hi, u32_primes, fields, full, 0)
 
 
+@pytest.mark.parametrize("odd", [False, True], ids=["full", "odd"])
+def test_walk_into_word_buffer(u32_primes, odd):
+    """A walk handed a used word buffer longer than its entries == a walk
+    that builds its own words, every field set, and leaves the buffer past
+    its entries as it was."""
+    buf = np.empty(5000, dtype=np.uint16)
+    for lo, hi in ((1, 2), (1, 4), (150, 350), (60059, 60060 + 4095),
+                   (10**9 - 4095, 10**9 + 1), (U32_TOP - 4095, U32_TOP + 1)):
+        size = (hi - (lo | 1) + 1) // 2 if odd else hi - lo
+        for fields in (*WALK_FIELDS.values(), ("omega", "omega_star")):
+            buf.fill(0xFFFF)
+            got = moments._factor_walk(lo, hi, u32_primes, fields, odd=odd,
+                                       word=buf)
+            want = moments._factor_walk(lo, hi, u32_primes, fields, odd=odd)
+            assert_walk_equal(got, want, fields, (lo, hi, fields))
+            assert np.all(buf[size:] == 0xFFFF), (lo, hi, fields)
+
+
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lo=st.integers(1, 10**6), width=st.integers(1, MAX_DIFF_WIDTH),
@@ -839,30 +895,27 @@ def test_omega_walk_scratch_peak(u32_primes):
 
 def _family_segment_reference(lo, hi, state):
     """H[j, v] = #{n : kind(n) = j, count(n) = v} from one bincount of
-    kind(n) * width + count(n) over every n of [lo, hi), or over its odd
-    n for an odd state; the rows reach the largest kind(n) of the window."""
+    kind(n) * width + count(n) over every n of [lo, hi); the rows reach
+    the largest kind(n) of the window."""
     counts = _segment_counts_reference(lo, hi, state)
     om = moments._segment_omega(lo, hi, state["primes"], state["omega_kind"])
     rows = int(om.max()) + 1
-    if (state["parity"] == "odd"):
-        counts, om = counts[(lo + 1) % 2::2], om[(lo + 1) % 2::2]
     width = int(counts.max(initial=0)) + 1
     flat = np.bincount(om.astype(np.int64) * width + counts,
                        minlength=rows * width)
     return flat.reshape(rows, width)
 
 
-def check_filtered_histograms(lattices, odd_lattices, primes, lo, hi):
-    """Every family, full and odd states, and both kinds.  The walk is
-    checked against its own reference above; here each kind's omega
-    values are walked once per window and handed to all 13 states."""
+def check_filtered_histograms(lattices, primes, lo, hi):
+    """Every family and both kinds.  The walk is checked against its own
+    reference above; here each kind's omega values are walked once per
+    window and handed to all 11 states."""
     for kind in ("omega", "omega_star"):
         om = moments._segment_omega(lo, hi, primes, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(moments, "_segment_omega",
                        lambda *args: om.copy())
-            for lattice in (*lattices.values(), *odd_lattices.values()):
-                fam = (lattice["traits"], (lattice["parity"] == "odd"))
+            for fam, lattice in lattices.items():
                 state = dict(lattice, primes=primes, omega_kind=kind)
                 got = moments._family_segment(lo, hi, state)
                 want = _family_segment_reference(lo, hi, state)
@@ -873,16 +926,14 @@ def check_filtered_histograms(lattices, odd_lattices, primes, lo, hi):
 
 @settings(max_examples=25, deadline=None)
 @given(lo=st.integers(1, TOP), width=st.integers(1, MAX_DIFF_WIDTH))
-def test_filtered_histogram_matches_dense_high(lattices, odd_lattices,
-                                               int32_table, lo, width):
-    check_filtered_histograms(lattices, odd_lattices, int32_table.primes, lo,
-                              lo + width)
+def test_filtered_histogram_matches_dense_high(lattices, int32_table, lo,
+                                               width):
+    check_filtered_histograms(lattices, int32_table.primes, lo, lo + width)
 
 
 @pytest.mark.parametrize("lo, hi", _edge_windows() + [
     (1, 1 << 12), (10**8, 10**8 + (1 << 16)),
     (TOP - (1 << 16) + 1, TOP + 1)])
-def test_filtered_histogram_matches_dense_at_edges(lattices, odd_lattices,
-                                                   int32_table, lo, hi):
-    check_filtered_histograms(lattices, odd_lattices, int32_table.primes, lo,
-                              hi)
+def test_filtered_histogram_matches_dense_at_edges(lattices, int32_table, lo,
+                                                   hi):
+    check_filtered_histograms(lattices, int32_table.primes, lo, hi)

@@ -173,7 +173,8 @@ def test_valuation_rule_table(table):
             i = moments._pass_of(fam, k)
             assert vals[n] == (0 if i is None else vals[(n >> k) << i]), (
                 fam, n)
-        assert len(moments._pass_lattices(fam, top, table)) <= 4
+        state = moments._odd_part_state(fam, top, table, top)
+        assert len(state["passes"]) <= 4
 
 
 def test_segment_size_and_worker_independence(table):
