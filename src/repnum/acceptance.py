@@ -253,7 +253,7 @@ def check_calibrated(table, constants, workers=1):
                      "ratios " + ", ".join(f"{r:.6f}" for r in ratios)))
 
     g1, g2 = constants["gamma1"], constants["gamma2"]
-    rho = asymp.rho_bound_ratios(xs, g2, table, workers=workers)
+    rho = asymp.rho_bound_ratios(xs, g2, table)
     bad = [(x, k, r) for (x, k), r in rho.items() if r > g1]
     rows.append(_row("rho_restricted_count_bound", not bad,
                      f"gamma1 {g1:.4f}, gamma2 {g2:.4f}, failures: {bad[:3]}"))

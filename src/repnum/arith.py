@@ -225,6 +225,78 @@ def prime_recip_sum(x, residue_filter=None, table=None):
     return float(np.add.reduce(1.0 / primes.astype(np.float64)))
 
 
+@dataclass(frozen=True)
+class PrimeCounts:
+    """pi(v) and c(v), the sum of chi_4(p) over the primes p <= v, at every
+    v = x // d.
+
+    Row 0 of each array is pi and row 1 is c = pi_1 - pi_3, the primes
+    = 1 and = 3 (mod 4) counted with opposite signs.  small[:, v] holds
+    v = 0 .. r and large[:, d] holds v = x // d for d = 1 .. r, where
+    r = isqrt(x) (large[:, 0] is unused); every x // d is one of these,
+    as x // d <= r once d > r.
+    """
+
+    x: int
+    small: np.ndarray = field(repr=False)
+    large: np.ndarray = field(repr=False)
+
+    def at(self, d):
+        """[pi, c] at v = x // d for an int64 array of d >= 1, shape (2, len(d))."""
+        r = self.small.shape[1] - 1
+        v = self.x // d
+        return np.where(v <= r, self.small[:, np.minimum(v, r)],
+                        self.large[:, np.minimum(d, r)])
+
+    def one_mod_4(self, d):
+        """pi_1(v) = (pi(v) - [v >= 2] + c(v)) / 2 at v = x // d."""
+        pi, c = self.at(d)
+        return (pi - (self.x // d >= 2) + c) // 2
+
+
+def prime_counts(x, table):
+    """PrimeCounts of x, by Lucy's recursion over the primes p <= isqrt(x).
+
+    S(v) starts as the sum of w(n) over 2 <= n <= v, for the weights
+    w = 1 and w = chi_4.  Both are completely multiplicative, so striking
+    the multiples of p whose least prime factor is p takes
+    S(v) -= w(p) (S(v // p) - S(p - 1)) at every v >= p^2; each step reads
+    only values the step has not yet changed (v // p < v, p - 1 < p^2).
+    After the last p, S(v) sums w over the primes <= v.  The work is
+    about x^(3/4) / log x numpy element steps, and every entry stays
+    within [-x, x].
+    """
+    if x < 1:
+        raise ValueError(f"prime_counts requires x >= 1, got {x}")
+    r = math.isqrt(x)
+    if r > table.limit:
+        raise CapacityError(
+            f"counting primes to x = {x} needs primes to {r}, table limit "
+            f"{table.limit}")
+
+    def start(v):
+        chi_sum = np.array([0, 1, 1, 0])[v % 4]  # chi_4 summed over 1 .. v
+        return np.stack([np.maximum(v - 1, 0), chi_sum - (v >= 1)])
+
+    small = start(np.arange(r + 1, dtype=np.int64))
+    big = x // np.arange(1, r + 1, dtype=np.int64)  # x // d at d = 1 .. r
+    large = np.zeros_like(small)
+    large[:, 1:] = start(big)
+    weights = np.array([[[1], [chi]] for chi in (0, 1, 0, -1)])  # by p % 4
+    for p in table.primes[:int(np.searchsorted(table.primes, r, "right"))]:
+        p = int(p)
+        w, below = weights[p % 4], small[:, p - 1:p]
+        top = min(r, x // (p * p))  # large[:, d] changes for d <= top
+        cut = min(top, r // p)      # d p <= r reads large, beyond it small
+        reads = np.concatenate(
+            [large[:, p:cut * p + 1:p], small[:, big[cut:top] // p]], axis=1)
+        large[:, 1:top + 1] -= w * (reads - below)
+        if p * p <= r:
+            reads = np.repeat(small[:, p:r // p + 1], p, axis=1)
+            small[:, p * p:] -= w * (reads[:, :r + 1 - p * p] - below)
+    return PrimeCounts(x, small, large)
+
+
 def log_integral(x):
     """Li(x) = integral of dt/log t from 2 to x, as a positive series.
 

@@ -376,14 +376,11 @@ def coprime_gap_ratios(xs, table):
             for x in xs]
 
 
-def rho_bound_ratios(xs, gamma2, table,
-                     segment_size=moments.DEFAULT_SEGMENT_SIZE, workers=1):
+def rho_bound_ratios(xs, gamma2, table):
     """{(x, k): rho_kN(x) / (x / log x * (L/2 + gamma2)^(k-1) / (k-1)!)}
     for x in xs and 1 <= k <= 8, L = log log x."""
     out = {}
-    for x, hist in zip(xs, moments.rho_kN_grid(xs, table,
-                                               segment_size=segment_size,
-                                               workers=workers)):
+    for x, hist in zip(xs, moments.rho_kN_grid(xs, table)):
         for k in range(1, 9):
             rho = int(hist[k]) if k < len(hist) else 0
             core = (x / math.log(x)
@@ -440,9 +437,8 @@ def calibrate(table, grid_max=10**7, segment_size=moments.DEFAULT_SEGMENT_SIZE,
                        f"{xs_g2}")
 
     xs_rho = decades(10**3)
-    values["gamma1"] = max(rho_bound_ratios(xs_rho, values["gamma2"], table,
-                                            segment_size=segment_size,
-                                            workers=workers).values())
+    values["gamma1"] = max(rho_bound_ratios(xs_rho, values["gamma2"],
+                                            table).values())
     notes["gamma1"] = f"max of rho_kN / bound core over x in {xs_rho}, k <= 8"
 
     xs_gss = decades(10**4)

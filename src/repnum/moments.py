@@ -18,6 +18,8 @@ pairs (a/2, b/2) of L's even pairs, since F(4n) is L/2's count at n
 up to x >> k (_fold_valuations).  Unfiltered, r0 and r0* ignore the power
 of 2 in n, so their sweeps walk only the pairs with a + b odd (the odd n)
 and fold alike; the other unfiltered sweeps run over windows of n.
+The restricted-set counts rho_k need no sweep: they are counted from
+the prime counts mod 4 at every x // d (nn_omega_histograms).
 """
 
 import contextlib
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import repfun
+from . import arith, repfun
 from .errors import CapacityError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
@@ -995,22 +997,79 @@ def histogram_grid(family, xs, table, omega_kind=None,
             for x in xs]
 
 
+def _restricted_counts(counts, p1):
+    """[N_k(x) + N_k(x // 2) for k = 0 .. K], x = counts.x, where N_k(y)
+    counts the odd m <= y with omega(m) = k whose primes are all
+    = 1 (mod 4), and K is the largest k with a nonzero entry.
+
+    p1 lists those primes up to isqrt(x), ascending.  The m are counted
+    level by level over nodes m' = p1[i_1]^e_1 ... p1[i_l]^e_l with
+    i_1 < ... < i_l, each carrying y = x // s (s = 1, 2) and j = i_l + 1
+    (0 for m' = 1).  A node adds pi_1(y // m') - j, the count of its
+    one-prime extensions m' q with q > p1[j - 1], or 0 where that is
+    negative (a last exponent >= 2 can leave y // m' < p1[j - 1]).  Its
+    children m' q^e, over q = p1[i] with i >= j and m' q^2 <= y, and
+    e >= 1 with m' q^e <= y, are the next level's nodes, and a child with
+    e >= 2 counts itself.  So an m whose largest prime has exponent 1 is
+    counted by its parent, and any other m by itself.
+    """
+    x = counts.x
+    s = np.array([1, 2][:min(x, 2)], dtype=np.int64)  # x // 2 = 0 at x = 1
+    m = np.ones_like(s)
+    j = np.zeros_like(s)
+    out = [len(s)]  # m = 1
+    while m.size:
+        d = s * m
+        found = int(np.maximum(counts.one_mod_4(d) - j, 0).sum())
+        y = x // d
+        kids = np.maximum(np.searchsorted(p1, _isqrt(y), "right") - j, 0)
+        node = np.repeat(np.arange(m.size), kids)
+        i = j[node] + np.arange(node.size) - np.repeat(np.cumsum(kids) - kids,
+                                                       kids)
+        q, s, j = p1[i], s[node], i + 1
+        top, power = x // s, m[node] * q
+        level = [(power, s, j)]
+        while True:
+            power = power * q
+            keep = power <= top
+            if not keep.any():
+                break
+            power, q, top, s, j = (a[keep] for a in (power, q, top, s, j))
+            level.append((power, s, j))
+            found += power.size
+        out.append(found)
+        m, s, j = (np.concatenate(a) for a in zip(*level))
+    while out[-1] == 0:
+        out.pop()
+    return np.array(out, dtype=np.int64)
+
+
 def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
                         workers=1):
     """Per-cutoff histograms of omega_star over the 4-free, 3-mod-4-free set.
 
-    That set is where r0* is nonzero, and there r0*(n) = 2^omega_star(n),
-    so h[k] = H[2^k] of the unfiltered R0_STAR histogram H; H[0] counts
-    the n off the set.
+    h[k] = rho_k(x) = #{n <= x : 4 does not divide n, no prime = 3 (mod 4)
+    divides n, omega_star(n) = k}, for k up to the largest with h[k] > 0.
+    Counted, not swept: such an n is m or 2m with m odd and every prime of
+    m = 1 (mod 4), and omega_star(n) = omega(m), so rho_k(x) = N_k(x) +
+    N_k(x // 2) (_restricted_counts), from the prime counts mod 4 at every
+    x // d (arith.prime_counts, one table per cutoff, as x // (2d) is some
+    x // d' too).  The table must hold the primes to isqrt(max(xs)).
+    segment_size and workers are checked (each must be >= 1) but do not
+    affect the count, and no process is started.
     """
-    out = []
-    for hist in histogram_grid(repfun.RepFamily.R0_STAR, xs, table,
-                               segment_size=segment_size, workers=workers):
-        powers = 1 << np.arange((len(hist) - 1).bit_length())
-        if hist[powers].sum() != hist[1:].sum():
-            raise RuntimeError("r0* count off a power of two")  # unreachable
-        out.append(hist[powers])
-    return out
+    cps = _cutoffs(xs)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
+    primes = table.primes[:int(np.searchsorted(table.primes,
+                                               math.isqrt(cps[-1]), "right"))]
+    p1 = primes[primes % 4 == 1]
+    # largest cutoff first: a table too short for it fails before any work
+    hists = {x: _restricted_counts(arith.prime_counts(x, table), p1)
+             for x in reversed(cps)}
+    return [hists[int(x)] for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -1174,7 +1233,11 @@ def moment_identity_residual(hist, k):
 
 
 def rho_kN_grid(xs, table, segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
-    """Histograms h with h[k] = #{n <= x : n in the restricted set, omega_star = k}."""
+    """Histograms h with h[k] = #{n <= x : n in the restricted set, omega_star = k}.
+
+    A count, not a sweep (nn_omega_histograms): segment_size and workers
+    must be >= 1 but do not affect it, and no process is started.
+    """
     return nn_omega_histograms(xs, table, segment_size=segment_size,
                                workers=workers)
 

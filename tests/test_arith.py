@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from repnum import arith
+from repnum import arith, moments
 from repnum.errors import CapacityError
 
 
@@ -81,6 +81,62 @@ def test_pi_count(table):
         split = (arith.pi_count(x, 1, table) + arith.pi_count(x, 3, table)
                  + (1 if x >= 2 else 0))
         assert total == split
+
+
+def _counts_mod4_reference(v, table):
+    """pi, pi_1 - pi_3 and pi_1 at each v of an int array, v <= table.limit,
+    read off the sieved primes."""
+    ps = table.primes
+    k = np.searchsorted(ps, v, side="right")
+    signed = np.concatenate([[0], np.cumsum(np.array([0, 1, 0, -1])[ps % 4])])
+    ones = np.concatenate([[0], np.cumsum(ps % 4 == 1)])
+    return k, signed[k], ones[k]
+
+
+@pytest.fixture(scope="module")
+def table7():
+    return arith.prime_table(10**7)
+
+
+def test_prime_counts_at_every_small_v():
+    """The small half of 10^10's counts holds every v <= 10^5."""
+    table = arith.prime_table(10**5)
+    counts = arith.prime_counts(10**10, table)
+    pi, signed, _ = _counts_mod4_reference(np.arange(10**5 + 1), table)
+    assert np.array_equal(counts.small, np.stack([pi, signed]))
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 4, 15, 16, 17, 10**6, 10**6 + 1,
+                               10**7])
+def test_prime_counts_at_every_quotient(table7, x):
+    """Every x // d, both halves of the table: d <= isqrt(x), and
+    d = x // v for each v <= isqrt(x), which gives x // d = v."""
+    r = math.isqrt(x)
+    d = np.unique(np.concatenate([np.arange(1, r + 1),
+                                  x // np.arange(1, r + 1)]))
+    counts = arith.prime_counts(x, table7)
+    pi, signed, ones = _counts_mod4_reference(x // d, table7)
+    assert np.array_equal(counts.at(d), np.stack([pi, signed]))
+    assert np.array_equal(counts.one_mod_4(d), ones)
+
+
+def test_prime_counts_exact_at_max_x():
+    """At MAX_X = 10^9 every entry stays in [-x, x], so the int64 sums and
+    products w(p) (S(v // p) - S(p - 1)) are exact: pi(10^9) = 50847534,
+    of which 25423491 are = 1 and 25424042 are = 3 (mod 4)."""
+    x = moments.MAX_X
+    counts = arith.prime_counts(x, arith.prime_table(math.isqrt(x)))
+    assert counts.small.dtype == counts.large.dtype == np.int64
+    assert max(np.abs(counts.small).max(), np.abs(counts.large).max()) <= x
+    assert counts.at(np.array([1])).tolist() == [[50847534], [-551]]
+    assert counts.one_mod_4(np.array([1])).tolist() == [25423491]
+
+
+def test_prime_counts_reject_short_table():
+    with pytest.raises(CapacityError):
+        arith.prime_counts(10**6, arith.prime_table(10))
+    with pytest.raises(ValueError):
+        arith.prime_counts(0, arith.prime_table(10))
 
 
 def test_prime_recip_sum(table):

@@ -9,8 +9,9 @@ other segment sizes must not change a single count.  The omega-filtered
 segment histogram, built from the sorted pair offsets, must equal the
 dense per-n histogram kept here as a reference, unfiltered and by omega
 row; no histogram may alias the scratch the next segment reuses; and
-rho_kN's r0* histogram must match the restricted set and omega* from
-`arith.factor`.  The
+the r0* runs must match the restricted set and omega* from `arith.factor`.
+rho_kN's count, from prime counts mod 4 and no sweep, must equal the
+unfiltered r0* sweep's histogram read at the powers of two.  The
 coprime reference tests gcd(a, b) = 1 itself.  The factorization walk
 must agree with `arith.factor` field by field, up to its uint32 cap, and
 with the walk without the small-prime presieve kept here as a reference,
@@ -417,13 +418,38 @@ def test_folded_grid_matches_unfolded_sweep(table, omega_kind):
                 assert np.array_equal(a, b), (fam, size, x)
 
 
-def test_rho_kN_grid_segment_size_independent(table):
-    xs = [10**6, 3 * 10**6]
-    ref = moments.rho_kN_grid(xs, table, segment_size=1 << 20)
-    for size in (4096, 700001):
-        got = moments.rho_kN_grid(xs, table, segment_size=size)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b), size
+def r0star_rho_oracle(xs, table):
+    """rho_k(x) read off the unfiltered r0* histogram H of one sweep: r0*(n)
+    is 2^omega_star(n) on the restricted set and 0 off it, so rho_k(x) is
+    H[2^k], and no n has an r0* >= 1 off a power of two."""
+    out = []
+    for hist in moments.histogram_grid(RepFamily.R0_STAR, xs, table):
+        powers = 1 << np.arange((len(hist) - 1).bit_length())
+        assert hist[powers].sum() == hist[1:].sum()
+        out.append(hist[powers])
+    return out
+
+
+def test_rho_counts_match_r0star_sweep(table, monkeypatch):
+    """rho_kN_grid == the r0* sweep's read-out, values and shape, at
+    x = 1 .. 9, 25, 399, 2^j +- 1, 1105^2 and its neighbours (1105 =
+    5 13 17), 5525^2 = (5^2 13 17)^2 and random x, to 10^8 in one sweep;
+    segment_size and workers change nothing, and no pool is started."""
+    rng = np.random.default_rng(33)
+    xs = [*range(1, 10), 25, 399,
+          *(2**j + e for j in range(2, 27) for e in (-1, 1)),
+          1105**2 - 1, 1105**2, 1105**2 + 1, 5525**2,
+          *rng.integers(10, 10**8, 12).tolist(), 10**8]
+    want = r0star_rho_oracle(xs, table)
+
+    def no_pool(*args, **kw):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", no_pool)
+    for size, workers in ((1 << 20, 1), (7, 2)):
+        got = moments.rho_kN_grid(xs, table, segment_size=size,
+                                  workers=workers)
+        for x, a, b in zip(xs, got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), x
 
 
 # ---------------------------------------------------------------------------

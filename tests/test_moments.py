@@ -122,6 +122,22 @@ def test_rho_examples(table):
             assert moments.rho_kN(x, k, table) == brute, (x, k)
 
 
+def test_rho_checks_before_any_work(monkeypatch):
+    """A table short of isqrt(max x), workers < 1 or segment_size < 1 fail
+    before any count."""
+    def no_count(*args, **kw):
+        raise AssertionError("counted")
+    monkeypatch.setattr(moments, "_restricted_counts", no_count)
+    small = arith.prime_table(10)
+    with pytest.raises(CapacityError):
+        moments.rho_kN_grid([10**6], small)
+    with pytest.raises(CapacityError):
+        moments.rho_kN_grid([10, 10**6], small)
+    for kw in ({"workers": 0}, {"segment_size": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            moments.rho_kN_grid([10], small, **kw)
+
+
 def test_fold_rule_against_closed_forms(table):
     """For n = 2^k m <= 10^4, m odd: r0(n) = r0(m), r0*(n) = r0*(m) for
     k <= 1 and 0 beyond, omega(n) = omega(m) + [k >= 1] and omega*(n) =
