@@ -260,9 +260,11 @@ def prime_counts(x, table):
     S(v) starts as the sum of w(n) over 2 <= n <= v, for the weights
     w = 1 and w = chi_4.  Both are completely multiplicative, so striking
     the multiples of p whose least prime factor is p takes
-    S(v) -= w(p) (S(v // p) - S(p - 1)) at every v >= p^2; each step reads
-    only values the step has not yet changed (v // p < v, p - 1 < p^2).
-    After the last p, S(v) sums w over the primes <= v.  The work is
+    S(v) -= w(p) (S(v // p) - S(p - 1)) at every v >= p^2, all from the
+    S before the step: the reads are gathered before either half is
+    written, the large half first, and S(p - 1) is never written in its
+    own step, as p - 1 < p^2.  After the last p, S(v) sums w over the
+    primes <= v.  The work is
     about x^(3/4) / log x numpy element steps, and every entry stays
     within [-x, x].
     """

@@ -831,6 +831,13 @@ def _cutoffs(xs):
     return cps
 
 
+def _check_schedule(segment_size, workers):
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if segment_size < 1:
+        raise ValueError("segment_size must be >= 1")
+
+
 def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
                 windows="n", **params):
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
@@ -849,10 +856,7 @@ def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
     is built.
     """
     cps = _cutoffs(xs)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
+    _check_schedule(segment_size, workers)
     odd_m = windows == "odd_m"
     if odd_m:
         state = _odd_part_state(family, cps[-1], table, segment_size)
@@ -1059,10 +1063,7 @@ def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
     affect the count, and no process is started.
     """
     cps = _cutoffs(xs)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
+    _check_schedule(segment_size, workers)
     primes = table.primes[:int(np.searchsorted(table.primes,
                                                math.isqrt(cps[-1]), "right"))]
     p1 = primes[primes % 4 == 1]
