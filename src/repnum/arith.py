@@ -203,17 +203,6 @@ def _filtered_primes(x, residue_filter, table):
     return primes[primes % 4 == residue_filter]
 
 
-def pi_count(x, residue_filter=None, table=None):
-    """#{p <= x}, optionally restricted to p = residue_filter (mod 4)."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x < 2:
-        return 0
-    if table is None:
-        table = prime_table(x)
-    return int(len(_filtered_primes(x, residue_filter, table)))
-
-
 def prime_recip_sum(x, residue_filter=None, table=None):
     """Sum of 1/p over (filtered) primes <= x, accumulated smallest first."""
     if x < 2:

@@ -15,14 +15,19 @@ passes per window: the pairs with a + b odd (k = 0) and with a and b odd
 (k = 1) of the family's lattice L, and the same two of L/2, the halved
 pairs (a/2, b/2) of L's even pairs, since F(4n) is L/2's count at n
 (_VALUATIONS).  Each cutoff's histogram is folded from those of the odd m
-up to x >> k (_fold_valuations).  Unfiltered, r0 and r0* ignore the power
-of 2 in n, so their sweeps walk only the pairs with a + b odd (the odd n)
-and fold alike; the other unfiltered sweeps run over windows of n.
-The restricted-set counts rho_k need no sweep: they are counted from
-the prime counts mod 4 at every x // d (nn_omega_histograms).
+up to x >> k (_fold_valuations).  Unfiltered sweeps run over windows of
+n.
+
+Three statistics need no sweep, as Fermat's two-square theorem gives
+them from the primes = 1 (mod 4): the restricted-set counts rho_k
+(nn_omega_histograms) and the unfiltered r0 and r0* histograms
+(_counted_histograms).  Each is counted from the prime counts mod 4 at
+every x // d (arith.prime_counts) and an enumeration of products of
+1-mod-4 prime powers (_restricted_counts).
 """
 
 import contextlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -141,9 +146,10 @@ def _scratch(state, name, n, dtype, iota=0):
 
 
 def _pair_blocks(ends, cap):
-    """Split rows with cumulative pair counts `ends` into blocks of whole rows.
+    """Split rows with cumulative item counts `ends` (lattice pairs, or
+    _restricted_counts' children) into blocks of whole rows.
 
-    Each block holds at most `cap` pairs, or a single row larger than cap.
+    Each block holds at most `cap` items, or a single row larger than cap.
     """
     r0, base = 0, 0
     while r0 < len(ends):
@@ -711,10 +717,9 @@ def _run_segment(seg):
 def _family_segment(lo, hi, state):
     """Count histogram of [lo, hi), by omega row when state has an omega kind.
 
-    From the runs of equal pair offsets (_offset_runs): unfiltered, H[v]
-    for v >= 1 is one bincount of the run lengths and H[0] the rest of
-    the window, or of its odd n on an odd lattice state, whose runs hold
-    only odd n.  With an omega kind (on a full state), H[j, v] for v >= 1
+    From the runs of equal pair offsets (_offset_runs) on a full lattice
+    state: unfiltered, H[v] for v >= 1 is one bincount of the run lengths
+    and H[0] the rest of the window.  With an omega kind, H[j, v] for v >= 1
     is one bincount keyed by kind(n) * width + v over the runs' n, and the
     zero column is the rest of each omega row: #{n : kind(n) = j} minus
     the row's sum, from the counts #{n : kind(n) >= j}, one count_nonzero
@@ -726,9 +731,8 @@ def _family_segment(lo, hi, state):
         raise RuntimeError("per-n counter exceeded 32 bits")  # unreachable
     kind = state["omega_kind"]
     if kind is None:
-        odd = state["parity"] == "odd"
         out = np.bincount(runs, minlength=1)
-        out[0] = (hi // 2 - lo // 2 if odd else hi - lo) - len(runs)
+        out[0] = hi - lo - len(runs)
         return out
     om = _segment_omega(lo, hi, state["primes"], kind)
     rows = int(om.max()) + 1
@@ -843,10 +847,9 @@ def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
     """Histograms summed to each cutoff in xs, one per segment of [1, max(xs)].
 
     windows "n": each segment holds segment_size n and the sweep's state
-    is the family's _lattice_state to isqrt(max(xs)), which checks the
-    table; "odd_n": the same on its odd state, so a segment counts its odd
-    n alone.  "odd_m": each segment holds segment_size odd m, over a span
-    of 2 segment_size, on the family's _odd_part_state to the largest
+    is the family's full _lattice_state to isqrt(max(xs)), which checks
+    the table.  "odd_m": each segment holds segment_size odd m, over a
+    span of 2 segment_size, on the family's _odd_part_state to the largest
     cutoff.  The segments end past each cutoff, or past its odd m at
     (x + 1) | 1.  The state also holds segment, the table's primes and
     params; segment(lo, hi, state) gives a segment's histogram, or any
@@ -861,8 +864,7 @@ def _hist_sweep(family, xs, table, segment, segment_size, workers, /,
     if odd_m:
         state = _odd_part_state(family, cps[-1], table, segment_size)
     else:
-        state = _lattice_state(family.traits, math.isqrt(cps[-1]), table,
-                               {"n": None, "odd_n": "odd"}[windows])
+        state = _lattice_state(family.traits, math.isqrt(cps[-1]), table)
     state.update(segment=segment, primes=table.primes, **params)
     ends = {c: (c + 1) | odd_m for c in cps}
     want = set(ends.values())
@@ -947,17 +949,15 @@ def _fold_valuations(hists, x, family, shift):
     """H_x from the histograms A(y) of the odd m <= y, at every y = x >> k.
 
     n <= x is 2^k m with m odd <= x >> k.  A(y) stacks one histogram per
-    pass (_odd_part_segment), or is the one histogram of the odd n that an
-    unfiltered r0 or r0* sweep gives (its pass 0).  H_x[:, v] for v >= 1
-    sums pass _pass_of(family, k) of A(x >> k) over k, each k >= 1 moved
-    `shift` rows down (1 for omega, as omega(2^k m) = omega(m) + 1).
+    pass (_odd_part_segment).  H_x[:, v] for v >= 1 sums pass
+    _pass_of(family, k) of A(x >> k) over k, each k >= 1 moved `shift`
+    rows down (1 for omega, as omega(2^k m) = omega(m) + 1).
     Column 0 is every n <= x in the row: the row sums of pass 0 of every
     A(x >> k), moved alike, less the row's v >= 1.  Rows and columns that
     came out zero past the last nonzero one are cut, so H_x has the shape
     of a sweep over every n.
     """
     terms = [(k, hists[x >> k]) for k in range(x.bit_length())]
-    terms = [(k, a if a.ndim == 3 else a.reshape(1, 1, -1)) for k, a in terms]
     rows = max(a.shape[1] + shift * (k > 0) for k, a in terms)
     out = np.zeros((rows, max(a.shape[2] for _, a in terms)), dtype=np.int64)
     for k, a in terms:
@@ -968,8 +968,7 @@ def _fold_valuations(hists, x, family, shift):
             place[:, 1:a.shape[2]] += a[i][:, 1:]
     out[:, 0] -= out[:, 1:].sum(axis=1)
     out = out[:np.flatnonzero(out.any(axis=1))[-1] + 1]
-    out = out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
-    return out if hists[x].ndim == 3 else out[0]
+    return out[:, :np.flatnonzero(out.any(axis=0))[-1] + 1]
 
 
 def histogram_grid(family, xs, table, omega_kind=None,
@@ -980,72 +979,155 @@ def histogram_grid(family, xs, table, omega_kind=None,
     omega kind, H[j, v] = #{n <= x : kind(n) = j, family(n) = v}.  With an
     omega kind, every family sweeps windows of odd m to every x >> k
     (_odd_part_segment) and folds each H_x from the histograms of
-    n = 2^k m (_fold_valuations).  Unfiltered, r0 and r0* sweep the odd n
-    alike and fold the even n in; the other families sweep every n.
+    n = 2^k m (_fold_valuations).  Unfiltered, r0 and r0* are counted, not
+    swept (_counted_histograms): segment_size and workers are checked but
+    do not affect the count, and no process is started.  The other
+    unfiltered families sweep every n.
     """
     if omega_kind not in (None, "omega", "omega_star"):
         raise ValueError(f"bad omega kind {omega_kind!r}")
-    odd_n = family in (repfun.RepFamily.R0, repfun.RepFamily.R0_STAR)
-    if omega_kind is None and not odd_n:
+    if omega_kind is None and family in _COUNTED:
+        return _counted_histograms(_COUNTED[family], xs, table, segment_size,
+                                   workers)
+    if omega_kind is None:
         return _hist_sweep(family, xs, table, _family_segment, segment_size,
                            workers, omega_kind=None)
     ys = sorted({x >> k for x in _cutoffs(xs) for k in range(x.bit_length())})
-    if omega_kind is None:
-        hists = _hist_sweep(family, ys, table, _family_segment, segment_size,
-                            workers, windows="odd_n", omega_kind=None)
-    else:
-        hists = _hist_sweep(family, ys, table, _odd_part_segment,
-                            segment_size, workers, windows="odd_m")
-    hists = dict(zip(ys, hists))
+    hists = dict(zip(ys, _hist_sweep(family, ys, table, _odd_part_segment,
+                                     segment_size, workers, windows="odd_m")))
     return [_fold_valuations(hists, int(x), family, int(omega_kind == "omega"))
             for x in xs]
 
 
-def _restricted_counts(counts, p1):
-    """[N_k(x) + N_k(x // 2) for k = 0 .. K], x = counts.x, where N_k(y)
-    counts the odd m <= y with omega(m) = k whose primes are all
-    = 1 (mod 4), and K is the largest k with a nonzero entry.
+# a key of _restricted_counts: (its value at m = 1, its value at m' q^e
+# from its value k at m', q a prime not dividing m')
+_KEYS = {"omega": (0, lambda k, e: k + 1),
+         "tau": (1, lambda k, e: k * (e + 1))}
+_NODE_BLOCK = 1 << 11  # children per block of _restricted_counts
 
-    p1 lists those primes up to isqrt(x), ascending.  The m are counted
-    level by level over nodes m' = p1[i_1]^e_1 ... p1[i_l]^e_l with
-    i_1 < ... < i_l, each carrying y = x // s (s = 1, 2) and j = i_l + 1
-    (0 for m' = 1).  A node adds pi_1(y // m') - j, the count of its
-    one-prime extensions m' q with q > p1[j - 1], or 0 where that is
-    negative (a last exponent >= 2 can leave y // m' < p1[j - 1]).  Its
-    children m' q^e, over q = p1[i] with i >= j and m' q^2 <= y, and
-    e >= 1 with m' q^e <= y, are the next level's nodes, and a child with
-    e >= 2 counts itself.  So an m whose largest prime has exponent 1 is
-    counted by its parent, and any other m by itself.
+
+def _restricted_counts(counts, p1, roots, key):
+    """[#{(u, m) : u in roots, u m <= x, key(m) = v} for v = 0 .. V], where
+    x = counts.x, m runs over the odd m whose primes are all = 1 (mod 4),
+    key is "omega" or "tau" (_KEYS) and V is the largest v with a nonzero
+    entry.
+
+    p1 lists the primes = 1 (mod 4) up to isqrt(x) at least, ascending.
+    The pairs are counted over nodes u m', m' = p1[i_1]^e_1 ...
+    p1[i_l]^e_l with i_1 < ... < i_l, each carrying d = u m', key(m') and
+    j = i_l + 1 (0 for m' = 1).  Each root counts itself (m = 1).  A node
+    adds pi_1(x // d) - j at key(m' q), the count of its one-prime
+    extensions m' q with q > p1[j - 1], or 0 where that is negative (a
+    last exponent >= 2 can leave x // d < p1[j - 1]).  Its children
+    m' q^e, over q = p1[i] with i >= j and d q^2 <= x, and e >= 1 with
+    d q^e <= x, are nodes in turn, and a child with e >= 2 counts itself.
+    So an m whose largest prime has exponent 1 is counted by its parent,
+    and any other m by itself.  The children are expanded depth first, in
+    blocks of at most _NODE_BLOCK (_pair_blocks; one node's may be more),
+    so the temporaries stay small.
     """
     x = counts.x
-    s = np.array([1, 2][:min(x, 2)], dtype=np.int64)  # x // 2 = 0 at x = 1
-    m = np.ones_like(s)
-    j = np.zeros_like(s)
-    out = [len(s)]  # m = 1
-    while m.size:
-        d = s * m
-        found = int(np.maximum(counts.one_mod_4(d) - j, 0).sum())
-        y = x // d
-        kids = np.maximum(np.searchsorted(p1, _isqrt(y), "right") - j, 0)
-        node = np.repeat(np.arange(m.size), kids)
-        i = j[node] + np.arange(node.size) - np.repeat(np.cumsum(kids) - kids,
-                                                       kids)
-        q, s, j = p1[i], s[node], i + 1
-        top, power = x // s, m[node] * q
-        level = [(power, s, j)]
-        while True:
-            power = power * q
-            keep = power <= top
-            if not keep.any():
-                break
-            power, q, top, s, j = (a[keep] for a in (power, q, top, s, j))
-            level.append((power, s, j))
-            found += power.size
-        out.append(found)
-        m, s, j = (np.concatenate(a) for a in zip(*level))
-    while out[-1] == 0:
-        out.pop()
-    return np.array(out, dtype=np.int64)
+    base, step = _KEYS[key]
+    out = np.zeros(base + 1, dtype=np.int64)
+    out[base] = len(roots)
+
+    def add(keys, found):
+        nonlocal out
+        if int(keys.max(initial=0)) >= len(out):
+            out = np.concatenate(
+                [out, np.zeros(int(keys.max()) + 1 - len(out), np.int64)])
+        np.add.at(out, keys, found)
+
+    def expand(d, k, j):
+        add(step(k, 1), np.maximum(counts.one_mod_4(d) - j, 0))
+        kids = np.maximum(np.searchsorted(p1, _isqrt(x // d), "right") - j, 0)
+        for r0, r1 in _pair_blocks(np.cumsum(kids), _NODE_BLOCK):
+            n = kids[r0:r1]
+            node = np.repeat(np.arange(r0, r1), n)
+            if not node.size:
+                continue
+            i = j[node] + np.arange(node.size) - np.repeat(np.cumsum(n) - n, n)
+            q, k1, j1 = p1[i], k[node], i + 1
+            power = d[node] * q
+            level = [(power, step(k1, 1), j1)]
+            for e in itertools.count(2):
+                power = power * q
+                keep = power <= x
+                if not keep.any():
+                    break
+                power, q, k1, j1 = (a[keep] for a in (power, q, k1, j1))
+                level.append((power, step(k1, e), j1))
+                add(level[-1][1], 1)
+            expand(*(np.concatenate(a) for a in zip(*level)))
+
+    expand(roots, np.full(len(roots), base), np.zeros(len(roots), np.int64))
+    return np.trim_zeros(out, "b")
+
+
+def _rho_counts(counts, primes):
+    """[rho_k(x) for k = 0 .. K] (nn_omega_histograms), x = counts.x.
+
+    An n free of 4 and of 3-mod-4 primes is u m with u = 1 or 2 and m odd
+    with every prime = 1 (mod 4), and omega_star(n) = omega(m).
+    """
+    roots = np.array([1, 2][:min(counts.x, 2)], dtype=np.int64)
+    return _restricted_counts(counts, primes[primes % 4 == 1], roots, "omega")
+
+
+def _r0_star_counts(counts, primes):
+    """H[v] = #{n <= x : r0*(n) = v}, x = counts.x: r0*(n) = 2^omega_star(n)
+    on rho's set and 0 off it, so H[2^k] = rho_k(x) and H[0] is the rest."""
+    rho = _rho_counts(counts, primes)
+    out = np.zeros((1 << (len(rho) - 1)) + 1, dtype=np.int64)
+    out[1 << np.arange(len(rho))] = rho
+    out[0] = counts.x - rho.sum()
+    return out
+
+
+def _r0_counts(counts, primes):
+    """H[v] = #{n <= x : r0(n) = v}, x = counts.x.
+
+    r0(n) = sum_{d | n} chi_4(d) is tau(m) at n = u m, where u = 2^a s^2
+    with s odd and every prime of s = 3 (mod 4) and m is odd with every
+    prime = 1 (mod 4), and 0 at every other n.  So H[v], v >= 1, counts
+    the pairs (u, m) with u m <= x and tau(m) = v, and H[0] is the rest.
+    The s <= isqrt(x) are sieved free of 2 and of the 1-mod-4 primes.
+    """
+    x = counts.x
+    r = math.isqrt(x)
+    free = np.ones(r + 1, dtype=bool)
+    for p in primes[(primes <= r) & (primes % 4 != 3)].tolist():
+        free[p::p] = False
+    s = np.flatnonzero(free[1:]) + 1
+    sq = s * s
+    reps = np.frexp(x // sq)[1]  # bit lengths: 2^a s^2 <= x for a < reps
+    shift = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    out = _restricted_counts(counts, primes[primes % 4 == 1],
+                             np.repeat(sq, reps) << shift, "tau")
+    out[0] = x - out.sum()
+    return out
+
+
+_COUNTED = {repfun.RepFamily.R0: _r0_counts,
+            repfun.RepFamily.R0_STAR: _r0_star_counts}
+
+
+def _counted_histograms(count, xs, table, segment_size, workers):
+    """count(arith.prime_counts(x, table), primes) at each cutoff x in xs,
+    primes being the table's to isqrt(max(xs)), which the table must hold.
+
+    One prime-count table per cutoff (x // (u m) is some x // d), done
+    in-process, largest cutoff first, so a table too short for it fails
+    before any count.  segment_size and workers are checked (each must be
+    >= 1) but do not affect the count.
+    """
+    cps = _cutoffs(xs)
+    _check_schedule(segment_size, workers)
+    primes = table.primes[:int(np.searchsorted(table.primes,
+                                               math.isqrt(cps[-1]), "right"))]
+    hists = {x: count(arith.prime_counts(x, table), primes)
+             for x in reversed(cps)}
+    return [hists[int(x)] for x in xs]
 
 
 def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
@@ -1055,22 +1137,13 @@ def nn_omega_histograms(xs, table, segment_size=DEFAULT_SEGMENT_SIZE,
     h[k] = rho_k(x) = #{n <= x : 4 does not divide n, no prime = 3 (mod 4)
     divides n, omega_star(n) = k}, for k up to the largest with h[k] > 0.
     Counted, not swept: such an n is m or 2m with m odd and every prime of
-    m = 1 (mod 4), and omega_star(n) = omega(m), so rho_k(x) = N_k(x) +
-    N_k(x // 2) (_restricted_counts), from the prime counts mod 4 at every
-    x // d (arith.prime_counts, one table per cutoff, as x // (2d) is some
-    x // d' too).  The table must hold the primes to isqrt(max(xs)).
-    segment_size and workers are checked (each must be >= 1) but do not
-    affect the count, and no process is started.
+    m = 1 (mod 4), and omega_star(n) = omega(m) (_rho_counts), from the
+    prime counts mod 4 at every x // d (_counted_histograms).  The table
+    must hold the primes to isqrt(max(xs)).  segment_size and workers are
+    checked (each must be >= 1) but do not affect the count, and no
+    process is started.
     """
-    cps = _cutoffs(xs)
-    _check_schedule(segment_size, workers)
-    primes = table.primes[:int(np.searchsorted(table.primes,
-                                               math.isqrt(cps[-1]), "right"))]
-    p1 = primes[primes % 4 == 1]
-    # largest cutoff first: a table too short for it fails before any work
-    hists = {x: _restricted_counts(arith.prime_counts(x, table), p1)
-             for x in reversed(cps)}
-    return [hists[int(x)] for x in xs]
+    return _counted_histograms(_rho_counts, xs, table, segment_size, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -71,16 +71,23 @@ def test_arithmetic_functions(table):
         at(arith.largest_prime_factor, 1)
 
 
+def _pis(x, table, d=1):
+    """pi, pi_1 and pi_3 at x // d, read off arith.prime_counts(x)."""
+    counts = arith.prime_counts(x, table)
+    pi, c = (int(a) for a in counts.at(d))
+    pi_1 = int(counts.one_mod_4(d))
+    return pi, pi_1, pi_1 - c
+
+
 def test_pi_count(table):
-    assert arith.pi_count(10, table=table) == 4
-    assert arith.pi_count(10, 1, table) == 1
-    assert arith.pi_count(10, 3, table) == 2
-    assert arith.pi_count(0, table=table) == 0
-    for x in (2, 17, 100, 9999):
-        total = arith.pi_count(x, table=table)
-        split = (arith.pi_count(x, 1, table) + arith.pi_count(x, 3, table)
-                 + (1 if x >= 2 else 0))
-        assert total == split
+    assert _pis(10, table) == (4, 1, 2)
+    assert _pis(10, table, d=11) == (0, 0, 0)  # pi(0)
+    for x in (1, 2, 17, 100, 9999):
+        pi, pi_1, pi_3 = _pis(x, table)
+        assert pi == pi_1 + pi_3 + (1 if x >= 2 else 0), x
+        ps = table.primes[table.primes <= x]
+        assert (pi, pi_1, pi_3) == (len(ps), np.count_nonzero(ps % 4 == 1),
+                                    np.count_nonzero(ps % 4 == 3)), x
 
 
 def _counts_mod4_reference(v, table):
@@ -152,7 +159,7 @@ def test_log_integral(table):
     oracle = float(mpmath.li(10) - mpmath.li(2))
     assert arith.log_integral(10) == pytest.approx(oracle, abs=1e-9)
     li100 = arith.log_integral(100)
-    assert abs(li100 - arith.pi_count(100, table=table)) < li100 * 0.15
+    assert abs(li100 - _pis(100, table)[0]) < li100 * 0.15
     with pytest.raises(ValueError):
         arith.log_integral(1.5)
     for bad in (math.nan, math.inf, -math.inf):

@@ -10,8 +10,9 @@ segment histogram, built from the sorted pair offsets, must equal the
 dense per-n histogram kept here as a reference, unfiltered and by omega
 row; no histogram may alias the scratch the next segment reuses; and
 the r0* runs must match the restricted set and omega* from `arith.factor`.
-rho_kN's count, from prime counts mod 4 and no sweep, must equal the
-unfiltered r0* sweep's histogram read at the powers of two.  The
+The unfiltered r0 and r0* histograms and rho_kN, counted from prime counts
+mod 4 with no sweep, must equal the every-n sweep's r0 and r0* histograms
+(rho_k read at the powers of two of r0*'s).  The
 coprime reference tests gcd(a, b) = 1 itself.  The factorization walk
 must agree with `arith.factor` field by field, up to its uint32 cap, and
 with the walk without the small-prime presieve kept here as a reference,
@@ -148,16 +149,17 @@ def lattices(int32_table):
 
 @pytest.fixture(scope="module")
 def odd_lattices(int32_table):
-    """The odd-n lattice states of r0 and r0*, which the sweeps fold."""
+    """The odd-n lattice states of r0 and r0*, pass 0 of their filtered
+    sweeps."""
     return {f: moments._lattice_state(f.traits, math.isqrt(INT32_TOP),
                                       int32_table, "odd")
             for f in (RepFamily.R0, RepFamily.R0_STAR)}
 
 
 def check_against_reference(lattices, odd_lattices, lo, hi):
-    """The runs of sorted pair offsets, scattered over the window, and the
-    unfiltered segment histogram built from them, against the reference's
-    counts; an odd state's against the reference's counts at odd n."""
+    """The runs of sorted pair offsets, scattered over the window, against
+    the reference's counts, an odd state's at odd n; and a full state's
+    unfiltered segment histogram, built from its runs, against theirs."""
     for lattice in (*lattices.values(), *odd_lattices.values()):
         odd = lattice["parity"] == "odd"
         fam = (lattice["traits"], odd)
@@ -169,9 +171,10 @@ def check_against_reference(lattices, odd_lattices, lo, hi):
         got = np.zeros(hi - lo, dtype=np.int64)
         got[d] = runs
         assert np.array_equal(got, want), (fam, lo, hi)
+        if odd:
+            continue
         hist = moments._family_segment(lo, hi, dict(lattice, omega_kind=None))
-        want = np.bincount(want[(lo + 1) % 2::2] if odd else want,
-                           minlength=1)
+        want = np.bincount(want, minlength=1)
         assert hist.dtype == want.dtype, fam
         assert hist.shape == want.shape, (fam, lo, hi)
         assert np.array_equal(hist, want), (fam, lo, hi)
@@ -230,17 +233,19 @@ def test_segment_results_do_not_alias_scratch(lattices, int32_table,
 @pytest.mark.parametrize("family", SCRATCH_FAMILIES, ids=lambda f: f.value)
 def test_segment_scratch_peak(lattices, odd_lattices, family, lo):
     """A warmed unfiltered segment of a 2^20 window allocates at most
-    4 MiB of numpy memory, on the full and the odd state: the pair
-    offsets, their run starts and the strike's places live in the state's
-    scratch, filled in place."""
+    4 MiB of numpy memory, and so do the runs of the odd state (pass 0 of
+    a filtered sweep): the pair offsets, their run starts and the strike's
+    places live in the state's scratch, filled in place."""
     for lattice in (lattices[family], odd_lattices.get(family)):
         if lattice is None:
             continue
         state = dict(lattice, omega_kind=None)
-        moments._family_segment(lo, lo + 2**20, state)
+        segment = (moments._offset_runs if lattice["parity"]
+                   else moments._family_segment)
+        segment(lo, lo + 2**20, state)
         tracemalloc.start()
         try:
-            moments._family_segment(lo, lo + 2**20, state)
+            segment(lo, lo + 2**20, state)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,10 +404,10 @@ FOLD_XS = [1, 2, 3, 4, 7, 8, 9, 2**20 - 1, 2**20 + 1, 10**6, 12345677]
 
 @pytest.mark.parametrize("omega_kind", [None, "omega", "omega_star"])
 def test_folded_grid_matches_unfolded_sweep(table, omega_kind):
-    """Histograms folded from sweeps of odd n (r0 and r0*, unfiltered) or
-    of odd m (every family, by omega and omega*) are == (values and shape)
-    the sweep over every n, with 2^20 segments on 1 worker, 1000 on 2
-    workers (to 2^20 + 1) and 7 (to 9)."""
+    """Histograms folded from sweeps of odd m (every family, by omega and
+    omega*), and the unfiltered r0 and r0* counts, are == (values and
+    shape) the sweep over every n, with 2^20 segments on 1 worker, 1000 on
+    2 workers (to 2^20 + 1) and 7 (to 9)."""
     families = (list(RepFamily) if omega_kind
                 else [RepFamily.R0, RepFamily.R0_STAR])
     for fam in families:
@@ -418,38 +423,87 @@ def test_folded_grid_matches_unfolded_sweep(table, omega_kind):
                 assert np.array_equal(a, b), (fam, size, x)
 
 
-def r0star_rho_oracle(xs, table):
-    """rho_k(x) read off the unfiltered r0* histogram H of one sweep: r0*(n)
-    is 2^omega_star(n) on the restricted set and 0 off it, so rho_k(x) is
+COUNTED = (RepFamily.R0, RepFamily.R0_STAR)
+# x = 1 .. 9, 25, 399, 2^j +- 1, 1105^2 and its neighbours (1105 =
+# 5 13 17), 5525^2 = (5^2 13 17)^2, random x and 10^8
+COUNT_XS = [*range(1, 10), 25, 399,
+            *(2**j + e for j in range(2, 27) for e in (-1, 1)),
+            1105**2 - 1, 1105**2, 1105**2 + 1, 5525**2,
+            *np.random.default_rng(33).integers(10, 10**8, 12).tolist(),
+            10**8]
+
+
+@pytest.fixture(scope="module")
+def every_n_sweeps(table):
+    """The unfiltered r0 and r0* histograms at COUNT_XS from one sweep of
+    every n per family, the reference for their counts."""
+    return {f: moments._hist_sweep(f, COUNT_XS, table, moments._family_segment,
+                                   1 << 20, 1, omega_kind=None)
+            for f in COUNTED}
+
+
+def no_pool(monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", fail)
+
+
+def r0star_rho_oracle(r0star_hists):
+    """rho_k(x) read off unfiltered r0* histograms H from a sweep: r0*(n) is
+    2^omega_star(n) on the restricted set and 0 off it, so rho_k(x) is
     H[2^k], and no n has an r0* >= 1 off a power of two."""
     out = []
-    for hist in moments.histogram_grid(RepFamily.R0_STAR, xs, table):
+    for hist in r0star_hists:
         powers = 1 << np.arange((len(hist) - 1).bit_length())
         assert hist[powers].sum() == hist[1:].sum()
         out.append(hist[powers])
     return out
 
 
-def test_rho_counts_match_r0star_sweep(table, monkeypatch):
+def test_rho_counts_match_r0star_sweep(table, every_n_sweeps, monkeypatch):
     """rho_kN_grid == the r0* sweep's read-out, values and shape, at
-    x = 1 .. 9, 25, 399, 2^j +- 1, 1105^2 and its neighbours (1105 =
-    5 13 17), 5525^2 = (5^2 13 17)^2 and random x, to 10^8 in one sweep;
-    segment_size and workers change nothing, and no pool is started."""
-    rng = np.random.default_rng(33)
-    xs = [*range(1, 10), 25, 399,
-          *(2**j + e for j in range(2, 27) for e in (-1, 1)),
-          1105**2 - 1, 1105**2, 1105**2 + 1, 5525**2,
-          *rng.integers(10, 10**8, 12).tolist(), 10**8]
-    want = r0star_rho_oracle(xs, table)
-
-    def no_pool(*args, **kw):
-        raise AssertionError("a process pool was started")
-    monkeypatch.setattr(moments, "ProcessPoolExecutor", no_pool)
+    COUNT_XS; segment_size and workers change nothing, and no pool is
+    started."""
+    want = r0star_rho_oracle(every_n_sweeps[RepFamily.R0_STAR])
+    no_pool(monkeypatch)
     for size, workers in ((1 << 20, 1), (7, 2)):
-        got = moments.rho_kN_grid(xs, table, segment_size=size,
+        got = moments.rho_kN_grid(COUNT_XS, table, segment_size=size,
                                   workers=workers)
-        for x, a, b in zip(xs, got, want):
+        for x, a, b in zip(COUNT_XS, got, want):
             assert a.shape == b.shape and np.array_equal(a, b), x
+
+
+@pytest.mark.parametrize("family", COUNTED, ids=lambda f: f.value)
+def test_counts_match_every_n_sweep(table, every_n_sweeps, monkeypatch,
+                                    family):
+    """The unfiltered r0 and r0* counts == the every-n sweep, values and
+    shape, at COUNT_XS; segment_size and workers change nothing, and no
+    pool is started."""
+    no_pool(monkeypatch)
+    for size, workers in ((1 << 20, 1), (7, 2)):
+        got = moments.histogram_grid(family, COUNT_XS, table,
+                                     segment_size=size, workers=workers)
+        for x, a, b in zip(COUNT_XS, got, every_n_sweeps[family]):
+            assert a.shape == b.shape and np.array_equal(a, b), x
+
+
+def test_counts_at_max_x(big_table, monkeypatch):
+    """At 10^9, with no sweep: each count's histogram sums to x, and r0's
+    first moment is the lattice-point count sum_{b=1}^{isqrt(x)}
+    (isqrt(x - b^2) + 1), the pairs (a, b) with b >= 1, a >= 0 and
+    a^2 + b^2 <= x."""
+    def no_sweep(*args, **kw):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(moments, "_hist_sweep", no_sweep)
+    no_pool(monkeypatch)
+    x = TOP
+    hists = {f: moments.histogram_grid(f, [x], big_table, workers=2)[0]
+             for f in COUNTED}
+    for fam, hist in hists.items():
+        assert hist.sum() == x, fam
+    points = sum(math.isqrt(x - b * b) + 1 for b in range(1, math.isqrt(x) + 1))
+    assert moments.moment_from_histogram(hists[RepFamily.R0], "power",
+                                         1) == points
 
 
 # ---------------------------------------------------------------------------

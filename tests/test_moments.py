@@ -138,12 +138,45 @@ def test_rho_checks_before_any_work(monkeypatch):
             moments.rho_kN_grid([10], small, **kw)
 
 
+def test_counted_histograms_check_before_any_work(monkeypatch):
+    """The unfiltered r0 and r0* histograms are counted: a table short of
+    isqrt(max x) is a CapacityError and workers < 1 or segment_size < 1 a
+    ValueError, each before any count."""
+    def no_count(*args, **kw):
+        raise AssertionError("counted")
+    monkeypatch.setattr(moments, "_restricted_counts", no_count)
+    small = arith.prime_table(10)
+    for fam in (RepFamily.R0, RepFamily.R0_STAR):
+        for xs in ([10**6], [10, 10**6]):
+            with pytest.raises(CapacityError, match="needs primes to 1000"):
+                moments.histogram_grid(fam, xs, small)
+        for kw, name in (({"workers": 0}, "workers"),
+                         ({"segment_size": 0}, "segment_size")):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+                moments.histogram_grid(fam, [10], small, **kw)
+
+
+def test_counts_match_closed_forms_every_x(table):
+    """The unfiltered r0 and r0* counts == the histograms of r0_formula
+    and r0_star over arith.factor, value and shape, at every x <= 2000."""
+    xs = range(1, 2001)
+    facts = [arith.factor(n, table) for n in xs]
+    for fam, value in ((RepFamily.R0, repfun.r0_formula),
+                       (RepFamily.R0_STAR, repfun.r0_star)):
+        vals = np.array([value(f) for f in facts])
+        for x, h in zip(xs, moments.histogram_grid(fam, xs, table)):
+            want = np.bincount(vals[:x])
+            assert h.shape == want.shape, (fam, x)
+            assert np.array_equal(h, want), (fam, x)
+
+
 def test_fold_rule_against_closed_forms(table):
     """For n = 2^k m <= 10^4, m odd: r0(n) = r0(m), r0*(n) = r0*(m) for
     k <= 1 and 0 beyond, omega(n) = omega(m) + [k >= 1] and omega*(n) =
-    omega*(m).  The r0 and r0* histograms folded from odd n then equal,
-    value and shape, those of r0_formula and r0_star over every n, at
-    each x <= 300, at 2^j +- 1 and at 10^4, unfiltered and by omega row."""
+    omega*(m).  The r0 and r0* histograms, folded from odd m by omega
+    row and counted unfiltered, then equal, value and shape, those of
+    r0_formula and r0_star over every n, at each x <= 300, at 2^j +- 1 and
+    at 10^4."""
     top = 10**4
     facts = [None] + [arith.factor(n, table) for n in range(1, top + 1)]
     for n in range(1, top + 1):
