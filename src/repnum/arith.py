@@ -8,6 +8,7 @@ All logarithms are natural.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -238,9 +239,22 @@ class PrimeCounts:
                         self.large[:, np.minimum(d, r)])
 
     def one_mod_4(self, d):
-        """pi_1(v) = (pi(v) - [v >= 2] + c(v)) / 2 at v = x // d."""
-        pi, c = self.at(d)
-        return (pi - (self.x // d >= 2) + c) // 2
+        """pi_1(v) = (pi(v) - [v >= 2] + c(v)) / 2 at v = x // d, for an
+        int64 array of d >= 1, from pi_1 tabled once at every x // d."""
+        small, large = self._one_mod_4
+        r = len(small) - 1
+        v = self.x // d
+        return np.where(v <= r, small[np.minimum(v, r)],
+                        large[np.minimum(d, r)])
+
+    @cached_property
+    def _one_mod_4(self):
+        """pi_1 on the small and the large half, as one_mod_4 reads them."""
+        r = self.small.shape[1] - 1
+        v = np.arange(r + 1, dtype=np.int64)
+        big = self.x // np.maximum(v, 1)
+        return tuple((pi - (at >= 2) + c) // 2
+                     for (pi, c), at in ((self.small, v), (self.large, big)))
 
 
 def prime_counts(x, table):

@@ -1038,9 +1038,11 @@ def _restricted_counts(counts, p1, roots, key):
                 [out, np.zeros(int(keys.max()) + 1 - len(out), np.int64)])
         np.add.at(out, keys, found)
 
+    squares = p1 * p1
+
     def expand(d, k, j):
         add(step(k, 1), np.maximum(counts.one_mod_4(d) - j, 0))
-        kids = np.maximum(np.searchsorted(p1, _isqrt(x // d), "right") - j, 0)
+        kids = np.maximum(np.searchsorted(squares, x // d, "right") - j, 0)
         for r0, r1 in _pair_blocks(np.cumsum(kids), _NODE_BLOCK):
             n = kids[r0:r1]
             node = np.repeat(np.arange(r0, r1), n)
@@ -1057,8 +1059,9 @@ def _restricted_counts(counts, p1, roots, key):
                     break
                 power, q, k1, j1 = (a[keep] for a in (power, q, k1, j1))
                 level.append((power, step(k1, e), j1))
-                add(level[-1][1], 1)
-            expand(*(np.concatenate(a) for a in zip(*level)))
+            d1, k1, j1 = (np.concatenate(a) for a in zip(*level))
+            add(k1[node.size:], 1)  # the children with e >= 2
+            expand(d1, k1, j1)
 
     expand(roots, np.full(len(roots), base), np.zeros(len(roots), np.int64))
     return np.trim_zeros(out, "b")
