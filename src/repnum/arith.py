@@ -233,28 +233,27 @@ class PrimeCounts:
 
     def at(self, d):
         """[pi, c] at v = x // d for an int64 array of d >= 1, shape (2, len(d))."""
-        r = self.small.shape[1] - 1
-        v = self.x // d
-        return np.where(v <= r, self.small[:, np.minimum(v, r)],
-                        self.large[:, np.minimum(d, r)])
+        return self._read(self.small, self.large, d)
 
     def one_mod_4(self, d):
         """pi_1(v) = (pi(v) - [v >= 2] + c(v)) / 2 at v = x // d, for an
-        int64 array of d >= 1, from pi_1 tabled once at every x // d."""
-        small, large = self._one_mod_4
-        r = len(small) - 1
-        v = self.x // d
-        return np.where(v <= r, small[np.minimum(v, r)],
-                        large[np.minimum(d, r)])
+        int64 array of d >= 1, read from pi_1 tabled once at every x // d."""
+        return self._read(*self._one_mod_4, d)
 
     @cached_property
     def _one_mod_4(self):
-        """pi_1 on the small and the large half, as one_mod_4 reads them."""
-        r = self.small.shape[1] - 1
-        v = np.arange(r + 1, dtype=np.int64)
-        big = self.x // np.maximum(v, 1)
+        """pi_1 on the small and the large half."""
+        v = np.arange(self.small.shape[1], dtype=np.int64)
+        big = self.x // np.maximum(v, 1)  # v = x // d at d = v >= 1
         return tuple((pi - (at >= 2) + c) // 2
                      for (pi, c), at in ((self.small, v), (self.large, big)))
+
+    def _read(self, small, large, d):
+        """small at v = x // d where v <= isqrt(x), else large at d."""
+        r = small.shape[-1] - 1
+        v = self.x // d
+        return np.where(v <= r, small[..., np.minimum(v, r)],
+                        large[..., np.minimum(d, r)])
 
 
 def prime_counts(x, table):
